@@ -4,8 +4,7 @@ graphs, with exact rational geometry and brute-force verification throughout.
 
 from .core import (AbstractGraph, BoundaryOrder, Instance, adjacent,
                    boundary_order, build_instance, complement, consecutive,
-                   instance_graph, interval_closed, interval_left_open,
-                   interval_open, interval_right_open, is_clique,
+                   instance_graph, interval_closed, interval_open, is_clique,
                    stability_witness)
 from .cover import (CliqueCover, CliquePartition, DiskCaseTrace,
                     collinear_cover, cover_three_cliques, disk_case_cover,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, cover, color, audit, verify, stats, bench, render.
-Exit codes: 0 success, 1 usage, 2 parse failure, 3 precondition violation
-(an independent triple), 4 internal structure/audit failure.
+Exit codes: 0 success, 1 usage, 2 parse or file read/write failure,
+3 precondition violation (an independent triple), 4 internal structure/audit
+failure.
 
 Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 """
@@ -284,7 +285,9 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, DuplicatePoint, FileNotFoundError) as exc:
+    except (ParseError, DuplicatePoint, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError: a missing, unreadable or binary
+        # file, or a directory, where a text file was expected
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except StabilityViolated as exc:

@@ -189,16 +189,6 @@ def interval_closed(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
     return tuple(seq[(pu + t) % m] for t in range(span + 1))
 
 
-def interval_left_open(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
-    """(u,v] = [u,v] minus u."""
-    return interval_closed(order, u, v)[1:]
-
-
-def interval_right_open(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
-    """[u,v) = [u,v] minus v."""
-    return interval_closed(order, u, v)[:-1]
-
-
 def interval_open(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
     """(u,v) = [u,v] minus both endpoints."""
     closed = interval_closed(order, u, v)

@@ -10,6 +10,14 @@ which not all parts have the same cardinality.  Dispatch:
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
+The instance graph is built once per cover and handed to the disk case,
+which adds the disk center as a universal vertex instead of rebuilding the
+graph from coordinates.  The disk case then cuts the hull boundary of m
+vertices into three clique arcs with one linear two-pointer scan (O(m^2)
+adjacency lookups at worst) and fans the plane from the center into at most
+five regions whose hulls are built once; each vertex is located against the
+prepared hull edges by exact integer sign tests.
+
 Every constructor re-verifies its output; a failed check raises
 StructureViolation, which is unreachable on valid input and therefore
 always indicates a bug rather than a data condition.
@@ -19,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
 
-from .core import (AbstractGraph, BoundaryOrder, Instance, build_instance,
-                   instance_graph, interval_closed, interval_open, is_clique,
-                   stability_witness)
+from .core import (AbstractGraph, BoundaryOrder, Instance, instance_graph,
+                   interval_closed, interval_open, is_clique, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                      StructureViolation)
-from .geom import (COLLINEAR, OUTSIDE, Point, hull_decomposition, orientation,
-                   point_in_hull, smallest_enclosing_disk, sq_dist)
+from .geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, hull_decomposition,
+                   orientation, smallest_enclosing_disk, sq_dist)
 
 FAR_SQ = Fraction(3)  # far-pair threshold, inclusive: sq_dist >= 3
 
@@ -124,9 +133,11 @@ def _dispatch(inst: Instance, g: AbstractGraph) -> tuple[CliqueCover, DiskCaseTr
     if all(orientation(pts[0], pts[1], pts[i]) == COLLINEAR for i in range(2, n)):
         return collinear_cover(inst), None
 
+    # an adjacent pair has sq_dist <= 1 < 3, so only non-edges can be far
     for i in range(n):
+        ni = g.neighbors(i)
         for j in range(i + 1, n):
-            if sq_dist(pts[i], pts[j]) >= FAR_SQ:
+            if j not in ni and sq_dist(pts[i], pts[j]) >= FAR_SQ:
                 return far_pair_cover(inst, i, j), None
 
     sed = smallest_enclosing_disk(pts)
@@ -134,7 +145,7 @@ def _dispatch(inst: Instance, g: AbstractGraph) -> tuple[CliqueCover, DiskCaseTr
         raise StructureViolation(
             f"enclosing disk radius_sq {sed.radius_sq} exceeds 1 although all "
             f"pairs are closer than sqrt(3)")
-    return disk_case_cover(inst, sed.center)
+    return disk_case_cover(inst, sed.center, graph=g)
 
 
 def far_pair_cover(inst: Instance, u: int, v: int) -> CliqueCover:
@@ -187,7 +198,8 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
     first vertex y+ breaks it (v+ is its predecessor), symmetrically y-/v-
     counterclockwise, with the shortcut v- = y+ when y- already lies inside
     [v,v+].  On a complete boundary the successor/predecessor pair is
-    returned directly.
+    returned directly.  disk_case_cover does not use this pair: it needs the
+    one with the smallest remainder, which _pivot_pair finds.
     """
     seq = order.sequence
     m = len(seq)
@@ -232,50 +244,88 @@ def _complete_to(g: AbstractGraph, v: int, targets) -> bool:
     return all(g.adjacent(v, w) for w in targets if w != v)
 
 
-def _pivot_candidates(order: BoundaryOrder, g: AbstractGraph, b: int):
-    """All (b-, b+) with [b-,b], [b,b+] and the remaining arc cliques that
-    pairwise meet in at most {b}, each with its remainder size."""
+def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
+    """lengths[i] = number of vertices in the longest clockwise clique arc
+    starting at seq[i] (at most len(seq)).
+
+    Two-pointer: a clique arc minus its first vertex is still a clique, so
+    the arc end never moves back, and each step either extends the arc or
+    advances its start.  O(m^2) adjacency lookups in the worst case.
+    """
+    m = len(seq)
+    lengths = [0] * m
+    end = 1
+    for i in range(m):
+        end = max(end, i + 1)
+        while end - i < m:
+            nw = g.neighbors(seq[end % m])
+            if not all(seq[t % m] in nw for t in range(i, end)):
+                break
+            end += 1
+        lengths[i] = end - i
+    return lengths
+
+
+def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, int] | None:
+    """The (b-, b+) minimizing (remainder size, offset b+, offset b-) among
+    the pairs for which [b-,b], [b,b+] and the remaining arc are cliques
+    meeting pairwise in at most {b}; None when there is no such pair.
+
+    With offsets taken clockwise from b, b+ sits at offset j and b- at
+    offset m-s (mod m), j + s <= m-1, and j = s = 0 only when m = 1.
+    [b,b+] is a clique iff j <= J and [b-,b] iff s <= S, where J and S are
+    the step lengths of the longest clique arcs from b clockwise and
+    counterclockwise.  For a fixed j the largest s leaves the smallest
+    remainder, and a smaller s only grows the remainder, which cannot turn
+    a non-clique into a clique; so only s = min(S, m-1-j) is tried for each
+    j.  Each j then yields one pair, so scanning j upwards and keeping the
+    first smallest remainder never needs the b- offset to break a tie.
+    """
     seq = order.sequence
     m = len(seq)
     pos_b = order.position(b)
-
-    def offset(v: int) -> int:
-        return (order.position(v) - pos_b) % m
-
-    for b_minus in seq:
-        for b_plus in seq:
-            if b_minus == b_plus and m > 1:
-                continue
-            closed = interval_closed(order, b_minus, b_plus)
-            closed_set = set(closed)
-            if b not in closed_set:
-                continue
-            arc_minus = interval_closed(order, b_minus, b)
-            arc_plus = interval_closed(order, b, b_plus)
-            if (set(arc_minus) & set(arc_plus)) - {b}:
-                continue
-            remainder = [w for w in seq if w not in closed_set]
-            if not (is_clique(g, arc_minus) and is_clique(g, arc_plus)
-                    and is_clique(g, remainder)):
-                continue
-            yield (len(remainder), offset(b_plus), offset(b_minus)), b_minus, b_plus
+    rot = seq[pos_b:] + seq[:pos_b]
+    arc = _clique_arc_lengths(rot, g)
+    longest_ccw = 0
+    while longest_ccw < m - 1 and arc[m - 1 - longest_ccw] >= longest_ccw + 2:
+        longest_ccw += 1
+    best = None
+    for j in range(arc[0]):
+        s = min(longest_ccw, m - 1 - j)
+        if j == 0 and s == 0 and m > 1:
+            continue
+        rest = m - 1 - j - s
+        if rest and arc[j + 1] < rest:
+            continue
+        if best is None or rest < best[0]:
+            best = (rest, rot[(m - s) % m], rot[j])
+    return None if best is None else best[1:]
 
 
-def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
+def disk_case_cover(inst: Instance, center: Point,
+                    graph: AbstractGraph | None = None) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
 
     The center joins the instance as a universal vertex p (an existing vertex
-    is reused when the center coincides with one).  If two consecutive
-    boundary vertices are non-adjacent the one-sided-line cover applies
-    directly; otherwise the boundary is cut into arcs around a pivot vertex b
-    with a minimal middle arc, the plane is fanned into regions from p, and
-    the two triangular zones are redistributed by completeness tests.
+    is reused when the center coincides with one); every vertex lying within
+    unit distance of the center is what makes p universal, so the augmented
+    graph is ``graph`` (the instance graph, built here when not given) plus
+    p joined to everything.  If two consecutive boundary vertices are
+    non-adjacent the one-sided-line cover applies directly.  Otherwise the
+    boundary of m vertices is cut around a pivot vertex b into the clique
+    arcs [b-,b], [b,b+] and a minimal middle arc by one linear scan
+    (O(m^2) adjacency lookups at worst, see _pivot_pair), the plane is
+    fanned into at most five regions from p, each region's hull is built
+    once, and every vertex is located against the prepared hull edges in
+    region priority order (O(n * h) exact integer sign tests for h hull
+    edges in all).  The two triangular zones are then redistributed by
+    completeness tests.
     """
-    g0 = instance_graph(inst)
-    pts = list(inst.points)
-    n0 = inst.n
-    if n0 == 0:
+    if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
+    g0 = instance_graph(inst) if graph is None else graph
+    pts = inst.points
+    n0 = inst.n
     for i, p in enumerate(pts):
         if sq_dist(center, p) > 1:
             raise StructureViolation(
@@ -284,16 +334,16 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     if center in pts:
         p_id = pts.index(center)
         virtual = False
-        aug = inst
+        apts = pts
+        g = g0
     else:
         p_id = n0
         virtual = True
-        aug = build_instance(inst.id, pts + [center])
-    g = instance_graph(aug)
-    if not all(g.adjacent(p_id, w) for w in range(aug.n) if w != p_id):
-        raise StructureViolation("universal vertex is not adjacent to every vertex")
+        apts = pts + (center,)
+        g = AbstractGraph(n0 + 1, chain(g0.edges(), ((w, n0) for w in range(n0))),
+                          id=g0.id)
 
-    hd = hull_decomposition(aug.points)
+    hd = hull_decomposition(apts)
     if hd.is_collinear:
         raise StructureViolation("disk case requires a two-dimensional hull")
     order = BoundaryOrder(hd.boundary)
@@ -307,18 +357,12 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
             return _nonedge_cover(inst, g0, g, center, p_id, virtual, u, w)
 
     b = next(w for w in seq if w != p_id)
-
-    # greedy pivot first: proves a valid cut exists (and is itself a
-    # candidate whenever the boundary is not complete)
-    seed = hollow_pivot(order, g, b)
-    best_key, b_minus, b_plus = None, None, None
-    for key, cm, cp in _pivot_candidates(order, g, b):
-        if best_key is None or key < best_key:
-            best_key, b_minus, b_plus = key, cm, cp
-    if best_key is None:
+    pivot = _pivot_pair(order, g, b)
+    if pivot is None:
         raise StructureViolation(
-            f"no admissible boundary pivot pair at {b} although the greedy "
-            f"pivot {seed} satisfies the three-clique conclusion")
+            f"no admissible boundary pivot pair at vertex {b}; "
+            f"only possible when stability exceeds 2")
+    b_minus, b_plus = pivot
 
     middle = interval_open(order, b_plus, b_minus) if b_plus != b_minus else ()
     if middle:
@@ -326,25 +370,24 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     else:
         r_plus, r_minus = b_minus, b_plus
 
-    apts = aug.points
     p_point = apts[p_id]
 
-    def hull_pts(ids) -> list[Point]:
-        return [apts[w] for w in ids] + [p_point]
+    def fan_region(ids) -> PreparedHull:
+        return PreparedHull([apts[w] for w in ids] + [p_point])
 
-    regions: list[tuple[str, list[Point]]] = [
-        ("B+", hull_pts(interval_closed(order, b, b_plus))),
-        ("B-", hull_pts(interval_closed(order, b_minus, b))),
+    regions: list[tuple[str, PreparedHull]] = [
+        ("B+", fan_region(interval_closed(order, b, b_plus))),
+        ("B-", fan_region(interval_closed(order, b_minus, b))),
     ]
     if middle:
-        regions.append(("R", hull_pts(interval_closed(order, r_plus, r_minus))))
-        regions.append(("T+", hull_pts([b_plus, r_plus])))
-        regions.append(("T-", hull_pts([r_minus, b_minus])))
+        regions.append(("R", fan_region(interval_closed(order, r_plus, r_minus))))
+        regions.append(("T+", fan_region([b_plus, r_plus])))
+        regions.append(("T-", fan_region([r_minus, b_minus])))
     else:
-        regions.append(("T+", hull_pts([b_plus, r_plus])))
+        regions.append(("T+", fan_region([b_plus, r_plus])))
 
     assigned: dict[str, set[int]] = {name: set() for name, _ in regions}
-    for w in range(aug.n):
+    for w in range(len(apts)):
         if w == b:
             assigned["B+"].add(w)
             assigned["B-"].add(w)
@@ -354,7 +397,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
                 assigned[name].add(w)
             continue
         for name, hull in regions:
-            if point_in_hull(apts[w], hull) != OUTSIDE:
+            if hull.locate(apts[w]) != OUTSIDE:
                 assigned[name].add(w)
                 break
         else:

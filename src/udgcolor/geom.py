@@ -7,6 +7,7 @@ the library reduce to comparing squared distances against 1 and 3.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,36 +171,72 @@ def hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
     return HullDecomposition(tuple(boundary), interior, False)
 
 
+class PreparedHull:
+    """Closed convex hull of a point set, built once for repeated exact
+    point location.
+
+    Each counterclockwise hull edge a->b is stored as integers (A, B, K)
+    with sign(A*y - B*x - K) == orientation(a, b, (x, y)): the rational edge
+    line scaled by the positive lcm of its denominators.  Locating a point
+    then costs three integer products per edge and no rational
+    normalization.  A hull that degenerates to a segment, or to a single
+    point (a segment from the point to itself), keeps that one line plus its
+    bounding box.
+    """
+
+    __slots__ = ("_segment", "_edges")
+
+    def __init__(self, points: Iterable[Point]):
+        uniq = list(dict.fromkeys(points))
+        if not uniq:
+            raise EmptyInput("hull of an empty point set")
+        self._segment: tuple[Point, Point] | None = None
+        self._edges: list[tuple[int, int, int]] = []
+        order = sorted(range(len(uniq)), key=lambda i: (uniq[i].x, uniq[i].y))
+        hull = _strict_hull(uniq, order)
+        if len(hull) <= 2:
+            a, b = uniq[order[0]], uniq[order[-1]]
+            self._segment = (a, b)
+            self._edges.append(_edge_line(a, b))
+            return
+        m = len(hull)
+        self._edges.extend(_edge_line(uniq[hull[t]], uniq[hull[(t + 1) % m]])
+                           for t in range(m))
+
+    def locate(self, p: Point) -> str:
+        """INTERIOR, BOUNDARY or OUTSIDE for the closed hull."""
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        px, py, scale = xn * yd, yn * xd, xd * yd
+        if self._segment is not None:
+            a, b, k = self._edges[0]
+            if a * py - b * px - k * scale == 0 and _within_bbox(*self._segment, p):
+                return BOUNDARY
+            return OUTSIDE
+        on_edge = False
+        for a, b, k in self._edges:
+            side = a * py - b * px - k * scale
+            if side < 0:
+                return OUTSIDE
+            if side == 0:
+                on_edge = True
+        return BOUNDARY if on_edge else INTERIOR
+
+
+def _edge_line(a: Point, b: Point) -> tuple[int, int, int]:
+    """Integers (A, B, K) with sign(A*y - B*x - K) == orientation(a, b, (x, y))."""
+    dx = b.x - a.x
+    dy = b.y - a.y
+    k = dx * a.y - dy * a.x
+    lcm = math.lcm(dx.denominator, dy.denominator, k.denominator)
+    return (dx.numerator * (lcm // dx.denominator),
+            dy.numerator * (lcm // dy.denominator),
+            k.numerator * (lcm // k.denominator))
+
+
 def point_in_hull(p: Point, points: Sequence[Point]) -> str:
     """Exact location of p relative to the closed convex hull of points."""
-    if not points:
-        raise EmptyInput("hull of an empty point set")
-    uniq: list[Point] = []
-    seen: set[Point] = set()
-    for q in points:
-        if q not in seen:
-            seen.add(q)
-            uniq.append(q)
-    if len(uniq) == 1:
-        return BOUNDARY if p == uniq[0] else OUTSIDE
-
-    order = sorted(range(len(uniq)), key=lambda i: (uniq[i].x, uniq[i].y))
-    hull = _strict_hull(uniq, order)
-    if len(hull) <= 2:
-        a, b = uniq[order[0]], uniq[order[-1]]
-        if orientation(a, b, p) == COLLINEAR and _within_bbox(a, b, p):
-            return BOUNDARY
-        return OUTSIDE
-
-    on_edge = False
-    m = len(hull)
-    for t in range(m):
-        o = orientation(uniq[hull[t]], uniq[hull[(t + 1) % m]], p)
-        if o == CW:
-            return OUTSIDE
-        if o == COLLINEAR:
-            on_edge = True
-    return BOUNDARY if on_edge else INTERIOR
+    return PreparedHull(points).locate(p)
 
 
 def disk_contains(d: Disk, p: Point) -> bool:

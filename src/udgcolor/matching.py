@@ -28,13 +28,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def mates(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for u, v in self.edges:
-            out[u] = v
-            out[v] = u
-        return out
-
 
 def _augment_search(g: AbstractGraph, match: list[int], root: int,
                     banned: int = -1) -> bool:

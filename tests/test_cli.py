@@ -107,6 +107,20 @@ def test_parse_error_exit(tmp_path):
     assert run(["stats", str(tmp_path / "missing.udg")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", ["cover", "color", "audit"])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
+    binary = tmp_path / "binary.udg"
+    binary.write_bytes(bytes(range(128, 256)) * 4)
+    for path in (binary, tmp_path):
+        argv = [command, str(path)]
+        if command == "cover":
+            argv += ["-o", str(tmp_path / "x.cover")]
+        assert run(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert err.count("\n") == 1
+
+
 def test_bench_table(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -2,9 +2,8 @@ import pytest
 
 from udgcolor.core import (AbstractGraph, adjacent, boundary_order,
                            build_instance, complement, consecutive,
-                           instance_graph, interval_closed, interval_left_open,
-                           interval_open, interval_right_open, is_clique,
-                           stability_witness)
+                           instance_graph, interval_closed, interval_open,
+                           is_clique, stability_witness)
 from udgcolor.errors import (DegenerateCollinear, DuplicatePoint,
                              InvalidVertex)
 from udgcolor.geom import point
@@ -93,11 +92,7 @@ def test_interval_variants():
     order = boundary_order(SQUARE)
     a, b, c, d = order.sequence
     assert interval_closed(order, a, c) == (a, b, c)
-    assert interval_left_open(order, a, c) == (b, c)
-    assert interval_right_open(order, a, c) == (a, b)
     assert interval_closed(order, c, a) == (c, d, a)
-    assert interval_left_open(order, a, a) == ()
-    assert interval_right_open(order, a, a) == ()
 
 
 def test_interval_identity_partition():

@@ -1,17 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
-from udgcolor.core import (boundary_order, build_instance, instance_graph,
+from udgcolor.core import (AbstractGraph, BoundaryOrder, boundary_order,
+                           build_instance, instance_graph, interval_closed,
                            is_clique)
-from udgcolor.cover import (CliqueCover, collinear_cover, cover_from_text,
-                            cover_three_cliques, cover_to_text,
-                            disk_case_cover, far_pair_cover, hollow_pivot,
-                            partition_from_cover, trace_from_text,
-                            trace_to_text)
+from udgcolor.cover import (CliqueCover, _pivot_pair, collinear_cover,
+                            cover_from_text, cover_three_cliques,
+                            cover_to_text, disk_case_cover, far_pair_cover,
+                            hollow_pivot, partition_from_cover,
+                            trace_from_text, trace_to_text)
 from udgcolor.errors import (EmptyInstance, StabilityViolated,
                              StructureViolation)
-from udgcolor.geom import point, smallest_enclosing_disk
+from udgcolor.geom import hull_decomposition, point, smallest_enclosing_disk
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.oracles import brute_cover_exists, verify_cover
 
@@ -127,8 +129,6 @@ def test_hollow_pivot_c5():
 
 
 def test_hollow_pivot_conclusion_holds_on_random_boundaries():
-    from udgcolor.core import interval_closed
-
     rng = random.Random(31)
     done = 0
     while done < 25:
@@ -148,6 +148,116 @@ def test_hollow_pivot_conclusion_holds_on_random_boundaries():
                     if w not in set(interval_closed(order, v_minus, v_plus))]
             assert is_clique(g, left) and is_clique(g, right) and is_clique(g, rest)
         done += 1
+
+
+def _reference_pivot_pair(order, g, b):
+    """Exhaustive O(m^4) reference for _pivot_pair: every (b-, b+) whose
+    arcs [b-,b], [b,b+] and remainder are cliques meeting pairwise in at
+    most {b}, minimized by (remainder size, offset b+, offset b-)."""
+    seq = order.sequence
+    m = len(seq)
+    pos_b = order.position(b)
+
+    def offset(v):
+        return (order.position(v) - pos_b) % m
+
+    best = None
+    for b_minus in seq:
+        for b_plus in seq:
+            if b_minus == b_plus and m > 1:
+                continue
+            closed = set(interval_closed(order, b_minus, b_plus))
+            if b not in closed:
+                continue
+            arc_minus = interval_closed(order, b_minus, b)
+            arc_plus = interval_closed(order, b, b_plus)
+            if (set(arc_minus) & set(arc_plus)) - {b}:
+                continue
+            remainder = [w for w in seq if w not in closed]
+            if not (is_clique(g, arc_minus) and is_clique(g, arc_plus)
+                    and is_clique(g, remainder)):
+                continue
+            key = (len(remainder), offset(b_plus), offset(b_minus))
+            if best is None or key < best[0]:
+                best = (key, b_minus, b_plus)
+    return None if best is None else best[1:]
+
+
+def test_pivot_scan_matches_enumeration_on_random_boundaries():
+    rng = random.Random(2024)
+    seen_none = seen_pair = 0
+    for m in range(1, 10):
+        for trial in range(150):
+            n = m + rng.randrange(3)
+            density = 1.0 if trial < 5 else rng.choice((0.5, 0.7, 0.85, 0.95))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < density]
+            g = AbstractGraph(n, edges)
+            order = BoundaryOrder(tuple(rng.sample(range(n), m)))
+            for b in order.sequence:
+                expected = _reference_pivot_pair(order, g, b)
+                assert _pivot_pair(order, g, b) == expected, (m, edges, order, b)
+                if expected is None:
+                    seen_none += 1
+                else:
+                    seen_pair += 1
+    assert seen_none > 0 and seen_pair > 0
+
+
+def _disk_case_boundary(inst):
+    """The augmented graph and boundary order disk_case_cover works on."""
+    center = smallest_enclosing_disk(inst.points).center
+    pts = list(inst.points)
+    if center not in pts:
+        pts.append(center)
+    aug = build_instance(inst.id, pts)
+    return instance_graph(aug), BoundaryOrder(hull_decomposition(aug.points).boundary)
+
+
+def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
+    instances = [gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6)]
+    separations = ("1", "3/4", "1/2", "1/4")
+    instances += [gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
+                  for i in range(200)]
+    checked = 0
+    for inst in instances:
+        _, trace = cover_three_cliques(inst)
+        if trace is None:
+            continue
+        g, order = _disk_case_boundary(inst)
+        for b in order.sequence:
+            assert _pivot_pair(order, g, b) == _reference_pivot_pair(order, g, b), \
+                (inst.id, b)
+            checked += 1
+    assert checked > 100
+
+
+# SHA-256 of cover_to_text and trace_to_text, recorded before the disk case
+# moved to the linear pivot scan and prepared fan-region hulls.
+GOLDEN_COVERS = {
+    "circulant-35-12": (
+        "b6a7ca1d8ab13f70a31ad1fe000fb4154d468a588b51a3ee68a912ede48d0693",
+        "0282c3a0d25f6527d228397711c51d7c78ed3c01997d69a5b046cbede5edc686"),
+    "circulant-59-20": (
+        "519793833f68c10ae6dd3a2cd9b7c1a3d289588da288d303512dd0ae37206bf6",
+        "18e48757fa9524b1c851ada9c6393cba3c0937345d0e5d5315a65f18650f0137"),
+    "twocluster-80-3-1x2": (
+        "5b075d1e9bcbe2c93d7b7a6f4509cc8cc0a25a6d7f7cfe3681815c2751ab8cf8",
+        "beaaf7be623b64e55f987fac73385cc2b480911fab89925e3902cd5a42bbc6b4"),
+}
+
+
+@pytest.mark.parametrize("inst", [gen_circulant(35, 12), gen_circulant(59, 20),
+                                  gen_two_cluster(80, seed=3, separation="1/2")],
+                         ids=lambda inst: inst.id)
+def test_disk_case_artifacts_match_golden_hashes(inst):
+    cover, trace = cover_three_cliques(inst)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (digest(cover_to_text(cover, inst.id)),
+            digest(trace_to_text(trace, inst.id))) == GOLDEN_COVERS[inst.id]
 
 
 def test_disk_case_small_square_complete():

@@ -162,3 +162,34 @@ def test_hull_boundary_and_point_location_agree():
                 assert where == INTERIOR
             else:
                 assert where == BOUNDARY
+
+
+def _reference_location(p, pts):
+    """Point location by rational orientation tests against every
+    supporting line, i.e. every ordered pair of input points with no input
+    point strictly to its right."""
+    uniq = set(pts)
+    if len(uniq) == 1:
+        return BOUNDARY if p in uniq else OUTSIDE
+    supporting = [(a, b) for a in uniq for b in uniq
+                  if a != b and all(orientation(a, b, q) != CW for q in uniq)]
+    if any(orientation(a, b, p) == CW for a, b in supporting):
+        return OUTSIDE
+    if all(orientation(a, b, q) == COLLINEAR for a, b in supporting for q in uniq):
+        # a segment: p is on its line, so only the extent is left to check
+        xs = [q.x for q in uniq]
+        ys = [q.y for q in uniq]
+        inside = min(xs) <= p.x <= max(xs) and min(ys) <= p.y <= max(ys)
+        return BOUNDARY if inside else OUTSIDE
+    on_edge = any(orientation(a, b, p) == COLLINEAR for a, b in supporting)
+    return BOUNDARY if on_edge else INTERIOR
+
+
+def test_point_location_matches_rational_reference():
+    rng = random.Random(4242)
+    for _ in range(300):
+        pts = _random_points(rng, rng.randrange(1, 7), denom=rng.choice((1, 3, 7)), span=2)
+        if rng.random() < 0.2:
+            pts = pts + pts[:2]  # repeated points
+        for q in _random_points(rng, 6, denom=rng.choice((1, 3, 7)), span=2) + pts:
+            assert point_in_hull(q, pts) == _reference_location(q, pts), (q, pts)
