@@ -15,12 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-from .core import instance_graph, stability_witness
+from .core import stability_witness
 from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_from_text, trace_to_text
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
-from .instances import (gen_circulant, gen_cs, gen_two_cluster, read_instance,
-                        write_graph, write_instance)
+from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
+                        instance_from_text, read_instance, write_graph,
+                        write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
@@ -65,11 +66,9 @@ def _load_any_graph(path: str):
     text = Path(path).read_text()
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "udg":
-        from .instances import instance_from_text
         inst = instance_from_text(text)
-        return instance_graph(inst), inst
+        return inst.graph, inst
     if head == "graph":
-        from .instances import graph_from_text
         return graph_from_text(text), None
     raise ParseError(1, f"unknown artifact header {head!r} in {path}")
 
@@ -103,7 +102,7 @@ def _cmd_cover(args) -> int:
             print("note: no disk-case trace for this instance", file=sys.stderr)
         else:
             _write_text(args.trace, trace_to_text(trace, inst.id))
-    bad = verify_cover(instance_graph(inst), cover)
+    bad = verify_cover(inst.graph, cover)
     if bad is not None:
         print(f"cover verification failed: {bad.message}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -117,7 +116,7 @@ def _cmd_color(args) -> int:
         _write_text(args.output, coloring_to_text(coloring, inst.id))
     limits = _limits_from_env()
     if inst.n <= limits.alpha_omega_max:
-        omega = brute_omega(instance_graph(inst), limits.should_cancel)
+        omega = brute_omega(inst.graph, limits.should_cancel)
         bound = (3 * omega) // 2
         print(f"colors={coloring.num_colors} omega={omega} bound={bound}")
     else:
@@ -139,7 +138,7 @@ def _cmd_verify(args) -> int:
     if not args.cover and not args.coloring:
         raise _UsageError("verify needs --cover and/or --coloring")
     inst = read_instance(args.instance)
-    g = instance_graph(inst)
+    g = inst.graph
     failures = 0
     if args.cover:
         instance_id, cover = cover_from_text(Path(args.cover).read_text())
@@ -183,7 +182,7 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in sorted(Path(args.corpus).glob("*.udg")):
         inst = read_instance(path)
-        g = instance_graph(inst)
+        g = inst.graph
         greedy = sweep_greedy_color(inst).num_colors
         if stability_witness(g) is None:
             matching = color_via_complement_matching(inst).num_colors

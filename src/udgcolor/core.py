@@ -9,6 +9,7 @@ refers to indices, never to coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateCollinear, DuplicatePoint, InvalidVertex
@@ -23,6 +24,11 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def graph(self) -> AbstractGraph:
+        """The unit-distance graph, built on first use and shared after."""
+        return instance_graph(self)
 
 
 def build_instance(id: str, points: Sequence[Point]) -> Instance:

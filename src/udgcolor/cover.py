@@ -10,13 +10,15 @@ which not all parts have the same cardinality.  Dispatch:
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
-The instance graph is built once per cover and handed to the disk case,
-which adds the disk center as a universal vertex instead of rebuilding the
-graph from coordinates.  The disk case then cuts the hull boundary of m
-vertices into three clique arcs with one linear two-pointer scan (O(m^2)
-adjacency lookups at worst) and fans the plane from the center into at most
-five regions whose hulls are built once; each vertex is located against the
-prepared hull edges by exact integer sign tests.
+Every branch reads the graph the instance builds once and caches
+(Instance.graph); the disk case adds the disk center to it as a universal
+vertex instead of rebuilding the graph from coordinates.  The far-pair
+branch and the disk case's non-adjacent consecutive boundary pair share one
+construction, _pair_cover.  Otherwise the disk case cuts the hull boundary
+of m vertices into three clique arcs with one linear two-pointer scan
+(O(m^2) adjacency lookups at worst) and fans the plane from the center into
+at most five regions whose hulls are built once; each vertex is located
+against the prepared hull edges by exact integer sign tests.
 
 Every constructor re-verifies its output; a failed check raises
 StructureViolation, which is unreachable on valid input and therefore
@@ -30,12 +32,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .core import (AbstractGraph, BoundaryOrder, Instance, instance_graph,
-                   interval_closed, interval_open, is_clique, stability_witness)
-from .errors import (EmptyInstance, InvalidVertex, StabilityViolated,
-                     StructureViolation)
+from .core import (AbstractGraph, BoundaryOrder, Instance, interval_closed,
+                   interval_open, is_clique, stability_witness)
+from .errors import (EmptyInstance, InvalidVertex, ParseError,
+                     StabilityViolated, StructureViolation)
 from .geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, hull_decomposition,
                    orientation, smallest_enclosing_disk, sq_dist)
+from .instances import parse_scalar
 
 FAR_SQ = Fraction(3)  # far-pair threshold, inclusive: sq_dist >= 3
 
@@ -63,7 +66,8 @@ class CliquePartition:
 class DiskCaseTrace:
     """Everything the bounded-diameter case computed, for diagnosis.
 
-    mode is "nonedge" (a non-adjacent consecutive boundary pair short-cut),
+    mode is "nonedge" (two consecutive boundary vertices are non-adjacent;
+    the cover is the pair construction shared with far_pair_cover),
     "narrow" (empty middle arc, three-region cover) or "split" (full
     T+/T- redistribution).  Region sets are the priority-assigned, pairwise
     disjoint sets except that b sits in both B+ and B- and the universal
@@ -109,17 +113,18 @@ def cover_three_cliques(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | No
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g = instance_graph(inst)
+    g = inst.graph
     witness = stability_witness(g)
     if witness is not None:
         raise StabilityViolated(witness)
 
-    cover, trace = _dispatch(inst, g)
+    cover, trace = _dispatch(inst)
     _require_cover(g, cover, "cover_three_cliques")
     return cover, trace
 
 
-def _dispatch(inst: Instance, g: AbstractGraph) -> tuple[CliqueCover, DiskCaseTrace | None]:
+def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
+    g = inst.graph
     n = inst.n
     everything = frozenset(range(n))
 
@@ -145,28 +150,36 @@ def _dispatch(inst: Instance, g: AbstractGraph) -> tuple[CliqueCover, DiskCaseTr
         raise StructureViolation(
             f"enclosing disk radius_sq {sed.radius_sq} exceeds 1 although all "
             f"pairs are closer than sqrt(3)")
-    return disk_case_cover(inst, sed.center, graph=g)
+    return disk_case_cover(inst, sed.center)
+
+
+def _pair_cover(g: AbstractGraph, u: int, v: int, where: str) -> CliqueCover:
+    """(N(u)\\N(v)) + u, (N(u) & N(v)) + u and (N(v)\\N(u)) + v for a
+    non-adjacent pair u, v, with u shared.
+
+    With stability at most two every other vertex is adjacent to u or to v,
+    so the three sets cover V, and a non-adjacent pair inside the first or
+    the last would extend to an independent triple.  The caller's geometry
+    is what makes the middle set a clique.
+    """
+    nu = g.neighbors(u)
+    nv = g.neighbors(v)
+    cover = CliqueCover(((nu - nv) | {u}, (nu & nv) | {u}, (nv - nu) | {v}), u)
+    _require_cover(g, cover, where)
+    return cover
 
 
 def far_pair_cover(inst: Instance, u: int, v: int) -> CliqueCover:
     """Cover built from a pair at squared distance >= 3.
 
-    A = (N(u)\\N(v)) + u and C = (N(v)\\N(u)) + v are cliques because any
-    non-adjacent pair inside either would extend to an independent triple;
-    B = (N(u) & N(v)) + u is a clique because the common neighborhood of a
-    far pair is one.  v goes to C so the cover reaches every vertex.
+    The pair construction holds for any non-adjacent pair once stability is
+    at most two (see _pair_cover); the far pair is what makes the middle set
+    B = (N(u) & N(v)) + u a clique, because the common neighborhood of a far
+    pair is one.
     """
-    g = instance_graph(inst)
     if sq_dist(inst.points[u], inst.points[v]) < FAR_SQ:
         raise InvalidVertex(f"pair ({u},{v}) is not a far pair")
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    a = frozenset(nu - nv) | {u}
-    b = frozenset(nu & nv) | {u}
-    c = frozenset(nv - nu) | {v}
-    cover = CliqueCover((a, b, c), u)
-    _require_cover(g, cover, "far_pair_cover")
-    return cover
+    return _pair_cover(inst.graph, u, v, "far_pair_cover")
 
 
 def collinear_cover(inst: Instance) -> CliqueCover:
@@ -178,7 +191,7 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g = instance_graph(inst)
+    g = inst.graph
     pts = inst.points
     order = sorted(range(inst.n), key=lambda i: (pts[i].x, pts[i].y))
     first = order[0]
@@ -302,16 +315,16 @@ def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, in
     return None if best is None else best[1:]
 
 
-def disk_case_cover(inst: Instance, center: Point,
-                    graph: AbstractGraph | None = None) -> tuple[CliqueCover, DiskCaseTrace]:
+def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
 
     The center joins the instance as a universal vertex p (an existing vertex
     is reused when the center coincides with one); every vertex lying within
     unit distance of the center is what makes p universal, so the augmented
-    graph is ``graph`` (the instance graph, built here when not given) plus
-    p joined to everything.  If two consecutive boundary vertices are
-    non-adjacent the one-sided-line cover applies directly.  Otherwise the
+    graph is the instance graph (inst.graph) plus p joined to everything.
+    If two consecutive boundary vertices u, v are non-adjacent, the whole
+    instance lies on one side of the line uv and the pair construction of
+    _pair_cover on the instance graph is the cover.  Otherwise the
     boundary of m vertices is cut around a pivot vertex b into the clique
     arcs [b-,b], [b,b+] and a minimal middle arc by one linear scan
     (O(m^2) adjacency lookups at worst, see _pivot_pair), the plane is
@@ -323,7 +336,7 @@ def disk_case_cover(inst: Instance, center: Point,
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g0 = instance_graph(inst) if graph is None else graph
+    g0 = inst.graph
     pts = inst.points
     n0 = inst.n
     for i, p in enumerate(pts):
@@ -350,11 +363,14 @@ def disk_case_cover(inst: Instance, center: Point,
     seq = order.sequence
     m = len(seq)
 
+    p_point = apts[p_id]
     # consecutive boundary vertices must be adjacent, else the one-sided case
     for t in range(m):
         u, w = seq[t], seq[(t + 1) % m]
         if u != w and not g.adjacent(u, w):
-            return _nonedge_cover(inst, g0, g, center, p_id, virtual, u, w)
+            trace = DiskCaseTrace(mode="nonedge", p_point=p_point, p_virtual=virtual,
+                                  p_id=p_id, nonedge_pair=(u, w))
+            return _pair_cover(g0, u, w, "nonedge cover"), trace
 
     b = next(w for w in seq if w != p_id)
     pivot = _pivot_pair(order, g, b)
@@ -369,8 +385,6 @@ def disk_case_cover(inst: Instance, center: Point,
         r_plus, r_minus = middle[0], middle[-1]
     else:
         r_plus, r_minus = b_minus, b_plus
-
-    p_point = apts[p_id]
 
     def fan_region(ids) -> PreparedHull:
         return PreparedHull([apts[w] for w in ids] + [p_point])
@@ -459,32 +473,6 @@ def disk_case_cover(inst: Instance, center: Point,
     return cover, trace
 
 
-def _nonedge_cover(inst: Instance, g0: AbstractGraph, g: AbstractGraph,
-                   center: Point, p_id: int, virtual: bool,
-                   u: int, v: int) -> tuple[CliqueCover, DiskCaseTrace]:
-    """Cover when the whole instance lies on one side of the line through a
-    non-adjacent pair u,v: the non-neighbors of v, the common neighborhood
-    plus u, and the non-neighbors of u are three cliques."""
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    a = frozenset(w for w in range(g.n) if w != v and w not in nv)
-    bb = frozenset(nu & nv) | {u}
-    c = frozenset(w for w in range(g.n) if w != u and w not in nu)
-    parts = (a, bb, c)
-    if virtual:
-        parts = tuple(part - {p_id} for part in parts)  # type: ignore[assignment]
-    cover = CliqueCover(parts, u)
-    trace = DiskCaseTrace(
-        mode="nonedge",
-        p_point=center if virtual else inst.points[p_id],
-        p_virtual=virtual,
-        p_id=p_id,
-        nonedge_pair=(u, v),
-    )
-    _require_cover(g0, cover, "nonedge cover")
-    return cover, trace
-
-
 def partition_from_cover(cover: CliqueCover) -> CliquePartition:
     """Disjointify a cover into a partition with two distinct part sizes.
 
@@ -530,13 +518,25 @@ def cover_to_text(cover: CliqueCover, instance_id: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cover_from_text(text: str) -> tuple[str, CliqueCover]:
-    from .errors import ParseError
+def _header_id(lines: list[str], keyword: str) -> str:
+    """The instance id of a '<keyword> <instance-id>' first line."""
+    head = lines[0] if lines else ""
+    instance_id = head[len(keyword) + 1:].strip()
+    if not head.startswith(keyword + " ") or not instance_id:
+        raise ParseError(1, f"expected '{keyword} <instance-id>' header")
+    return instance_id
 
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("cover "):
-        raise ParseError(1, "expected 'cover <instance-id>' header")
-    instance_id = lines[0].split(maxsplit=1)[1].strip()
+
+def _vertex_id(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, f"bad vertex id {token!r}") from None
+
+
+def cover_from_text(text: str) -> tuple[str, CliqueCover]:
+    lines = text.splitlines()
+    instance_id = _header_id(lines, "cover")
     if len(lines) < 5:
         raise ParseError(len(lines), "cover block needs 3 clique lines and a shared line")
     cliques = []
@@ -545,18 +545,17 @@ def cover_from_text(text: str) -> tuple[str, CliqueCover]:
         prefix = f"clique {i}:"
         if not ln.startswith(prefix):
             raise ParseError(2 + i, f"expected '{prefix} ...'")
-        try:
-            cliques.append(frozenset(int(tok) for tok in ln[len(prefix):].split()))
-        except ValueError as exc:
-            raise ParseError(2 + i, str(exc)) from None
+        cliques.append(frozenset(_vertex_id(tok, 2 + i) for tok in ln[len(prefix):].split()))
     ln = lines[4]
     if not ln.startswith("shared:"):
         raise ParseError(5, "expected 'shared: <v>'")
     tok = ln.split(":", 1)[1].strip()
-    shared = None if tok == "-" else int(tok)
+    shared = None if tok == "-" else _vertex_id(tok, 5)
     return instance_id, CliqueCover((cliques[0], cliques[1], cliques[2]), shared)
 
 
+_TRACE_IDS = (("b", "b"), ("b+", "b_plus"), ("b-", "b_minus"),
+              ("r+", "r_plus"), ("r-", "r_minus"))
 _TRACE_SETS = (
     ("region B+", "region_b_plus"),
     ("region B-", "region_b_minus"),
@@ -576,8 +575,7 @@ def trace_to_text(trace: DiskCaseTrace, instance_id: str) -> str:
     lines = [f"trace {instance_id}", f"mode {trace.mode}"]
     lines.append(f"p {trace.p_point.x} {trace.p_point.y} "
                  f"virtual={int(trace.p_virtual)} id={trace.p_id}")
-    for label, attr in (("b", "b"), ("b+", "b_plus"), ("b-", "b_minus"),
-                        ("r+", "r_plus"), ("r-", "r_minus")):
+    for label, attr in _TRACE_IDS:
         value = getattr(trace, attr)
         if value is not None:
             lines.append(f"{label} {value}")
@@ -590,39 +588,31 @@ def trace_to_text(trace: DiskCaseTrace, instance_id: str) -> str:
 
 
 def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
-    from .errors import ParseError
-    from .geom import point
-
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("trace "):
-        raise ParseError(1, "expected 'trace <instance-id>' header")
-    instance_id = lines[0].split(maxsplit=1)[1].strip()
+    instance_id = _header_id(lines, "trace")
     fields: dict = {}
-    set_by_label = {label: attr for label, attr in _TRACE_SETS}
-    scalar_by_label = {"b": "b", "b+": "b_plus", "b-": "b_minus",
-                       "r+": "r_plus", "r-": "r_minus"}
+    set_by_label = dict(_TRACE_SETS)
+    scalar_by_label = dict(_TRACE_IDS)
     for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
+        toks = ln.split()
+        if not toks:
             continue
-        if ln.startswith("mode "):
-            fields["mode"] = ln.split(maxsplit=1)[1]
-        elif ln.startswith("p "):
-            toks = ln.split()
-            fields["p_point"] = point(toks[1], toks[2])
+        label, colon, body = ln.partition(":")
+        if toks[0] == "mode" and len(toks) == 2:
+            fields["mode"] = toks[1]
+        elif (toks[0] == "p" and len(toks) == 5
+              and toks[3] in ("virtual=0", "virtual=1") and toks[4].startswith("id=")):
+            fields["p_point"] = Point(parse_scalar(toks[1], no), parse_scalar(toks[2], no))
             fields["p_virtual"] = toks[3] == "virtual=1"
-            fields["p_id"] = int(toks[4].split("=", 1)[1])
-        elif ln.startswith("nonedge "):
-            toks = ln.split()
-            fields["nonedge_pair"] = (int(toks[1]), int(toks[2]))
-        elif ":" in ln and ln.split(":", 1)[0] in set_by_label:
-            label, body = ln.split(":", 1)
-            fields[set_by_label[label]] = frozenset(int(t) for t in body.split())
+            fields["p_id"] = _vertex_id(toks[4][3:], no)
+        elif toks[0] == "nonedge" and len(toks) == 3:
+            fields["nonedge_pair"] = (_vertex_id(toks[1], no), _vertex_id(toks[2], no))
+        elif colon and label in set_by_label:
+            fields[set_by_label[label]] = frozenset(_vertex_id(tok, no) for tok in body.split())
+        elif toks[0] in scalar_by_label and len(toks) == 2:
+            fields[scalar_by_label[toks[0]]] = _vertex_id(toks[1], no)
         else:
-            toks = ln.split()
-            if toks[0] in scalar_by_label and len(toks) == 2:
-                fields[scalar_by_label[toks[0]]] = int(toks[1])
-            else:
-                raise ParseError(no, f"unrecognized trace line {ln!r}")
+            raise ParseError(no, f"unrecognized trace line {ln!r}")
     for key in ("mode", "p_point", "p_virtual", "p_id"):
         if key not in fields:
             raise ParseError(len(lines), f"trace block is missing {key}")

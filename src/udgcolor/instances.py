@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,8 +66,7 @@ def gen_circulant(n: int, k: int) -> Instance:
                             _snap(radius * math.sin(theta), _CIRC_DENOM)))
     inst = build_instance(f"circulant-{n}-{k}", points)
 
-    from .core import instance_graph
-    realized = instance_graph(inst)
+    realized = inst.graph
     intended = circulant_graph(n, k)
     for i in range(n):
         for j in range(i + 1, n):
@@ -142,11 +142,45 @@ def _format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def _parse_scalar(token: str, line_no: int) -> Fraction:
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_scalar(token: str, line_no: int) -> Fraction:
+    """An integer or "num/den" token as an exact rational, else ParseError.
+
+    This is exactly what str(Fraction) writes.  Fraction's own grammar also
+    takes decimals and exponents, and computes 10**exp before any check.
+    """
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
+            pass
+    raise ParseError(line_no, f"bad rational {token!r}, expected an integer or num/den")
+
+
+def pair_records(text: str, keyword: str, least: int,
+                 shape: str) -> tuple[str, int, list[tuple[int, str, str]]]:
+    """Header '<keyword> <id> <count>' with an integer count >= least, then
+    one (line number, token, token) per non-blank line; else ParseError."""
+    lines = text.splitlines()
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != keyword:
+        raise ParseError(1, f"expected '{keyword} <id> <count>' header")
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line_no, f"bad rational {token!r}") from None
+        n = int(head[2])
+    except ValueError:
+        n = least - 1
+    if n < least:
+        raise ParseError(1, f"header count must be an integer >= {least}, got {head[2]!r}")
+    records = []
+    for no, ln in enumerate(lines[1:], start=2):
+        toks = ln.split()
+        if len(toks) == 2:
+            records.append((no, toks[0], toks[1]))
+        elif toks:
+            raise ParseError(no, f"expected '{shape}', got {ln!r}")
+    return head[1], n, records
 
 
 def instance_to_text(inst: Instance) -> str:
@@ -157,27 +191,11 @@ def instance_to_text(inst: Instance) -> str:
 
 
 def instance_from_text(text: str) -> Instance:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty instance file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "udg":
-        raise ParseError(1, "expected 'udg <id> <n>' header")
-    try:
-        n = int(head[2])
-    except ValueError:
-        raise ParseError(1, f"bad vertex count {head[2]!r}") from None
-    points: list[Point] = []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError(no, f"expected 'x y', got {ln!r}")
-        points.append(Point(_parse_scalar(toks[0], no), _parse_scalar(toks[1], no)))
+    inst_id, n, records = pair_records(text, "udg", 1, "x y")
+    points = [Point(parse_scalar(x, no), parse_scalar(y, no)) for no, x, y in records]
     if len(points) != n:
-        raise ParseError(len(lines), f"header promises {n} points, found {len(points)}")
-    return build_instance(head[1], points)
+        raise ParseError(1, f"header promises {n} points, found {len(points)}")
+    return build_instance(inst_id, points)
 
 
 def write_instance(path: str | Path, inst: Instance) -> None:
@@ -196,28 +214,17 @@ def graph_to_text(g: AbstractGraph) -> str:
 
 
 def graph_from_text(text: str) -> AbstractGraph:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty graph file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "graph":
-        raise ParseError(1, "expected 'graph <id> <n>' header")
-    try:
-        n = int(head[2])
-    except ValueError:
-        raise ParseError(1, f"bad vertex count {head[2]!r}") from None
+    graph_id, n, records = pair_records(text, "graph", 0, "u v")
     edges: list[tuple[int, int]] = []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError(no, f"expected 'u v', got {ln!r}")
+    for no, a, b in records:
         try:
-            edges.append((int(toks[0]), int(toks[1])))
+            u, v = int(a), int(b)
         except ValueError:
-            raise ParseError(no, f"bad edge {ln!r}") from None
-    return AbstractGraph(n, edges, id=head[1])
+            raise ParseError(no, f"bad edge '{a} {b}'") from None
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ParseError(no, f"edge '{u} {v}' is a self-loop or out of range for n={n}")
+        edges.append((u, v))
+    return AbstractGraph(n, edges, id=graph_id)
 
 
 def write_graph(path: str | Path, g: AbstractGraph) -> None:

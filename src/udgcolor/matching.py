@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (AbstractGraph, Instance, complement, instance_graph,
-                   is_clique, stability_witness)
-from .errors import AuditFailure, StabilityViolated
+from .core import (AbstractGraph, Instance, complement, is_clique,
+                   stability_witness)
+from .errors import AuditFailure, ParseError, StabilityViolated
+from .instances import pair_records
 from .oracles import max_independent_set
 
 
@@ -262,7 +263,7 @@ def _coloring_from_classes(n: int, classes: list[list[int]]) -> Coloring:
 def color_via_complement_matching(inst: Instance) -> Coloring:
     """Proper coloring with classes of size at most two: matched pairs of the
     complement graph plus singletons.  Uses n - nu(complement) colors."""
-    g = instance_graph(inst)
+    g = inst.graph
     witness = stability_witness(g)
     if witness is not None:
         raise StabilityViolated(witness)
@@ -280,7 +281,7 @@ def sweep_greedy_color(inst: Instance) -> Coloring:
     Earlier neighbors of each vertex fit in three cliques, which caps the
     color count at 3*omega - 2.
     """
-    g = instance_graph(inst)
+    g = inst.graph
     pts = inst.points
     order = sorted(range(inst.n), key=lambda v: (pts[v].x, pts[v].y))
     assignment = [-1] * inst.n
@@ -378,7 +379,7 @@ def audit_bound(inst: Instance) -> AuditReport:
     guaranteed, unmatched X vertices) raise AuditFailure; arithmetic checks
     are recorded with pass flags and never fail on valid input.
     """
-    g = instance_graph(inst)
+    g = inst.graph
     witness = stability_witness(g)
     if witness is not None:
         raise StabilityViolated(witness)
@@ -488,33 +489,16 @@ def coloring_to_text(coloring: Coloring, instance_id: str) -> str:
 
 
 def coloring_from_text(text: str) -> tuple[str, Coloring]:
-    from .errors import ParseError
-
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("coloring "):
-        raise ParseError(1, "expected 'coloring <instance-id> <num-colors>' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(1, "malformed coloring header")
-    instance_id = head[1]
-    try:
-        declared = int(head[2])
-    except ValueError:
-        raise ParseError(1, f"bad color count {head[2]!r}") from None
+    instance_id, declared, records = pair_records(text, "coloring", 0, "v color")
     pairs: dict[int, int] = {}
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError(no, f"expected 'v color', got {ln!r}")
+    for no, v, color in records:
         try:
-            pairs[int(toks[0])] = int(toks[1])
+            pairs[int(v)] = int(color)
         except ValueError:
-            raise ParseError(no, f"bad integers in {ln!r}") from None
+            raise ParseError(no, f"bad integers in '{v} {color}'") from None
     n = len(pairs)
     if sorted(pairs) != list(range(n)):
-        raise ParseError(len(lines), "vertex ids are not 0..n-1")
+        raise ParseError(len(text.splitlines()), "vertex ids are not 0..n-1")
     coloring = Coloring(tuple(pairs[v] for v in range(n)))
     if coloring.num_colors != declared:
         raise ParseError(1, f"header declares {declared} colors, body uses "

@@ -7,7 +7,7 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from .core import Instance, instance_graph
+from .core import Instance
 from .cover import DiskCaseTrace
 from .geom import Point, hull_decomposition
 from .matching import Coloring
@@ -51,7 +51,7 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
            f'height="{height:.0f}" viewBox="0 0 {_WIDTH:.0f} {height:.0f}">']
     out.append(f'<!-- instance {inst.id} n={inst.n} -->')
 
-    g = instance_graph(inst)
+    g = inst.graph
     for u, v in sorted(g.edges()):
         a, b = inst.points[u], inst.points[v]
         out.append(f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" '

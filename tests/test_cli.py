@@ -1,7 +1,9 @@
+import sys
 from pathlib import Path
 
 import pytest
 
+from udgcolor import core
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 
@@ -107,11 +109,13 @@ def test_parse_error_exit(tmp_path):
     assert run(["stats", str(tmp_path / "missing.udg")]) == EXIT_PARSE
 
 
-@pytest.mark.parametrize("command", ["cover", "color", "audit"])
+@pytest.mark.parametrize("command", ["cover", "color", "audit", "stats"])
 def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     binary = tmp_path / "binary.udg"
     binary.write_bytes(bytes(range(128, 256)) * 4)
-    for path in (binary, tmp_path):
+    empty = tmp_path / "empty.udg"  # an instance must have a point
+    empty.write_text("udg e 0\n")
+    for path in (binary, tmp_path, empty):
         argv = [command, str(path)]
         if command == "cover":
             argv += ["-o", str(tmp_path / "x.cover")]
@@ -119,6 +123,63 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith("parse error: ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,text", [
+    ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: x\n"),
+    ("verify", "cover \nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("render", "trace circulant-8-3\np 1\n"),
+    ("render", "trace circulant-8-3\nb x\n"),
+    ("render", "trace circulant-8-3\nregion B+: 1 z\n"),
+    ("render", "trace circulant-8-3\nmode split\np 1e3 0 virtual=1 id=8\n"),
+    ("render", "trace \nmode split\np 0 0 virtual=1 id=8\n"),
+    ("stats", "graph g 2\n0 5\n"),
+    ("stats", "graph g 2\n0 0\n"),
+    ("stats", "graph g -3\n"),
+], ids=["cover-shared-x", "cover-no-id", "trace-p-1", "trace-b-x", "trace-region-z",
+        "trace-exponent", "trace-no-id", "graph-edge-out-of-range", "graph-self-loop",
+        "graph-negative-n"])
+def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
+    inst = _gen(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    argv = {"verify": ["verify", "--instance", str(inst), "--cover", str(bad)],
+            "render": ["render", str(inst), "-o", str(tmp_path / "x.svg"),
+                       "--trace", str(bad)],
+            "stats": ["stats", str(bad)]}[command]
+    capsys.readouterr()
+    assert run(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("separation", ["1", "1/2"], ids=["far_pair", "disk"])
+@pytest.mark.parametrize("command", ["cover", "color"])
+def test_one_graph_build_per_run(tmp_path, monkeypatch, command, separation):
+    # n = 30 is within the default brute-omega limit, so `color` also
+    # computes omega from the graph
+    monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
+    inst = tmp_path / "t.udg"
+    assert run(["gen", "--family", "two_cluster", "--n", "30", "--seed", "0",
+                "--separation", separation, "-o", str(inst)]) == EXIT_OK
+    original = core.instance_graph
+    builds = []
+
+    def counting(instance):
+        builds.append(instance.id)
+        return original(instance)
+
+    # replace the builder wherever a udgcolor module holds it, so calls
+    # through a module global and through a local import both count
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "udgcolor" and getattr(module, "instance_graph", None) is original:
+            monkeypatch.setattr(module, "instance_graph", counting)
+    argv = [command, str(inst)]
+    if command == "cover":
+        argv += ["-o", str(tmp_path / "t.cover"), "--trace", str(tmp_path / "t.trace")]
+    assert run(argv) == EXIT_OK
+    assert len(builds) == 1
 
 
 def test_bench_table(tmp_path, capsys):

@@ -25,6 +25,15 @@ def test_build_instance_empty_ok():
     assert build_instance("t", []).n == 0
 
 
+def test_instance_graph_is_built_once_and_shared():
+    inst = build_instance("t", [point(0, 0), point(1, 0), point(3, 0)])
+    g = inst.graph
+    assert g is inst.graph
+    assert g == instance_graph(inst)
+    again = build_instance("t", list(inst.points))
+    assert inst == again and hash(inst) == hash(again)
+
+
 def test_adjacent_threshold():
     inst = build_instance("t", [point(0, 0), point(1, 0), point(1, 1),
                                 point("3/5", "4/5")])

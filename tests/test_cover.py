@@ -232,8 +232,10 @@ def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
     assert checked > 100
 
 
-# SHA-256 of cover_to_text and trace_to_text, recorded before the disk case
-# moved to the linear pivot scan and prepared fan-region hulls.
+# SHA-256 of cover_to_text and trace_to_text (None: no trace), recorded
+# before the disk case moved to the linear pivot scan and prepared fan-region
+# hulls; the far-pair and nonedge entries before those two branches came to
+# share one pair construction.
 GOLDEN_COVERS = {
     "circulant-35-12": (
         "b6a7ca1d8ab13f70a31ad1fe000fb4154d468a588b51a3ee68a912ede48d0693",
@@ -244,11 +246,19 @@ GOLDEN_COVERS = {
     "twocluster-80-3-1x2": (
         "5b075d1e9bcbe2c93d7b7a6f4509cc8cc0a25a6d7f7cfe3681815c2751ab8cf8",
         "beaaf7be623b64e55f987fac73385cc2b480911fab89925e3902cd5a42bbc6b4"),
+    "twocluster-30-0-1x1": (
+        "38610a2d55ba0a34bbb230c8605b83a901041e082aa6ed9683b91e47a2cbc358",
+        None),
+    "twocluster-30-3-3x4": (
+        "a819da527f0c6feacecbb053ada15c9e329c97d3f27142c5c88cda654e932786",
+        "c0780977d1b9a5f95fbe33fbdfcc7185a2e1dc7b9cfb7b1acaea0766dbdae7d2"),
 }
 
 
 @pytest.mark.parametrize("inst", [gen_circulant(35, 12), gen_circulant(59, 20),
-                                  gen_two_cluster(80, seed=3, separation="1/2")],
+                                  gen_two_cluster(80, seed=3, separation="1/2"),
+                                  gen_two_cluster(30, seed=0, separation=1),
+                                  gen_two_cluster(30, seed=3, separation="3/4")],
                          ids=lambda inst: inst.id)
 def test_disk_case_artifacts_match_golden_hashes(inst):
     cover, trace = cover_three_cliques(inst)
@@ -257,7 +267,8 @@ def test_disk_case_artifacts_match_golden_hashes(inst):
         return hashlib.sha256(text.encode()).hexdigest()
 
     assert (digest(cover_to_text(cover, inst.id)),
-            digest(trace_to_text(trace, inst.id))) == GOLDEN_COVERS[inst.id]
+            None if trace is None else digest(trace_to_text(trace, inst.id))
+            ) == GOLDEN_COVERS[inst.id]
 
 
 def test_disk_case_small_square_complete():

@@ -152,6 +152,13 @@ def test_instance_malformed_rational():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("token", ["1e3", "1e400", "0.5", "+1", "1/0", "1/-2"])
+def test_instance_rejects_tokens_outside_the_rational_grammar(token):
+    with pytest.raises(ParseError) as err:
+        instance_from_text(f"udg bad 1\n{token} 0\n")
+    assert err.value.line_no == 2
+
+
 def test_instance_duplicate_point_file():
     with pytest.raises(DuplicatePoint):
         instance_from_text("udg dup 2\n1/2 1/2\n1/2 1/2\n")
