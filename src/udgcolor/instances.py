@@ -214,7 +214,7 @@ def graph_to_text(g: AbstractGraph) -> str:
 
 
 def graph_from_text(text: str) -> AbstractGraph:
-    graph_id, n, records = pair_records(text, "graph", 0, "u v")
+    graph_id, n, records = pair_records(text, "graph", 1, "u v")
     edges: list[tuple[int, int]] = []
     for no, a, b in records:
         try:

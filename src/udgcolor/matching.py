@@ -352,8 +352,15 @@ class AuditReport:
 
 
 def _sub_instance(inst: Instance, vertices) -> tuple[Instance, tuple[int, ...]]:
-    glb = tuple(sorted(vertices))
-    sub = Instance(f"{inst.id}/sub", tuple(inst.points[v] for v in glb))
+    """The sub-instance on vertices, plus its local -> global vertex map.
+
+    Its graph is the induced subgraph of the instance graph, which is the
+    unit-distance graph of the subset, so it is not rebuilt from
+    coordinates."""
+    graph, glb = inst.graph.induced(vertices)
+    graph.id = f"{inst.id}/sub"
+    sub = Instance(graph.id, tuple(inst.points[v] for v in glb))
+    vars(sub)["graph"] = graph  # the value the cached property would compute
     return sub, glb
 
 
@@ -373,7 +380,7 @@ def _partition_sizes_and_largest(inst: Instance, vertices) -> tuple[tuple[int, i
 
 def audit_bound(inst: Instance) -> AuditReport:
     """Recompute the full counting argument behind the 3/2 bound and record
-    every inequality with exact両 sides.
+    every inequality with exact sides.
 
     Structural impossibilities (non-perfect matchings where perfect ones are
     guaranteed, unmatched X vertices) raise AuditFailure; arithmetic checks

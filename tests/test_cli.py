@@ -136,9 +136,10 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("stats", "graph g 2\n0 5\n"),
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
+    ("stats", "graph g 0\n"),
 ], ids=["cover-shared-x", "cover-no-id", "trace-p-1", "trace-b-x", "trace-region-z",
         "trace-exponent", "trace-no-id", "graph-edge-out-of-range", "graph-self-loop",
-        "graph-negative-n"])
+        "graph-negative-n", "graph-empty"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
     bad = tmp_path / "bad.txt"
@@ -155,7 +156,7 @@ def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("separation", ["1", "1/2"], ids=["far_pair", "disk"])
-@pytest.mark.parametrize("command", ["cover", "color"])
+@pytest.mark.parametrize("command", ["cover", "color", "audit"])
 def test_one_graph_build_per_run(tmp_path, monkeypatch, command, separation):
     # n = 30 is within the default brute-omega limit, so `color` also
     # computes omega from the graph

@@ -1,13 +1,163 @@
 import random
+import time
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
 
+from udgcolor.core import build_instance
 from udgcolor.errors import EmptyInput
-from udgcolor.geom import (BOUNDARY, CCW, COLLINEAR, CW, INTERIOR, OUTSIDE,
-                           Disk, Point, disk_contains, hull_decomposition,
-                           orientation, point, point_in_hull, segments_cross,
+from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
+                           INTERIOR, OUTSIDE, Disk, HullDecomposition, Point,
+                           cross, hull_decomposition, orientation, point,
+                           point_in_hull, segments_cross,
                            smallest_enclosing_disk, sq_dist)
+from udgcolor.instances import gen_circulant, gen_two_cluster
+
+
+# Fraction reference for the integer hull and enclosing disk: the bodies the
+# library ran on Fractions before it moved to homogeneous integers, kept
+# unchanged as the differential oracle.
+
+def _within_bbox(a: Point, b: Point, q: Point) -> bool:
+    return (min(a.x, b.x) <= q.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= q.y <= max(a.y, b.y))
+
+
+def _strict_hull(points: Sequence[Point], order: Sequence[int]) -> list[int]:
+    """Extreme points only, in counterclockwise order (y up), from the
+    lexicographically sorted index order."""
+
+    def build(idxs: Iterable[int]) -> list[int]:
+        chain: list[int] = []
+        for i in idxs:
+            while len(chain) >= 2 and cross(points[chain[-2]], points[chain[-1]], points[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    lower = build(order)
+    upper = build(reversed(order))
+    return lower[:-1] + upper[:-1]
+
+
+def reference_hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
+    """Boundary walk (edge-collinear points included) and interior split.
+
+    The walk starts at the lexicographically smallest point; the direction is
+    fixed so that for the unit square with an edge midpoint the boundary reads
+    (0,0),(1,0),(2,0),(2,2),(0,2).
+    """
+    n = len(points)
+    if n == 0:
+        raise EmptyInput("hull of an empty point set")
+    if n == 1:
+        return HullDecomposition((0,), frozenset(), False)
+
+    order = sorted(range(n), key=lambda i: (points[i].x, points[i].y))
+    hull = _strict_hull(points, order)
+    if len(hull) <= 2:
+        return HullDecomposition(tuple(order), frozenset(), True)
+
+    hull_set = set(hull)
+    placed: set[int] = set()
+    boundary: list[int] = []
+    m = len(hull)
+    for t in range(m):
+        a = hull[t]
+        b = hull[(t + 1) % m]
+        pa, pb = points[a], points[b]
+        on_edge = [i for i in range(n)
+                   if i not in hull_set and i not in placed
+                   and orientation(pa, pb, points[i]) == COLLINEAR
+                   and _within_bbox(pa, pb, points[i])]
+        on_edge.sort(key=lambda i: sq_dist(pa, points[i]))
+        placed.update(on_edge)
+        boundary.append(a)
+        boundary.extend(on_edge)
+
+    interior = frozenset(i for i in range(n) if i not in hull_set and i not in placed)
+    start = boundary.index(min(boundary, key=lambda i: (points[i].x, points[i].y)))
+    boundary = boundary[start:] + boundary[:start]
+    return HullDecomposition(tuple(boundary), interior, False)
+
+
+def disk_contains(d: Disk, p: Point) -> bool:
+    return sq_dist(d.center, p) <= d.radius_sq
+
+
+def _diameter_disk(a: Point, b: Point) -> Disk:
+    center = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return Disk(center, sq_dist(center, a))
+
+
+def _circum_disk(a: Point, b: Point, c: Point) -> Disk | None:
+    """Exact circumdisk of three points; None when they are collinear."""
+    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    if d == 0:
+        return None
+    sa = a.x * a.x + a.y * a.y
+    sb = b.x * b.x + b.y * b.y
+    sc = c.x * c.x + c.y * c.y
+    ux = (sa * (b.y - c.y) + sb * (c.y - a.y) + sc * (a.y - b.y)) / d
+    uy = (sa * (c.x - b.x) + sb * (a.x - c.x) + sc * (b.x - a.x)) / d
+    center = Point(ux, uy)
+    return Disk(center, sq_dist(center, a))
+
+
+def reference_smallest_enclosing_disk(points: Sequence[Point]) -> Disk:
+    """Unique minimal closed disk containing all points, exactly.
+
+    Move-to-front incremental construction; the insertion order is a seeded
+    permutation so results and running time are reproducible.
+    """
+    if not points:
+        raise EmptyInput("enclosing disk of an empty point set")
+    pts = list(points)
+    random.Random(_SED_SHUFFLE_SEED).shuffle(pts)
+    d: Disk | None = None
+    for i, p in enumerate(pts):
+        if d is None or not disk_contains(d, p):
+            d = _sed_one_boundary(pts[: i + 1], p)
+    assert d is not None
+    return d
+
+
+def _sed_one_boundary(pts: Sequence[Point], p: Point) -> Disk:
+    d = Disk(p, Fraction(0))
+    for i, q in enumerate(pts):
+        if not disk_contains(d, q):
+            if d.radius_sq == 0:
+                d = _diameter_disk(p, q)
+            else:
+                d = _sed_two_boundary(pts[: i + 1], p, q)
+    return d
+
+
+def _sed_two_boundary(pts: Sequence[Point], p: Point, q: Point) -> Disk:
+    circ = _diameter_disk(p, q)
+    left: Disk | None = None
+    right: Disk | None = None
+    for r in pts:
+        if disk_contains(circ, r):
+            continue
+        side = cross(p, q, r)
+        d = _circum_disk(p, q, r)
+        if d is None:
+            continue
+        dc = cross(p, q, d.center)
+        if side > 0 and (left is None or dc > cross(p, q, left.center)):
+            left = d
+        elif side < 0 and (right is None or dc < cross(p, q, right.center)):
+            right = d
+    if left is None and right is None:
+        return circ
+    if left is None:
+        assert right is not None
+        return right
+    if right is None:
+        return left
+    return left if left.radius_sq <= right.radius_sq else right
 
 
 def test_sq_dist_three_four_five():
@@ -193,3 +343,112 @@ def test_point_location_matches_rational_reference():
             pts = pts + pts[:2]  # repeated points
         for q in _random_points(rng, 6, denom=rng.choice((1, 3, 7)), span=2) + pts:
             assert point_in_hull(q, pts) == _reference_location(q, pts), (q, pts)
+
+
+def _assert_matches_reference(pts):
+    """Hull and enclosing disk equal the Fraction reference, also on the
+    points plus the disk centre (the augmented set the disk case hulls)."""
+    assert hull_decomposition(pts) == reference_hull_decomposition(pts), pts
+    disk = smallest_enclosing_disk(pts)
+    assert disk == reference_smallest_enclosing_disk(pts), pts
+    augmented = list(pts) + [disk.center]
+    assert hull_decomposition(augmented) == reference_hull_decomposition(augmented), pts
+
+
+def test_integer_kernel_matches_reference_on_random_sets():
+    rng = random.Random(2024)
+    for _ in range(400):
+        denom = rng.choice((1, 2, 3, 8))
+        span = rng.choice((1, 2, 4))
+        pts = _random_points(rng, rng.randrange(1, 9), denom=denom, span=span)
+        rng.shuffle(pts)
+        if rng.random() < 0.2:
+            pts = pts + pts[:2]  # repeated points
+        _assert_matches_reference(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    [point(0, 0)],
+    [point("1/3", "-2/7")],
+    [point(0, 0), point(2, 0)],
+    [point("1/2", "1/3"), point("-5/7", "2/9")],
+    [point(2, 0), point(0, 0), point(1, 0), point("1/2", 0), point("3/2", 0)],
+    [point(0, 0), point("1/3", "1/3"), point("2/3", "2/3"), point(1, 1), point("5/7", "5/7")],
+    [point(0, 0), point(0, "1/5"), point(0, 3), point(0, "-2/3")],
+    [point(1, 0), point(-1, 0), point(0, 1), point(0, -1),
+     point("3/5", "4/5"), point("-3/5", "4/5"), point("3/5", "-4/5"), point("-3/5", "-4/5")],
+    [point("3/5", "4/5"), point("-4/5", "3/5"), point("-3/5", "-4/5"), point("4/5", "-3/5"),
+     point("5/13", "12/13"), point(0, 0)],
+    [point(0, 0), point(2, 0), point(2, 2), point(0, 2), point(1, 0), point(2, 1),
+     point(1, 2), point(0, 1), point(1, 1)],
+], ids=["one-point", "one-rational-point", "two-points", "two-rational-points",
+        "collinear-x", "collinear-diagonal", "collinear-y", "cocircular",
+        "cocircular-with-centre", "square-with-edge-midpoints"])
+def test_integer_kernel_matches_reference_on_degenerate_sets(pts):
+    _assert_matches_reference(pts)
+
+
+def _mixed_denominator_points():
+    """120 points whose 240 coordinates have distinct 20-bit prime denominators."""
+    rng = random.Random(20)
+    primes: set[int] = set()
+    while len(primes) < 240:
+        c = rng.randrange(1 << 19, 1 << 20) | 1
+        if all(c % d for d in range(3, int(c ** 0.5) + 1, 2)):
+            primes.add(c)
+    dens = sorted(primes)
+    return [Point(Fraction(rng.randrange(-dens[2 * i], dens[2 * i]), dens[2 * i]),
+                  Fraction(rng.randrange(-dens[2 * i + 1], dens[2 * i + 1]), dens[2 * i + 1]))
+            for i in range(120)]
+
+
+def _best_time(fn, pts, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(pts)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_integer_kernel_on_mixed_denominators_matches_and_is_no_slower():
+    pts = _mixed_denominator_points()
+    _assert_matches_reference(pts)
+    for fast, reference in ((hull_decomposition, reference_hull_decomposition),
+                            (smallest_enclosing_disk, reference_smallest_enclosing_disk)):
+        assert _best_time(fast, pts) <= _best_time(reference, pts), fast.__name__
+
+
+def _acceptance_corpus():
+    """The instances of tests/test_acceptance.py's corpus."""
+    yield from (gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6))
+    separations = ("1", "3/4", "1/2", "1/4")
+    for i in range(200):
+        yield gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
+
+
+def _benchmark_toy_instances(seed):
+    """The benchmark's toy instances (perfbench/run.py make_instances with
+    toy=True), rebuilt here so the tests do not import the benchmark."""
+    for workload in ("far_pair", "disk"):
+        rng = random.Random(f"{workload}:{seed}")
+        separations = ("7/10", "1/2", "1/4") if workload == "disk" else (1,)
+        for i, n in enumerate((10, 14, 18)):
+            yield gen_two_cluster(n, rng.randrange(2 ** 31), separations[i % len(separations)])
+    rng = random.Random(f"circulant:{seed}")
+    for k in (4, 5, 6):
+        base = gen_circulant(3 * k - 1, k)
+        order = list(range(base.n))
+        rng.shuffle(order)
+        yield build_instance(f"{base.id}-shuffled", [base.points[v] for v in order])
+
+
+def test_integer_kernel_matches_reference_on_acceptance_corpus():
+    for inst in _acceptance_corpus():
+        _assert_matches_reference(inst.points)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7919])
+def test_integer_kernel_matches_reference_on_benchmark_toy_instances(seed):
+    for inst in _benchmark_toy_instances(seed):
+        _assert_matches_reference(inst.points)
