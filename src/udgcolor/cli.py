@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .core import stability_witness
@@ -20,8 +21,8 @@ from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_fr
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
 from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
-                        instance_from_text, read_instance, write_graph,
-                        write_instance)
+                        instance_from_text, parse_scalar, read_instance,
+                        write_graph, write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
@@ -73,23 +74,32 @@ def _load_any_graph(path: str):
     raise ParseError(1, f"unknown artifact header {head!r} in {path}")
 
 
+def _separation(raw: str) -> Fraction:
+    """Coordinate grammar: Fraction('1e999999999') would compute 10**999999999."""
+    try:
+        return parse_scalar(raw, 1)
+    except ParseError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or num/den, got {raw!r}") from None
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "circulant":
-        if args.n is None or args.k is None:
-            raise _UsageError("circulant needs --n and --k")
-        inst = gen_circulant(args.n, args.k)
-        write_instance(args.output, inst)
-    elif args.family == "cs":
-        if args.k is None:
-            raise _UsageError("cs needs --k")
-        write_graph(args.output, gen_cs(args.k))
-    elif args.family == "two_cluster":
-        if args.n is None:
-            raise _UsageError("two_cluster needs --n")
-        inst = gen_two_cluster(args.n, seed=args.seed, separation=args.separation)
-        write_instance(args.output, inst)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown family {args.family}")
+    needs = {"circulant": ("n", "k"), "cs": ("k",), "two_cluster": ("n",)}[args.family]
+    if any(getattr(args, name) is None for name in needs):
+        raise _UsageError(f"{args.family} needs " + " and ".join(f"--{name}" for name in needs))
+    try:  # the generators raise ValueError for out-of-range parameters
+        if args.family == "circulant":
+            made = gen_circulant(args.n, args.k)
+        elif args.family == "cs":
+            made = gen_cs(args.k)
+        else:
+            made = gen_two_cluster(args.n, seed=args.seed, separation=args.separation)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if args.family == "cs":
+        write_graph(args.output, made)
+    else:
+        write_instance(args.output, made)
     return EXIT_OK
 
 
@@ -116,7 +126,7 @@ def _cmd_color(args) -> int:
         _write_text(args.output, coloring_to_text(coloring, inst.id))
     limits = _limits_from_env()
     if inst.n <= limits.alpha_omega_max:
-        omega = brute_omega(inst.graph, limits.should_cancel)
+        omega = brute_omega(inst.graph)
         bound = (3 * omega) // 2
         print(f"colors={coloring.num_colors} omega={omega} bound={bound}")
     else:
@@ -188,8 +198,8 @@ def _cmd_bench(args) -> int:
             matching = color_via_complement_matching(inst).num_colors
         else:
             matching = None
-        omega = brute_omega(g, limits.should_cancel) if inst.n <= limits.alpha_omega_max else None
-        chi = brute_chi(g, limits.should_cancel) if inst.n <= limits.chroma_max else None
+        omega = brute_omega(g) if inst.n <= limits.alpha_omega_max else None
+        chi = brute_chi(g) if inst.n <= limits.chroma_max else None
         bound = (3 * omega) // 2 if omega is not None else None
         rows.append((inst.id, inst.n, omega, greedy, matching, chi, bound))
 
@@ -230,7 +240,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separation", default="1")
+    p.add_argument("--separation", type=_separation, default="1")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 

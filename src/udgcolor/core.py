@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateCollinear, DuplicatePoint, InvalidVertex
-from .geom import Point, hull_decomposition, sq_dist
+from .errors import DuplicatePoint, InvalidVertex
+from .geom import Point, sq_dist
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,6 @@ def instance_graph(inst: Instance) -> AbstractGraph:
     return AbstractGraph(inst.n, edges, id=inst.id)
 
 
-def adjacent(inst: Instance, i: int, j: int) -> bool:
-    """Exact unit-distance adjacency test for two distinct vertex ids."""
-    if not (0 <= i < inst.n and 0 <= j < inst.n) or i == j:
-        raise InvalidVertex(f"vertex pair ({i},{j}) invalid for n={inst.n}")
-    return sq_dist(inst.points[i], inst.points[j]) <= 1
-
-
 def stability_witness(g: AbstractGraph) -> tuple[int, int, int] | None:
     """Lexicographically first independent triple, or None when none exists.
 
@@ -170,18 +163,6 @@ class BoundaryOrder:
         return self.sequence[(self.position(v) - 1) % len(self.sequence)]
 
 
-def boundary_order(inst: Instance) -> BoundaryOrder:
-    """Clockwise circular order of the instance's hull boundary vertices.
-
-    Raises DegenerateCollinear when the hull collapses to a line; callers
-    dispatch that case before relying on circular structure.
-    """
-    hd = hull_decomposition(inst.points)
-    if hd.is_collinear:
-        raise DegenerateCollinear(f"instance {inst.id!r} lies on one line")
-    return BoundaryOrder(hd.boundary)
-
-
 def interval_closed(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
     """[u,v]: boundary vertices from u clockwise through v; [u,u] = (u,)."""
     if u == v:
@@ -199,10 +180,3 @@ def interval_open(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
     """(u,v) = [u,v] minus both endpoints."""
     closed = interval_closed(order, u, v)
     return closed[1:-1] if len(closed) > 1 else ()
-
-
-def consecutive(order: BoundaryOrder, u: int, v: int) -> bool:
-    """True iff u != v and one of the open arcs between them is empty."""
-    if u == v:
-        return False
-    return not interval_open(order, u, v) or not interval_open(order, v, u)

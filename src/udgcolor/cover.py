@@ -38,7 +38,7 @@ from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
 from .geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, hull_decomposition,
                    orientation, smallest_enclosing_disk, sq_dist)
-from .instances import parse_scalar
+from .instances import parse_int, parse_scalar, read_records
 
 FAR_SQ = Fraction(3)  # far-pair threshold, inclusive: sq_dist >= 3
 
@@ -518,39 +518,20 @@ def cover_to_text(cover: CliqueCover, instance_id: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _header_id(lines: list[str], keyword: str) -> str:
-    """The instance id of a '<keyword> <instance-id>' first line."""
-    head = lines[0] if lines else ""
-    instance_id = head[len(keyword) + 1:].strip()
-    if not head.startswith(keyword + " ") or not instance_id:
-        raise ParseError(1, f"expected '{keyword} <instance-id>' header")
-    return instance_id
-
-
-def _vertex_id(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"bad vertex id {token!r}") from None
-
-
 def cover_from_text(text: str) -> tuple[str, CliqueCover]:
-    lines = text.splitlines()
-    instance_id = _header_id(lines, "cover")
-    if len(lines) < 5:
-        raise ParseError(len(lines), "cover block needs 3 clique lines and a shared line")
+    instance_id, _, records = read_records(text, "cover")
+    if len(records) != 4:
+        raise ParseError(records[-1][0] if records else 1,
+                         "cover block needs 3 clique lines and a shared line")
     cliques = []
-    for i in range(3):
-        ln = lines[1 + i]
-        prefix = f"clique {i}:"
-        if not ln.startswith(prefix):
-            raise ParseError(2 + i, f"expected '{prefix} ...'")
-        cliques.append(frozenset(_vertex_id(tok, 2 + i) for tok in ln[len(prefix):].split()))
-    ln = lines[4]
-    if not ln.startswith("shared:"):
-        raise ParseError(5, "expected 'shared: <v>'")
-    tok = ln.split(":", 1)[1].strip()
-    shared = None if tok == "-" else _vertex_id(tok, 5)
+    for i, (no, toks) in enumerate(records[:3]):
+        if toks[:2] != ["clique", f"{i}:"]:
+            raise ParseError(no, f"expected 'clique {i}: ...'")
+        cliques.append(frozenset(parse_int(tok, no) for tok in toks[2:]))
+    no, toks = records[3]
+    if len(toks) != 2 or toks[0] != "shared:":
+        raise ParseError(no, "expected 'shared: <v>'")
+    shared = None if toks[1] == "-" else parse_int(toks[1], no)
     return instance_id, CliqueCover((cliques[0], cliques[1], cliques[2]), shared)
 
 
@@ -588,32 +569,28 @@ def trace_to_text(trace: DiskCaseTrace, instance_id: str) -> str:
 
 
 def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
-    lines = text.splitlines()
-    instance_id = _header_id(lines, "trace")
+    instance_id, _, records = read_records(text, "trace")
     fields: dict = {}
-    set_by_label = dict(_TRACE_SETS)
+    set_by_label = {f"{label}:": attr for label, attr in _TRACE_SETS}
     scalar_by_label = dict(_TRACE_IDS)
-    for no, ln in enumerate(lines[1:], start=2):
-        toks = ln.split()
-        if not toks:
-            continue
-        label, colon, body = ln.partition(":")
+    for no, toks in records:
+        set_label = " ".join(toks[:2])
         if toks[0] == "mode" and len(toks) == 2:
             fields["mode"] = toks[1]
         elif (toks[0] == "p" and len(toks) == 5
               and toks[3] in ("virtual=0", "virtual=1") and toks[4].startswith("id=")):
             fields["p_point"] = Point(parse_scalar(toks[1], no), parse_scalar(toks[2], no))
             fields["p_virtual"] = toks[3] == "virtual=1"
-            fields["p_id"] = _vertex_id(toks[4][3:], no)
+            fields["p_id"] = parse_int(toks[4][3:], no)
         elif toks[0] == "nonedge" and len(toks) == 3:
-            fields["nonedge_pair"] = (_vertex_id(toks[1], no), _vertex_id(toks[2], no))
-        elif colon and label in set_by_label:
-            fields[set_by_label[label]] = frozenset(_vertex_id(tok, no) for tok in body.split())
+            fields["nonedge_pair"] = (parse_int(toks[1], no), parse_int(toks[2], no))
+        elif set_label in set_by_label:
+            fields[set_by_label[set_label]] = frozenset(parse_int(tok, no) for tok in toks[2:])
         elif toks[0] in scalar_by_label and len(toks) == 2:
-            fields[scalar_by_label[toks[0]]] = _vertex_id(toks[1], no)
+            fields[scalar_by_label[toks[0]]] = parse_int(toks[1], no)
         else:
-            raise ParseError(no, f"unrecognized trace line {ln!r}")
+            raise ParseError(no, f"unrecognized trace line {' '.join(toks)!r}")
     for key in ("mode", "p_point", "p_virtual", "p_id"):
         if key not in fields:
-            raise ParseError(len(lines), f"trace block is missing {key}")
+            raise ParseError(records[-1][0] if records else 1, f"trace block is missing {key}")
     return instance_id, DiskCaseTrace(**fields)

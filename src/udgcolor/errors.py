@@ -28,10 +28,6 @@ class InvalidVertex(UdgError):
     """A vertex id is out of range or not where it must be."""
 
 
-class DegenerateCollinear(UdgError):
-    """All points lie on one line, so no circular boundary order exists."""
-
-
 class StabilityViolated(UdgError):
     """The instance has three pairwise non-adjacent vertices."""
 
@@ -54,10 +50,6 @@ class AuditFailure(UdgError):
 
 class LimitExceeded(UdgError):
     """The graph is larger than the configured brute-force limit."""
-
-
-class SearchCancelled(UdgError):
-    """A cooperative cancellation token stopped a brute-force search."""
 
 
 class NotRealizable(UdgError):

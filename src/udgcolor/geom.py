@@ -31,8 +31,6 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInput
 
-Scalar = Fraction
-
 # orientation() results
 CCW = 1
 COLLINEAR = 0

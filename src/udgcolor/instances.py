@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import AbstractGraph, Instance, build_instance
-from .errors import NotRealizable, ParseError, SnapFailure
+from .errors import EmptyInstance, NotRealizable, ParseError, SnapFailure
 from .geom import Point
 
 _CIRC_DENOM = 10 ** 12
@@ -110,6 +110,8 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
     """n points sampled in two radius-1/2 disks whose centers sit separation
     apart; each disk induces a clique, so stability is at most 2 by
     construction.  Fully deterministic for a fixed (n, seed, separation)."""
+    if n < 1:
+        raise ValueError(f"two_cluster requires n >= 1, got {n}")
     sep = Fraction(separation)
     if not 0 < sep <= 1:
         raise ValueError(f"separation must be in (0, 1], got {sep}")
@@ -138,11 +140,22 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
 # text formats (bit-exact round trip)
 
 
-def _format_scalar(value: Fraction) -> str:
-    return str(value)
-
-
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INT = re.compile(r"[0-9]+")
+
+
+def parse_int(token: str, line_no: int) -> int:
+    """A token of ASCII digits as an int, else ParseError.
+
+    int() alone would also take a sign, '_' separators, surrounding
+    whitespace and non-ASCII digits.
+    """
+    if _INT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise ParseError(line_no, f"bad integer {token!r}, expected digits 0-9")
 
 
 def parse_scalar(token: str, line_no: int) -> Fraction:
@@ -159,40 +172,48 @@ def parse_scalar(token: str, line_no: int) -> Fraction:
     raise ParseError(line_no, f"bad rational {token!r}, expected an integer or num/den")
 
 
-def pair_records(text: str, keyword: str, least: int,
-                 shape: str) -> tuple[str, int, list[tuple[int, str, str]]]:
-    """Header '<keyword> <id> <count>' with an integer count >= least, then
-    one (line number, token, token) per non-blank line; else ParseError."""
+def read_records(text: str, keyword: str, least: int | None = None,
+                 shape: str | None = None) -> tuple[str, int | None, list[tuple[int, list[str]]]]:
+    """The id, the count and the records of an artifact, else ParseError.
+
+    The header is '<keyword> <id>', or '<keyword> <id> <count>' with a count
+    of at least `least` when least is given (the count is None otherwise).
+    Each non-blank line after it is one record, (line number, tokens); when
+    shape is given, e.g. 'u v', every record has as many tokens as it has.
+    """
     lines = text.splitlines()
     head = lines[0].split() if lines else []
-    if len(head) != 3 or head[0] != keyword:
-        raise ParseError(1, f"expected '{keyword} <id> <count>' header")
-    try:
-        n = int(head[2])
-    except ValueError:
-        n = least - 1
-    if n < least:
-        raise ParseError(1, f"header count must be an integer >= {least}, got {head[2]!r}")
+    form = f"{keyword} <id>" if least is None else f"{keyword} <id> <count>"
+    if len(head) != len(form.split()) or head[0] != keyword:
+        raise ParseError(1, f"expected '{form}' header")
+    count = None
+    if least is not None:
+        count = parse_int(head[2], 1)
+        if count < least:
+            raise ParseError(1, f"header count must be >= {least}, got {count}")
     records = []
     for no, ln in enumerate(lines[1:], start=2):
         toks = ln.split()
-        if len(toks) == 2:
-            records.append((no, toks[0], toks[1]))
-        elif toks:
+        if not toks:
+            continue
+        if shape is not None and len(toks) != len(shape.split()):
             raise ParseError(no, f"expected '{shape}', got {ln!r}")
-    return head[1], n, records
+        records.append((no, toks))
+    return head[1], count, records
 
 
 def instance_to_text(inst: Instance) -> str:
+    if inst.n == 0:
+        raise EmptyInstance("an instance file needs at least one point")
     lines = [f"udg {inst.id} {inst.n}"]
     for p in inst.points:
-        lines.append(f"{_format_scalar(p.x)} {_format_scalar(p.y)}")
+        lines.append(f"{p.x} {p.y}")
     return "\n".join(lines) + "\n"
 
 
 def instance_from_text(text: str) -> Instance:
-    inst_id, n, records = pair_records(text, "udg", 1, "x y")
-    points = [Point(parse_scalar(x, no), parse_scalar(y, no)) for no, x, y in records]
+    inst_id, n, records = read_records(text, "udg", 1, "x y")
+    points = [Point(parse_scalar(x, no), parse_scalar(y, no)) for no, (x, y) in records]
     if len(points) != n:
         raise ParseError(1, f"header promises {n} points, found {len(points)}")
     return build_instance(inst_id, points)
@@ -207,6 +228,8 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def graph_to_text(g: AbstractGraph) -> str:
+    if g.n == 0:
+        raise EmptyInstance("a graph file needs at least one vertex")
     lines = [f"graph {g.id or 'anon'} {g.n}"]
     for u, v in sorted(g.edges()):
         lines.append(f"{u} {v}")
@@ -214,14 +237,11 @@ def graph_to_text(g: AbstractGraph) -> str:
 
 
 def graph_from_text(text: str) -> AbstractGraph:
-    graph_id, n, records = pair_records(text, "graph", 1, "u v")
+    graph_id, n, records = read_records(text, "graph", 1, "u v")
     edges: list[tuple[int, int]] = []
-    for no, a, b in records:
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise ParseError(no, f"bad edge '{a} {b}'") from None
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+    for no, (a, b) in records:
+        u, v = parse_int(a, no), parse_int(b, no)
+        if u >= n or v >= n or u == v:
             raise ParseError(no, f"edge '{u} {v}' is a self-loop or out of range for n={n}")
         edges.append((u, v))
     return AbstractGraph(n, edges, id=graph_id)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (AbstractGraph, Instance, complement, is_clique,
                    stability_witness)
 from .errors import AuditFailure, ParseError, StabilityViolated
-from .instances import pair_records
+from .instances import parse_int, read_records
 from .oracles import max_independent_set
 
 
@@ -243,12 +243,6 @@ class Coloring:
     @property
     def num_colors(self) -> int:
         return max(self.assignment) + 1 if self.assignment else 0
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_colors)]
-        for v, c in enumerate(self.assignment):
-            out[c].append(v)
-        return out
 
 
 def _coloring_from_classes(n: int, classes: list[list[int]]) -> Coloring:
@@ -496,13 +490,13 @@ def coloring_to_text(coloring: Coloring, instance_id: str) -> str:
 
 
 def coloring_from_text(text: str) -> tuple[str, Coloring]:
-    instance_id, declared, records = pair_records(text, "coloring", 0, "v color")
+    instance_id, declared, records = read_records(text, "coloring", 0, "v color")
     pairs: dict[int, int] = {}
-    for no, v, color in records:
-        try:
-            pairs[int(v)] = int(color)
-        except ValueError:
-            raise ParseError(no, f"bad integers in '{v} {color}'") from None
+    for no, (v, color) in records:
+        vertex = parse_int(v, no)
+        if vertex in pairs:
+            raise ParseError(no, f"vertex {vertex} is colored twice")
+        pairs[vertex] = parse_int(color, no)
     n = len(pairs)
     if sorted(pairs) != list(range(n)):
         raise ParseError(len(text.splitlines()), "vertex ids are not 0..n-1")

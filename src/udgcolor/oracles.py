@@ -9,19 +9,16 @@ validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import AbstractGraph, complement
-from .errors import LimitExceeded, SearchCancelled
-
-CancelToken = Callable[[], bool]
+from .errors import LimitExceeded
 
 
 @dataclass(frozen=True)
 class OracleLimits:
     alpha_omega_max: int = 30
     chroma_max: int = 16
-    should_cancel: CancelToken | None = None
 
 
 DEFAULT_LIMITS = OracleLimits()
@@ -46,11 +43,6 @@ class Violation:
     kind: str
     witness: tuple
     message: str
-
-
-def _check_cancel(token: CancelToken | None) -> None:
-    if token is not None and token():
-        raise SearchCancelled("search cancelled by token")
 
 
 def _greedy_independent(adj: Sequence[frozenset[int]], candidates: set[int]) -> list[int]:
@@ -80,17 +72,13 @@ def _matching_upper_bound(adj: Sequence[frozenset[int]], cand: set[int]) -> int:
     return len(cand) - m
 
 
-def max_independent_set(g: AbstractGraph, should_cancel: CancelToken | None = None) -> frozenset[int]:
+def max_independent_set(g: AbstractGraph) -> frozenset[int]:
     """Exact maximum stable set via branch and bound with a matching bound."""
     adj = [g.neighbors(v) for v in range(g.n)]
     best = _greedy_independent(adj, set(range(g.n)))
-    counter = 0
 
     def search(current: list[int], cand: set[int]) -> None:
-        nonlocal best, counter
-        counter += 1
-        if counter % 64 == 0:
-            _check_cancel(should_cancel)
+        nonlocal best
         if not cand:
             if len(current) > len(best):
                 best = list(current)
@@ -117,16 +105,11 @@ def max_independent_set(g: AbstractGraph, should_cancel: CancelToken | None = No
     return frozenset(best)
 
 
-def brute_alpha(g: AbstractGraph, should_cancel: CancelToken | None = None) -> int:
-    return len(max_independent_set(g, should_cancel))
+def brute_omega(g: AbstractGraph) -> int:
+    return len(max_independent_set(complement(g)))
 
 
-def brute_omega(g: AbstractGraph, should_cancel: CancelToken | None = None) -> int:
-    return brute_alpha(complement(g), should_cancel)
-
-
-def k_coloring(g: AbstractGraph, k: int,
-               should_cancel: CancelToken | None = None) -> tuple[int, ...] | None:
+def k_coloring(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
     """Some proper k-coloring, or None.  Vertices are tried in descending
     degree order with first-use symmetry breaking."""
     if g.n == 0:
@@ -135,13 +118,8 @@ def k_coloring(g: AbstractGraph, k: int,
         return None
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     colors = [-1] * g.n
-    counter = 0
 
     def assign(idx: int, used: int) -> bool:
-        nonlocal counter
-        counter += 1
-        if counter % 64 == 0:
-            _check_cancel(should_cancel)
         if idx == g.n:
             return True
         v = order[idx]
@@ -160,32 +138,29 @@ def k_coloring(g: AbstractGraph, k: int,
     return tuple(colors)
 
 
-def brute_chi(g: AbstractGraph, should_cancel: CancelToken | None = None) -> int:
+def brute_chi(g: AbstractGraph) -> int:
     """Exact chromatic number by iterative deepening from the clique bound."""
     if g.n == 0:
         return 0
-    lb = brute_omega(g, should_cancel)
-    for k in range(lb, g.n + 1):
-        if k_coloring(g, k, should_cancel) is not None:
+    for k in range(brute_omega(g), g.n + 1):
+        if k_coloring(g, k) is not None:
             return k
     raise AssertionError("n colors always suffice")
 
 
-def brute_clique_cover_number(g: AbstractGraph, should_cancel: CancelToken | None = None) -> int:
-    return brute_chi(complement(g), should_cancel)
+def brute_clique_cover_number(g: AbstractGraph) -> int:
+    return brute_chi(complement(g))
 
 
 def brute_stats(g: AbstractGraph, limits: OracleLimits = DEFAULT_LIMITS) -> GraphStats:
     if g.n > limits.alpha_omega_max:
         raise LimitExceeded(
             f"n={g.n} exceeds alpha/omega limit {limits.alpha_omega_max}")
-    cancel = limits.should_cancel
-    alpha = brute_alpha(g, cancel)
-    omega = brute_omega(g, cancel)
+    alpha = len(max_independent_set(g))
+    omega = brute_omega(g)
     if g.n > limits.chroma_max:
         return GraphStats(alpha, omega, None, None)
-    return GraphStats(alpha, omega, brute_chi(g, cancel),
-                      brute_clique_cover_number(g, cancel))
+    return GraphStats(alpha, omega, brute_chi(g), brute_clique_cover_number(g))
 
 
 # ---------------------------------------------------------------------------

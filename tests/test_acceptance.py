@@ -13,8 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from udgcolor.core import (build_instance, instance_graph, is_clique,
-                           stability_witness)
+from udgcolor.core import instance_graph, stability_witness
 from udgcolor.cover import cover_three_cliques, partition_from_cover
 from udgcolor.geom import (OUTSIDE, Point, point_in_hull, segments_cross,
                            smallest_enclosing_disk, sq_dist)

@@ -102,6 +102,25 @@ def test_usage_errors(tmp_path):
     assert run(["verify", "--instance", str(tmp_path / "nope.udg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("params", [
+    ["--family", "cs", "--k", "0"],
+    ["--family", "circulant", "--n", "5", "--k", "0"],
+    ["--family", "two_cluster", "--n", "10", "--seed", "1", "--separation", "2"],
+    ["--family", "two_cluster", "--n", "10", "--separation", "abc"],
+    ["--family", "two_cluster", "--n", "10", "--separation", "1/0"],
+    ["--family", "two_cluster", "--n", "0"],
+    ["--family", "two_cluster", "--n", "-4"],
+], ids=["cs-k0", "circulant-k0", "separation-2", "separation-abc", "separation-1/0",
+        "two-cluster-n0", "two-cluster-n-4"])
+def test_gen_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, params):
+    out = tmp_path / "x"
+    assert run(["gen", *params, "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_parse_error_exit(tmp_path):
     bad = tmp_path / "bad.udg"
     bad.write_text("udg broken 1\n3/ 1\n")
@@ -128,6 +147,11 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command,text", [
     ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: x\n"),
     ("verify", "cover \nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("verify", "cover circulant-8-3\nclique 0: 1_0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: +0\n"),
+    ("verify", "cover a b\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("coloring", "coloring circulant-8-3 2\n0 +1\n1 0\n"),
+    ("coloring", "coloring circulant-8-3 1\n0 0\n0 0\n"),
     ("render", "trace circulant-8-3\np 1\n"),
     ("render", "trace circulant-8-3\nb x\n"),
     ("render", "trace circulant-8-3\nregion B+: 1 z\n"),
@@ -137,14 +161,17 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
     ("stats", "graph g 0\n"),
-], ids=["cover-shared-x", "cover-no-id", "trace-p-1", "trace-b-x", "trace-region-z",
-        "trace-exponent", "trace-no-id", "graph-edge-out-of-range", "graph-self-loop",
-        "graph-negative-n", "graph-empty"])
+    ("stats", "graph g 1_0\n"),
+], ids=["cover-shared-x", "cover-no-id", "cover-underscore", "cover-shared-plus",
+        "cover-two-word-id", "coloring-plus", "coloring-twice", "trace-p-1", "trace-b-x",
+        "trace-region-z", "trace-exponent", "trace-no-id", "graph-edge-out-of-range",
+        "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     argv = {"verify": ["verify", "--instance", str(inst), "--cover", str(bad)],
+            "coloring": ["verify", "--instance", str(inst), "--coloring", str(bad)],
             "render": ["render", str(inst), "-o", str(tmp_path / "x.svg"),
                        "--trace", str(bad)],
             "stats": ["stats", str(bad)]}[command]

@@ -1,12 +1,10 @@
 import pytest
 
-from udgcolor.core import (AbstractGraph, adjacent, boundary_order,
-                           build_instance, complement, consecutive,
-                           instance_graph, interval_closed, interval_open,
-                           is_clique, stability_witness)
-from udgcolor.errors import (DegenerateCollinear, DuplicatePoint,
-                             InvalidVertex)
-from udgcolor.geom import point
+from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
+                           complement, instance_graph, interval_closed,
+                           interval_open, is_clique, stability_witness)
+from udgcolor.errors import DuplicatePoint
+from udgcolor.geom import hull_decomposition, point
 from udgcolor.instances import circulant_graph
 
 
@@ -37,13 +35,10 @@ def test_instance_graph_is_built_once_and_shared():
 def test_adjacent_threshold():
     inst = build_instance("t", [point(0, 0), point(1, 0), point(1, 1),
                                 point("3/5", "4/5")])
-    assert adjacent(inst, 0, 1)          # distance exactly 1
-    assert not adjacent(inst, 0, 2)      # sq_dist 2
-    assert adjacent(inst, 0, 3)          # sq_dist exactly 1
-    with pytest.raises(InvalidVertex):
-        adjacent(inst, 0, 0)
-    with pytest.raises(InvalidVertex):
-        adjacent(inst, 0, 9)
+    g = inst.graph
+    assert g.adjacent(0, 1)          # distance exactly 1
+    assert not g.adjacent(0, 2)      # sq_dist 2
+    assert g.adjacent(0, 3)          # sq_dist exactly 1
 
 
 def test_stability_witness_collinear_triple():
@@ -76,8 +71,12 @@ def test_complement():
 SQUARE = build_instance("sq", [point(0, 0), point(1, 0), point(1, 1), point(0, 1)])
 
 
+def _boundary(inst):
+    return BoundaryOrder(hull_decomposition(inst.points).boundary)
+
+
 def test_boundary_order_square_intervals():
-    order = boundary_order(SQUARE)
+    order = _boundary(SQUARE)
     assert set(order.sequence) == {0, 1, 2, 3}
     a = order.sequence[0]
     c = order.sequence[2]
@@ -86,19 +85,10 @@ def test_boundary_order_square_intervals():
     assert interval_open(order, a, c) == (b,)
     u, v = order.sequence[0], order.sequence[1]
     assert interval_open(order, u, v) == ()
-    assert consecutive(order, u, v)
-    assert not consecutive(order, a, c)
-    assert not consecutive(order, a, a)
-
-
-def test_boundary_order_collinear_raises():
-    line = build_instance("ln", [point(0, 0), point(1, 0), point(2, 0)])
-    with pytest.raises(DegenerateCollinear):
-        boundary_order(line)
 
 
 def test_interval_variants():
-    order = boundary_order(SQUARE)
+    order = _boundary(SQUARE)
     a, b, c, d = order.sequence
     assert interval_closed(order, a, c) == (a, b, c)
     assert interval_closed(order, c, a) == (c, d, a)
@@ -106,7 +96,7 @@ def test_interval_variants():
 
 def test_interval_identity_partition():
     inst = build_instance("pent", [p for p in __import__("udgcolor").gen_circulant(5, 2).points])
-    order = boundary_order(inst)
+    order = _boundary(inst)
     seq = order.sequence
     for u in seq:
         for v in seq:

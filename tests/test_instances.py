@@ -1,7 +1,7 @@
 import pytest
 
-from udgcolor.core import instance_graph
-from udgcolor.errors import DuplicatePoint, ParseError
+from udgcolor.core import AbstractGraph, build_instance, instance_graph
+from udgcolor.errors import DuplicatePoint, EmptyInstance, ParseError
 from udgcolor.geom import point
 from udgcolor.instances import (circulant_graph, gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
@@ -130,6 +130,20 @@ def test_two_cluster_separation_validated():
         gen_two_cluster(5, seed=0, separation=2)
     with pytest.raises(ValueError):
         gen_two_cluster(5, seed=0, separation=0)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_two_cluster_requires_a_point(n):
+    with pytest.raises(ValueError):
+        gen_two_cluster(n, seed=1)
+
+
+def test_writers_reject_what_readers_reject():
+    # `udg e 0` and `graph anon 0` are parse errors, so neither is written
+    with pytest.raises(EmptyInstance):
+        instance_to_text(build_instance("e", []))
+    with pytest.raises(EmptyInstance):
+        graph_to_text(AbstractGraph(0, []))
 
 
 def test_instance_round_trip(tmp_path):

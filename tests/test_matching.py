@@ -1,14 +1,12 @@
-import itertools
 import random
 
 import pytest
 
-from udgcolor.core import AbstractGraph, build_instance, complement, instance_graph
+from udgcolor.core import AbstractGraph, build_instance, instance_graph
 from udgcolor.errors import StabilityViolated
 from udgcolor.geom import point
-from udgcolor.instances import circulant_graph, gen_circulant, gen_two_cluster
-from udgcolor.matching import (Coloring, audit_bound,
-                               color_via_complement_matching,
+from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.matching import (audit_bound, color_via_complement_matching,
                                coloring_from_text, coloring_to_text,
                                gallai_edmonds, max_matching,
                                sweep_greedy_color)
@@ -224,5 +222,5 @@ def test_coloring_classes_deterministic_order():
     c1 = color_via_complement_matching(inst)
     c2 = color_via_complement_matching(inst)
     assert c1 == c2
-    firsts = [min(cl) for cl in c1.classes()]
+    firsts = [c1.assignment.index(c) for c in range(c1.num_colors)]
     assert firsts == sorted(firsts)

@@ -2,12 +2,11 @@ import pytest
 
 from udgcolor.core import AbstractGraph, instance_graph
 from udgcolor.cover import CliqueCover, CliquePartition
-from udgcolor.errors import LimitExceeded, SearchCancelled
+from udgcolor.errors import LimitExceeded
 from udgcolor.instances import circulant_graph, gen_cs
 from udgcolor.matching import Coloring
 from udgcolor.oracles import (OracleLimits, brute_cover_exists, brute_stats,
-                              check_k16_free, check_nbhprop,
-                              max_independent_set, verify_cover,
+                              check_k16_free, check_nbhprop, verify_cover,
                               verify_coloring)
 
 
@@ -49,19 +48,6 @@ def test_brute_stats_limit():
     stats = brute_stats(_complete(8), OracleLimits(chroma_max=7))
     assert stats.omega == 8
     assert stats.chi is None
-
-
-def test_cancellation_token():
-    import random
-
-    rng = random.Random(5)
-    g = AbstractGraph(45, [(i, j) for i in range(45) for j in range(i + 1, 45)
-                           if rng.random() < 0.12])
-    with pytest.raises(SearchCancelled):
-        max_independent_set(g, should_cancel=lambda: True)
-    # a token that never fires leaves the result intact
-    quiet = max_independent_set(g, should_cancel=lambda: False)
-    assert quiet == max_independent_set(g)
 
 
 def test_verify_cover_accepts_valid():

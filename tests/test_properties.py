@@ -8,13 +8,13 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from udgcolor.core import (boundary_order, build_instance, complement,
+from udgcolor.core import (BoundaryOrder, build_instance, complement,
                            instance_graph, interval_closed, interval_open,
                            is_clique, stability_witness)
 from udgcolor.cover import cover_three_cliques, partition_from_cover
-from udgcolor.errors import DegenerateCollinear
-from udgcolor.geom import (INTERIOR, OUTSIDE, Point, point, point_in_hull,
-                           segments_cross, smallest_enclosing_disk, sq_dist)
+from udgcolor.geom import (INTERIOR, OUTSIDE, Point, hull_decomposition,
+                           point_in_hull, segments_cross,
+                           smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_two_cluster
 from udgcolor.matching import color_via_complement_matching
 from udgcolor.oracles import (brute_chi, brute_clique_cover_number,
@@ -162,12 +162,10 @@ def test_boundary_has_no_three_nested_nonadjacent_pairs():
         inst = gen_two_cluster(6 + rng.randrange(7), seed=rng.randrange(100000),
                                separation="1")
         g = instance_graph(inst)
-        if stability_witness(g) is not None:
+        hd = hull_decomposition(inst.points)
+        if stability_witness(g) is not None or hd.is_collinear:
             continue
-        try:
-            order = boundary_order(inst)
-        except DegenerateCollinear:
-            continue
+        order = BoundaryOrder(hd.boundary)
         checked += 1
         seq = order.sequence
         m = len(seq)
@@ -189,10 +187,10 @@ def test_interval_identities_on_generated_boundaries():
     while done < 20:
         inst = gen_two_cluster(5 + rng.randrange(8), seed=rng.randrange(100000),
                                separation="3/4")
-        try:
-            order = boundary_order(inst)
-        except DegenerateCollinear:
+        hd = hull_decomposition(inst.points)
+        if hd.is_collinear:
             continue
+        order = BoundaryOrder(hd.boundary)
         done += 1
         seq = order.sequence
         for u in seq:
