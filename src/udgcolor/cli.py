@@ -2,8 +2,8 @@
 
 Subcommands: gen, cover, color, audit, verify, stats, bench, render.
 Exit codes: 0 success, 1 usage, 2 parse or file read/write failure,
-3 precondition violation (an independent triple), 4 internal structure/audit
-failure.
+3 precondition violation (an independent triple), 4 an alpha/omega oracle
+limit (stats) or an internal structure/audit failure.
 
 Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 """
@@ -21,7 +21,7 @@ from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_fr
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
 from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
-                        instance_from_text, parse_scalar, read_instance,
+                        instance_from_text, parse_int, parse_scalar, read_instance,
                         write_graph, write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
@@ -51,10 +51,10 @@ def _limits_from_env() -> OracleLimits:
     if not raw:
         return DEFAULT_LIMITS
     try:
-        ao, ch = (int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise _UsageError(
-            f"UDG_CHROMA_LIMITS must be '<alpha_omega>,<chroma>', got {raw!r}") from None
+        ao, ch = (parse_int(tok, 1) for tok in raw.split(","))
+    except (ValueError, ParseError):  # ValueError: not two values
+        raise _UsageError(f"UDG_CHROMA_LIMITS must be two digit strings "
+                          f"'<alpha_omega>,<chroma>', got {raw!r}") from None
     return OracleLimits(alpha_omega_max=ao, chroma_max=ch)
 
 
@@ -189,8 +189,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     limits = _limits_from_env()
+    corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        raise NotADirectoryError(f"corpus {args.corpus!r} is not a directory")
     rows = []
-    for path in sorted(Path(args.corpus).glob("*.udg")):
+    for path in sorted(corpus.glob("*.udg")):
         inst = read_instance(path)
         g = inst.graph
         greedy = sweep_greedy_color(inst).num_colors
@@ -216,16 +219,27 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _require_instance(kind: str, instance_id: str, inst) -> None:
+    if instance_id != inst.id:
+        raise ParseError(1, f"{kind} names instance {instance_id!r}, expected {inst.id!r}")
+
+
 def _cmd_render(args) -> int:
     inst = read_instance(args.input)
     coloring = None
     if args.coloring:
-        _, coloring = coloring_from_text(Path(args.coloring).read_text())
+        instance_id, coloring = coloring_from_text(Path(args.coloring).read_text())
+        _require_instance("coloring", instance_id, inst)
         if len(coloring.assignment) != inst.n:
             raise ParseError(1, "coloring does not match instance size")
     trace = None
     if args.trace:
-        _, trace = trace_from_text(Path(args.trace).read_text())
+        instance_id, trace = trace_from_text(Path(args.trace).read_text())
+        _require_instance("trace", instance_id, inst)
+        top = inst.n if trace.p_virtual else inst.n - 1  # the virtual p is vertex n
+        named = max(trace.vertices)
+        if named > top:
+            raise ParseError(1, f"trace names vertex {named}, outside 0..{top}")
     _write_text(args.output, render_svg(inst, coloring, trace))
     return EXIT_OK
 

@@ -96,6 +96,16 @@ class DiskCaseTrace:
     split_t_minus_r: frozenset[int] = frozenset()
     split_t_minus_star: frozenset[int] = frozenset()
 
+    @property
+    def vertices(self) -> frozenset[int]:
+        """Every vertex id the trace names, p_id included."""
+        named = {self.p_id, *(self.nonedge_pair or ())}
+        named.update(v for _, attr in _TRACE_IDS
+                     if (v := getattr(self, attr)) is not None)
+        for _, attr in _TRACE_SETS:
+            named |= getattr(self, attr)
+        return frozenset(named)
+
 
 def _require_cover(g: AbstractGraph, cover: CliqueCover, where: str) -> None:
     from .oracles import verify_cover
@@ -535,6 +545,7 @@ def cover_from_text(text: str) -> tuple[str, CliqueCover]:
     return instance_id, CliqueCover((cliques[0], cliques[1], cliques[2]), shared)
 
 
+_TRACE_MODES = ("nonedge", "narrow", "split")
 _TRACE_IDS = (("b", "b"), ("b+", "b_plus"), ("b-", "b_minus"),
               ("r+", "r_plus"), ("r-", "r_minus"))
 _TRACE_SETS = (
@@ -573,9 +584,17 @@ def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
     fields: dict = {}
     set_by_label = {f"{label}:": attr for label, attr in _TRACE_SETS}
     scalar_by_label = dict(_TRACE_IDS)
+    kinds_read: set[str] = set()
     for no, toks in records:
         set_label = " ".join(toks[:2])
+        kind = set_label if set_label in set_by_label else toks[0]
+        if kind in kinds_read:
+            raise ParseError(no, f"second {kind!r} line")
+        kinds_read.add(kind)
         if toks[0] == "mode" and len(toks) == 2:
+            if toks[1] not in _TRACE_MODES:
+                raise ParseError(no, f"unknown mode {toks[1]!r}, expected "
+                                     f"{', '.join(_TRACE_MODES)}")
             fields["mode"] = toks[1]
         elif (toks[0] == "p" and len(toks) == 5
               and toks[3] in ("virtual=0", "virtual=1") and toks[4].startswith("id=")):

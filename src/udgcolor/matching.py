@@ -4,7 +4,9 @@ The coloring path is deliberately simple: complement the instance graph,
 take any maximum matching, and turn matched pairs plus leftover singletons
 into color classes.  The decomposition machinery exists to audit the
 counting argument that bounds the number of classes by 3/2 of the clique
-number; it is not on the coloring hot path.
+number; it is not on the coloring hot path.  The Gallai-Edmonds
+decomposition is read off one maximum matching and one alternating forest
+of the same blossom search; there is no second matching algorithm.
 """
 
 from __future__ import annotations
@@ -30,19 +32,24 @@ class Matching:
         return len(self.edges)
 
 
-def _augment_search(g: AbstractGraph, match: list[int], root: int,
-                    banned: int = -1) -> bool:
-    """One alternating-forest search from an exposed root, contracting
-    blossoms on the fly; augments match in place when a path is found.
+def _augment_search(g: AbstractGraph, match: list[int],
+                    roots: list[int]) -> list[bool] | None:
+    """One alternating-forest search from exposed roots, contracting
+    blossoms on the fly.
 
-    banned (if >= 0) is treated as deleted from the graph.
+    Returns None after augmenting match in place along a path from a root
+    to an exposed vertex that is not a root.  Otherwise returns the
+    forest's even marks: the vertices an even alternating path reaches from
+    a root, blossoms included.  Two trees that meet raise AuditFailure: they
+    hold an augmenting path, so match was not maximum.
     """
     n = g.n
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
-    used[root] = True
-    queue = deque([root])
+    for root in roots:
+        used[root] = True
+    queue = deque(roots)
 
     def lowest_common_base(a: int, b: int) -> int:
         seen = [False] * n
@@ -53,12 +60,13 @@ def _augment_search(g: AbstractGraph, match: list[int], root: int,
             if match[x] == -1:
                 break
             x = parent[match[x]]
-        y = b
-        while True:
-            y = base[y]
-            if seen[y]:
-                return y
-            y = parent[match[y]]
+        y = base[b]
+        while not seen[y]:
+            if match[y] == -1:
+                raise AuditFailure(f"alternating trees of roots {x} and {y} meet; "
+                                   f"the matching is not maximum")
+            y = base[parent[match[y]]]
+        return y
 
     def mark_path(x: int, stem: int, child: int, in_blossom: list[bool]) -> None:
         while base[x] != stem:
@@ -71,9 +79,9 @@ def _augment_search(g: AbstractGraph, match: list[int], root: int,
     while queue:
         v = queue.popleft()
         for to in sorted(g.neighbors(v)):
-            if to == banned or base[v] == base[to] or match[v] == to:
+            if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if used[to]:
                 stem = lowest_common_base(v, to)
                 in_blossom = [False] * n
                 mark_path(v, stem, to, in_blossom)
@@ -94,25 +102,25 @@ def _augment_search(g: AbstractGraph, match: list[int], root: int,
                         match[u] = pv
                         match[pv] = u
                         u = nxt
-                    return True
+                    return None
                 used[match[to]] = True
                 queue.append(match[to])
-    return False
+    return used
 
 
-def _matching_array(g: AbstractGraph, banned: int = -1) -> list[int]:
+def _matching_array(g: AbstractGraph) -> list[int]:
     match = [-1] * g.n
     for v in range(g.n):
-        if v == banned or match[v] != -1:
+        if match[v] != -1:
             continue
         for u in sorted(g.neighbors(v)):
-            if u != banned and match[u] == -1:
+            if match[u] == -1:
                 match[v] = u
                 match[u] = v
                 break
     for v in range(g.n):
-        if v != banned and match[v] == -1:
-            _augment_search(g, match, v, banned)
+        if match[v] == -1:
+            _augment_search(g, match, [v])
     return match
 
 
@@ -127,7 +135,8 @@ def max_matching(g: AbstractGraph) -> Matching:
 class GallaiEdmonds:
     """Canonical decomposition: A missed by some maximum matching,
     X = N(A) \\ A, B the rest, plus the odd (factor-critical) components of
-    G - X and a matching of X into distinct odd components."""
+    G - X and a matching of X into distinct odd components (the maximum
+    matching's own edges at X)."""
 
     A: frozenset[int]
     X: frozenset[int]
@@ -160,29 +169,17 @@ def _components(g: AbstractGraph, removed: frozenset[int]) -> list[frozenset[int
 
 
 def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
-    """Decomposition computed from the definition: v is in A exactly when
-    deleting v does not drop the maximum matching size.
+    """Decomposition read off one maximum matching M (Gallai-Edmonds
+    structure theorem; Lovasz and Plummer, Matching Theory, ch. 3).
 
-    Each per-vertex test reuses one blossom search: restricted to G - v, the
-    base matching loses at most the edge at v, and any augmenting path in
-    G - v must end at the freed mate.
+    A, the vertices some maximum matching misses, is the even set of one
+    alternating forest grown from every vertex M misses.  M matches each
+    vertex of X into a distinct odd component, so M_X is M's edges at X.
     """
     n = g.n
-    base_match = _matching_array(g)
-
-    a_set: set[int] = set()
-    for v in range(n):
-        if base_match[v] == -1:
-            a_set.add(v)
-            continue
-        mate = base_match[v]
-        trial = list(base_match)
-        trial[v] = -1
-        trial[mate] = -1
-        if _augment_search(g, trial, mate, banned=v):
-            a_set.add(v)
-
-    A = frozenset(a_set)
+    match = _matching_array(g)
+    even = _augment_search(g, match, [v for v in range(n) if match[v] == -1])
+    A = frozenset(v for v in range(n) if even[v])
     X = frozenset(u for a in A for u in g.neighbors(a)) - A
     B = frozenset(range(n)) - A - X
 
@@ -194,40 +191,21 @@ def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
         if len(c) % 2 == 0:
             raise AuditFailure(f"component {sorted(c)} inside A has even size")
 
-    comp_of: dict[int, int] = {}
-    for idx, c in enumerate(odd):
-        for v in c:
-            comp_of[v] = idx
-
-    # match X into distinct odd components (guaranteed total by the
-    # decomposition's Hall property)
-    comp_mate: dict[int, int] = {}
-    x_mate: dict[int, int] = {}
-
-    def try_assign(x: int, visited: set[int]) -> bool:
-        for idx in sorted({comp_of[w] for w in g.neighbors(x) if w in comp_of}):
-            if idx in visited:
-                continue
-            visited.add(idx)
-            if idx not in comp_mate or try_assign(comp_mate[idx], visited):
-                comp_mate[idx] = x
-                x_mate[x] = idx
-                return True
-        return False
-
+    comp_of = {v: idx for idx, c in enumerate(odd) for v in c}
+    x_of: dict[int, int] = {}  # odd component index -> the X vertex matched into it
     for x in sorted(X):
-        if not try_assign(x, set()):
-            raise AuditFailure(f"vertex {x} of X cannot be matched into an odd component")
+        idx = comp_of.get(match[x])
+        if idx is None:
+            raise AuditFailure(f"vertex {x} of X is not matched into an odd component")
+        if idx in x_of:
+            raise AuditFailure(f"vertices {x_of[idx]} and {x} of X are matched "
+                               f"into one odd component")
+        x_of[idx] = x
 
-    m_x = set()
-    for x in sorted(X):
-        idx = x_mate[x]
-        endpoint = min(w for w in g.neighbors(x) if comp_of.get(w) == idx)
-        m_x.add((min(x, endpoint), max(x, endpoint)))
-
-    o_x = tuple(sorted(x_mate.values()))
-    o_prime = tuple(i for i in range(len(odd)) if i not in set(o_x))
-    return GallaiEdmonds(A, X, B, odd, o_x, o_prime, frozenset(m_x))
+    m_x = frozenset((min(x, match[x]), max(x, match[x])) for x in X)
+    o_x = tuple(sorted(x_of))
+    o_prime = tuple(i for i in range(len(odd)) if i not in x_of)
+    return GallaiEdmonds(A, X, B, odd, o_x, o_prime, m_x)
 
 
 @dataclass(frozen=True)
@@ -399,8 +377,7 @@ def audit_bound(inst: Instance) -> AuditReport:
 
     ge = gallai_edmonds(h)
     odd = ge.odd_components
-    in_odd = set().union(*odd) if odd else set()
-    r_vertices = frozenset(range(n)) - ge.X - in_odd
+    r_vertices = ge.B  # the odd components cover A
 
     checks: list[AuditCheck] = []
     components: list[ComponentAudit] = []
@@ -419,10 +396,7 @@ def audit_bound(inst: Instance) -> AuditReport:
     components.append(ComponentAudit("R", tuple(sorted(r_vertices)), sizes_r, m_r.size))
     checks.append(AuditCheck("2|M_R|<=3|A_R|", 2 * m_r.size, 3 * sizes_r[0], "<="))
 
-    mates_x = {}
-    for x, w in ((a, b) if a in ge.X else (b, a) for a, b in ge.M_X):
-        mates_x[x] = w
-    matched_endpoints = set(mates_x.values())
+    matched_endpoints = {v for edge in ge.M_X for v in edge} - ge.X
 
     m_k_total = 0
     for idx, comp in enumerate(odd):

@@ -59,14 +59,11 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
                    f'stroke="#999999" stroke-width="1.2"/>')
 
     if trace is not None:
-        all_pts = pts
         for attr, label, color in _REGION_STYLE:
             ids = sorted(getattr(trace, attr))
             if len(ids) < 2:
                 continue
-            region_pts = [all_pts[i] for i in ids if i < len(all_pts)]
-            if len(region_pts) < 2:
-                continue
+            region_pts = [pts[i] for i in ids]
             hd = hull_decomposition(region_pts)
             ring = [region_pts[i] for i in hd.boundary]
             path = " ".join(f"{sx(p):.2f},{sy(p):.2f}" for p in ring)

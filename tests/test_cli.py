@@ -157,6 +157,10 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("render", "trace circulant-8-3\nregion B+: 1 z\n"),
     ("render", "trace circulant-8-3\nmode split\np 1e3 0 virtual=1 id=8\n"),
     ("render", "trace \nmode split\np 0 0 virtual=1 id=8\n"),
+    ("render", "trace circulant-8-3\nmode bogus\np 0 0 virtual=1 id=8\n"),
+    ("render", "trace circulant-8-3\nmode split\nmode narrow\np 0 0 virtual=1 id=8\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\n"
+               "region B+: 0 1\nregion B+: 2\n"),
     ("stats", "graph g 2\n0 5\n"),
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
@@ -164,7 +168,8 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("stats", "graph g 1_0\n"),
 ], ids=["cover-shared-x", "cover-no-id", "cover-underscore", "cover-shared-plus",
         "cover-two-word-id", "coloring-plus", "coloring-twice", "trace-p-1", "trace-b-x",
-        "trace-region-z", "trace-exponent", "trace-no-id", "graph-edge-out-of-range",
+        "trace-region-z", "trace-exponent", "trace-no-id", "trace-mode-bogus",
+        "trace-mode-twice", "trace-region-twice", "graph-edge-out-of-range",
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
@@ -180,6 +185,52 @@ def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("trace", "trace other\nmode split\np 0 0 virtual=1 id=8\n"),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion B+: 0 99\n"),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=9\n"),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=0 id=0\nregion R: 0 8\n"),
+    ("trace", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=0 id=0\nnonedge 2 8\n"),
+    ("coloring", "coloring other 4\n" + "".join(f"{v} {v % 4}\n" for v in range(8))),
+], ids=["trace-other-instance", "trace-region-99", "trace-virtual-id-n+1",
+        "trace-region-n-not-virtual", "trace-nonedge-n", "coloring-other-instance"])
+def test_render_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, text):
+    inst = _gen(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    assert run(["render", str(inst), "-o", str(svg), f"--{kind}", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert err.count("\n") == 1
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("limits", ["1_0,+5", "-1,-1", "5", "a,b"])
+def test_bad_chroma_limits_are_a_usage_error(tmp_path, capsys, monkeypatch, limits):
+    inst = _gen(tmp_path)
+    monkeypatch.setenv("UDG_CHROMA_LIMITS", limits)
+    capsys.readouterr()
+    assert run(["stats", str(inst)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: UDG_CHROMA_LIMITS ")
+    assert err.count("\n") == 1
+
+
+def test_bench_corpus_must_be_a_directory(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    for corpus in (tmp_path / "missing", inst):
+        assert run(["bench", str(corpus)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert err.count("\n") == 1
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(["bench", str(empty)]) == EXIT_OK
+    assert capsys.readouterr().out == "instance\tn\tomega\tgreedy\tmatching\tchi\tbound\n"
 
 
 @pytest.mark.parametrize("separation", ["1", "1/2"], ids=["far_pair", "disk"])

@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from udgcolor.core import AbstractGraph, build_instance, instance_graph
-from udgcolor.errors import StabilityViolated
+from udgcolor.errors import AuditFailure, StabilityViolated
 from udgcolor.geom import point
 from udgcolor.instances import gen_circulant, gen_two_cluster
-from udgcolor.matching import (audit_bound, color_via_complement_matching,
+from udgcolor.matching import (_augment_search, audit_bound,
+                               color_via_complement_matching,
                                coloring_from_text, coloring_to_text,
                                gallai_edmonds, max_matching,
                                sweep_greedy_color)
@@ -68,6 +70,16 @@ def test_matching_equals_brute_force_exhaustively():
             seen.update((u, v))
 
 
+def test_forest_search_refuses_a_non_maximum_matching():
+    # P4 with only its middle edge matched: the trees of 0 and 3 meet at 0-1-2-3
+    p4 = AbstractGraph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(AuditFailure, match="not maximum"):
+        _augment_search(p4, [-1, 2, 1, -1], [0, 3])
+    # the same forest over a maximum matching marks the even vertices
+    c5 = AbstractGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert _augment_search(c5, [1, 0, 3, 2, -1], [4]) == [True] * 5
+
+
 def test_gallai_edmonds_c5_factor_critical():
     c5 = AbstractGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     ge = gallai_edmonds(c5)
@@ -113,6 +125,17 @@ def test_gallai_edmonds_matches_definition():
             for v in comp:
                 sub, _ = g.induced(comp - {v})
                 assert 2 * max_matching(sub).size == len(comp) - 1
+        # M_X matches each vertex of X into its own odd component
+        assert len(ge.M_X) == len(ge.X)
+        hit = []
+        for edge in ge.M_X:
+            assert g.adjacent(*edge)
+            (x,) = set(edge) & ge.X
+            (w,) = set(edge) - {x}
+            hit.append(next(i for i, comp in enumerate(ge.odd_components) if w in comp))
+        assert len(set(hit)) == len(hit)
+        assert sorted(hit) == list(ge.O_X)
+        assert sorted(ge.O_X + ge.O_prime) == list(range(len(ge.odd_components)))
 
 
 def test_coloring_c5():
@@ -167,6 +190,28 @@ def test_audit_c5_exact_numbers():
 def test_audit_two_cluster():
     report = audit_bound(gen_two_cluster(20, seed=7, separation="1"))
     assert report.all_pass
+
+
+GOLDEN_AUDITS = {
+    "circulant-14-5": "dc2567f894f943247761230c4eae8a6566f8cdc6da5f23c0d16c9ecba1732b43",
+    "circulant-35-12": "cff1495a99517af69a1d7f7694a0dc5952a53ba2b1aa9d24c6d43147f517f058",
+    "twocluster-8-4-1x1": "2c50fa2b199a06fae7e0f772c7e1068511401bdfcfafb6283145c9dc80e531c7",
+    "twocluster-16-12-1x1": "0f9e9d209401e7a4a091b7a2b9a048941103d7be843450a0cfe1a7d60c259f12",
+    "twocluster-60-1-1x1": "f2019889540ccf0977534a2b44e7f02101145570f1c10e2135b9115b477a1cd8",
+    "twocluster-60-2-1x2": "0e42fbf683a223a269817f333b19902e96a3d1f97103c682cc648a71d14a7bdd",
+}
+
+
+@pytest.mark.parametrize("inst", [gen_circulant(14, 5), gen_circulant(35, 12),
+                                  gen_two_cluster(8, seed=4, separation=1),
+                                  gen_two_cluster(16, seed=12, separation=1),
+                                  gen_two_cluster(60, seed=1, separation=1),
+                                  gen_two_cluster(60, seed=2, separation="1/2")],
+                         ids=lambda inst: inst.id)
+def test_audit_text_matches_golden_hashes(inst):
+    # the last two are a far-pair and a disk-case instance, with |M_X| = 29 and 10
+    text = audit_bound(inst).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_AUDITS[inst.id]
 
 
 def test_audit_text_shape():
