@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, cover, color, audit, verify, stats, bench, render.
-Exit codes: 0 success, 1 usage, 2 parse or file read/write failure,
-3 precondition violation (an independent triple), 4 an alpha/omega oracle
-limit (stats) or an internal structure/audit failure.
+Exit codes: 0 success, 1 usage, 2 parse or file read/write failure or an
+artifact of another instance, 3 precondition violation (an independent
+triple), 4 an alpha/omega oracle limit (stats), an invalid artifact (verify)
+or an internal structure/audit failure.
 
 Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 """
@@ -11,6 +12,7 @@ Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -148,33 +150,20 @@ def _cmd_verify(args) -> int:
     if not args.cover and not args.coloring:
         raise _UsageError("verify needs --cover and/or --coloring")
     inst = read_instance(args.instance)
-    g = inst.graph
-    failures = 0
+    # print nothing until both artifacts are read, so that a parse error or
+    # an artifact of another instance is the only line
+    verdicts = []  # (kind, path, violation or None)
     if args.cover:
         instance_id, cover = cover_from_text(Path(args.cover).read_text())
-        if instance_id != inst.id:
-            print(f"cover names instance {instance_id!r}, expected {inst.id!r}",
-                  file=sys.stderr)
-            failures += 1
-        bad = verify_cover(g, cover)
-        if bad is None:
-            print(f"cover {args.cover}: ok")
-        else:
-            print(f"cover {args.cover}: {bad.message}")
-            failures += 1
+        _require_instance("cover", instance_id, inst)
+        verdicts.append(("cover", args.cover, verify_cover(inst.graph, cover)))
     if args.coloring:
         instance_id, coloring = coloring_from_text(Path(args.coloring).read_text())
-        if instance_id != inst.id:
-            print(f"coloring names instance {instance_id!r}, expected {inst.id!r}",
-                  file=sys.stderr)
-            failures += 1
-        bad = verify_coloring(g, coloring)
-        if bad is None:
-            print(f"coloring {args.coloring}: ok")
-        else:
-            print(f"coloring {args.coloring}: {bad.message}")
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_INTERNAL
+        _require_instance("coloring", instance_id, inst)
+        verdicts.append(("coloring", args.coloring, verify_coloring(inst.graph, coloring)))
+    for kind, path, bad in verdicts:
+        print(f"{kind} {path}: {'ok' if bad is None else bad.message}")
+    return EXIT_OK if all(bad is None for _, _, bad in verdicts) else EXIT_INTERNAL
 
 
 def _cmd_stats(args) -> int:
@@ -244,6 +233,7 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="udgcolor", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

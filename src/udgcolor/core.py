@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicatePoint, InvalidVertex
-from .geom import Point, sq_dist
+from .geom import Homogeneous, Point, _homogeneous, sq_dist
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,24 @@ class Instance:
         """The unit-distance graph, built on first use and shared after."""
         return instance_graph(self)
 
+    @cached_property
+    def homogeneous(self) -> tuple[Homogeneous, ...]:
+        """Each point as the integers (X, Y, W) of geom's exact predicates,
+        computed on first use and shared after."""
+        return tuple(_homogeneous(p) for p in self.points)
+
 
 def build_instance(id: str, points: Sequence[Point]) -> Instance:
     """Validate pairwise distinctness and freeze the point list."""
-    seen: dict[Point, int] = {}
+    # Fractions are kept in lowest terms, so equal points have equal
+    # numerators and denominators; hashing these integers skips the modular
+    # inverse that Fraction.__hash__ computes
+    seen: dict[tuple[int, int, int, int], int] = {}
     for i, p in enumerate(points):
-        if p in seen:
-            raise DuplicatePoint(seen[p], i)
-        seen[p] = i
+        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        if key in seen:
+            raise DuplicatePoint(seen[key], i)
+        seen[key] = i
     return Instance(id, tuple(points))
 
 

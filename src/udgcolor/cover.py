@@ -10,6 +10,14 @@ which not all parts have the same cardinality.  Dispatch:
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
+The dispatch tests are exact integer comparisons on the per-point
+homogeneous integers the instance computes once (Instance.homogeneous): the
+collinearity test is one dot product with the line through the first two
+points per point, the far-pair scan and the centre test compare squared
+distances against 3 and 1 (geom._sq_dist_sign).  Only the graph build
+(core.instance_graph) still takes Fraction distances; see the geom module
+docstring for why it waits.
+
 Every branch reads the graph the instance builds once and caches
 (Instance.graph); the disk case adds the disk center to it as a universal
 vertex instead of rebuilding the graph from coordinates.  The far-pair
@@ -28,7 +36,6 @@ always indicates a bug rather than a data condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
@@ -36,11 +43,9 @@ from .core import (AbstractGraph, BoundaryOrder, Instance, interval_closed,
                    interval_open, is_clique, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
-from .geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, hull_decomposition,
-                   orientation, smallest_enclosing_disk, sq_dist)
+from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
+                   _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
-
-FAR_SQ = Fraction(3)  # far-pair threshold, inclusive: sq_dist >= 3
 
 
 @dataclass(frozen=True)
@@ -144,23 +149,44 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
         # the single pair is non-adjacent here
         return CliqueCover((frozenset({0}), frozenset({0}), frozenset({1})), 0), None
 
-    pts = inst.points
-    if all(orientation(pts[0], pts[1], pts[i]) == COLLINEAR for i in range(2, n)):
+    h = inst.homogeneous
+    if _collinear(h):
         return collinear_cover(inst), None
+    far = _far_pair(g, h)
+    if far is not None:
+        return far_pair_cover(inst, *far), None
 
-    # an adjacent pair has sq_dist <= 1 < 3, so only non-edges can be far
-    for i in range(n):
-        ni = g.neighbors(i)
-        for j in range(i + 1, n):
-            if j not in ni and sq_dist(pts[i], pts[j]) >= FAR_SQ:
-                return far_pair_cover(inst, i, j), None
-
-    sed = smallest_enclosing_disk(pts)
+    sed = smallest_enclosing_disk(inst.points)
     if sed.radius_sq > 1:
         raise StructureViolation(
             f"enclosing disk radius_sq {sed.radius_sq} exceeds 1 although all "
             f"pairs are closer than sqrt(3)")
     return disk_case_cover(inst, sed.center)
+
+
+def _collinear(h: Sequence[Homogeneous]) -> bool:
+    """All points lie on the line through the first two (distinct) points."""
+    lx, ly, lw = _line(h[0], h[1])
+    return all(lx * x + ly * y + lw * w == 0 for x, y, w in h[2:])
+
+
+def _far_pair(g: AbstractGraph, h: Sequence[Homogeneous]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row order, at squared distance at
+    least 3; None when there is none.  An adjacent pair has squared distance
+    at most 1, so only non-edges are tested."""
+    for i in range(len(h)):
+        ni = g.neighbors(i)
+        hi = h[i]
+        for j in range(i + 1, len(h)):
+            if j not in ni and _sq_dist_sign(hi, h[j], 3) >= 0:
+                return i, j
+    return None
+
+
+def _outside_unit_disk(center: Point, h: Sequence[Homogeneous]) -> int | None:
+    """The first point farther than 1 from center; None when there is none."""
+    c = _homogeneous(center)
+    return next((i for i, p in enumerate(h) if _sq_dist_sign(c, p, 1) > 0), None)
 
 
 def _pair_cover(g: AbstractGraph, u: int, v: int, where: str) -> CliqueCover:
@@ -187,7 +213,8 @@ def far_pair_cover(inst: Instance, u: int, v: int) -> CliqueCover:
     B = (N(u) & N(v)) + u a clique, because the common neighborhood of a far
     pair is one.
     """
-    if sq_dist(inst.points[u], inst.points[v]) < FAR_SQ:
+    h = inst.homogeneous
+    if _sq_dist_sign(h[u], h[v], 3) < 0:
         raise InvalidVertex(f"pair ({u},{v}) is not a far pair")
     return _pair_cover(inst.graph, u, v, "far_pair_cover")
 
@@ -196,16 +223,16 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     """Cover for instances whose points all lie on one line.
 
     Sorted along the line: A is everything within unit distance of the first
-    point, B the remainder (a clique, else the first point would complete an
-    independent triple), C the first point alone.
+    point (its closed neighbourhood), B the remainder (a clique, else the
+    first point would complete an independent triple), C the first point
+    alone.
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
     g = inst.graph
     pts = inst.points
-    order = sorted(range(inst.n), key=lambda i: (pts[i].x, pts[i].y))
-    first = order[0]
-    a = frozenset(i for i in range(inst.n) if sq_dist(pts[first], pts[i]) <= 1)
+    first = min(range(inst.n), key=lambda i: (pts[i].x, pts[i].y))
+    a = g.neighbors(first) | {first}
     b = frozenset(range(inst.n)) - a
     c = frozenset({first})
     cover = CliqueCover((a, b, c), first)
@@ -349,10 +376,10 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     g0 = inst.graph
     pts = inst.points
     n0 = inst.n
-    for i, p in enumerate(pts):
-        if sq_dist(center, p) > 1:
-            raise StructureViolation(
-                f"vertex {i} lies outside the unit disk around the given center")
+    outside = _outside_unit_disk(center, inst.homogeneous)
+    if outside is not None:
+        raise StructureViolation(
+            f"vertex {outside} lies outside the unit disk around the given center")
 
     if center in pts:
         p_id = pts.index(center)

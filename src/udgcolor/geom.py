@@ -4,14 +4,24 @@ Every predicate is exact; there are no floating-point code paths and no
 epsilons.  Adjacency thresholds elsewhere in the library reduce to comparing
 squared distances against 1 and 3.
 
-The small predicates (``sq_dist``, ``cross``, ``orientation``,
-``segments_cross``) take and return Fractions.  The convex hull
-(``hull_decomposition``, ``PreparedHull``) and the smallest enclosing disk
-run on per-point homogeneous integers instead: a point becomes (X, Y, W)
-with W the lcm of its own two denominators, a disk becomes (UX, UY, UW, R2)
-with centre (UX/UW, UY/UW) and squared radius R2/UW**2, and every test is a
-cross-multiplied integer comparison with no gcd.  The result is turned back
-into Fractions once, so it equals what the same decisions on Fractions give.
+The convex hull (``hull_decomposition``, ``PreparedHull``), the smallest
+enclosing disk and the cover's dispatch tests (``_sq_dist_sign`` and
+``_line``, used by ``cover``) run on per-point homogeneous integers: a point
+becomes (X, Y, W) with W the lcm of its own two denominators, a disk
+becomes (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and squared radius
+R2/UW**2, and every test is a cross-multiplied integer comparison with no
+gcd.  The result is turned back into Fractions once, so it equals what the
+same decisions on Fractions give.
+
+The small public predicates (``sq_dist``, ``cross``, ``orientation``,
+``segments_cross``) take and return Fractions.  ``core.instance_graph``
+still builds the unit-distance graph with ``sq_dist``.  On integers that
+build is many times faster, but ``perfbench/run.py`` keeps every pass's
+artifacts until a run ends, so more passes read as more memory: an integer
+build raised ``peak_rss_mb`` by 13 % on ``far_pair`` and 16 % on ``disk``,
+against a 5 % bound.  It moves once the benchmark keeps only what its
+metrics need.  The hull's ordering of points along an edge also sorts by
+``sq_dist``.
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime
@@ -139,6 +149,17 @@ def _homogeneous(p: Point) -> Homogeneous:
         return x.numerator, y.numerator, xd
     w = math.lcm(xd, yd)
     return x.numerator * (w // xd), y.numerator * (w // yd), w
+
+
+def _sq_dist_sign(a: Homogeneous, b: Homogeneous, t: int) -> int:
+    """An integer of the sign of |ab|**2 - t: |ab|**2 is
+    (DX**2 + DY**2) / (Wa*Wb)**2 with DX = Xa*Wb - Xb*Wa and DY likewise."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    dx = ax * bw - bx * aw
+    dy = ay * bw - by * aw
+    ww = aw * bw
+    return dx * dx + dy * dy - t * ww * ww
 
 
 def _line(a: Homogeneous, b: Homogeneous) -> Homogeneous:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from udgcolor import core
+from udgcolor import core, geom
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 
@@ -209,6 +209,58 @@ def test_render_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, te
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("kind,text", [
+    ("cover", "cover other\nclique 0: 0 1 2\nclique 1: 2 3 4\nclique 2: 5 6 7\nshared: 2\n"),
+    ("coloring", "coloring other 4\n" + "".join(f"{v} {v % 4}\n" for v in range(8))),
+], ids=["cover-other-instance", "coloring-other-instance"])
+def test_verify_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, text):
+    inst = _gen(tmp_path)
+    cov = tmp_path / "c.cover"
+    col = tmp_path / "c.coloring"
+    assert run(["cover", str(inst), "-o", str(cov)]) == EXIT_OK
+    assert run(["color", str(inst), "-o", str(col)]) == EXIT_OK
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    alone = ["verify", "--instance", str(inst), f"--{kind}", str(bad)]
+    # with a valid artifact of the other kind beside it (a repeated option
+    # keeps its last value), verify still prints nothing but the error
+    both = ["verify", "--instance", str(inst), "--cover", str(cov),
+            "--coloring", str(col), f"--{kind}", str(bad)]
+    for argv in (alone, both):
+        capsys.readouterr()
+        assert run(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"parse error: line 1: {kind} names instance 'other', expected 'circulant-8-3'\n"
+
+
+def test_duplicate_point_in_other_terms_is_a_parse_error(tmp_path, capsys):
+    inst = tmp_path / "dup.udg"
+    inst.write_text("udg dup 3\n1/2 0\n0 1\n2/4 0/7\n")
+    assert run(["cover", str(inst), "-o", str(tmp_path / "x.cover")]) == EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: points 0 and 2 coincide\n"
+
+
+def test_consecutive_runs_share_no_state(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    first = tmp_path / "first.trace"
+    assert run(["cover", str(inst), "-o", str(tmp_path / "a.cover"), "--trace", str(first)]) == EXIT_OK
+    assert first.exists()
+    assert run(["cover", str(inst), "-o", str(tmp_path / "b.cover")]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cover", "b.cover", "c8.udg",
+                                                          "first.trace"]
+    assert run(["cover", str(inst)]) == EXIT_USAGE
+    assert run(["stats", str(inst)]) == EXIT_OK
+    assert run(["gen", "--family", "two_cluster", "--n", "5", "-o", str(tmp_path / "t.udg")]) == EXIT_OK
+    # the defaults --seed 0 and --separation 1 hold again after a run that set them
+    assert run(["gen", "--family", "two_cluster", "--n", "5", "--seed", "3",
+                "--separation", "1/2", "-o", str(tmp_path / "u.udg")]) == EXIT_OK
+    assert run(["gen", "--family", "two_cluster", "--n", "5", "-o", str(tmp_path / "v.udg")]) == EXIT_OK
+    assert (tmp_path / "v.udg").read_bytes() == (tmp_path / "t.udg").read_bytes()
+    out = capsys.readouterr().out
+    assert out.startswith("alpha=2 omega=3 chi=4")
+
+
 @pytest.mark.parametrize("limits", ["1_0,+5", "-1,-1", "5", "a,b"])
 def test_bad_chroma_limits_are_a_usage_error(tmp_path, capsys, monkeypatch, limits):
     inst = _gen(tmp_path)
@@ -259,6 +311,38 @@ def test_one_graph_build_per_run(tmp_path, monkeypatch, command, separation):
         argv += ["-o", str(tmp_path / "t.cover"), "--trace", str(tmp_path / "t.trace")]
     assert run(argv) == EXIT_OK
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("family", [("circulant", "35", "12"), ("two_cluster", "40", "1/2")],
+                         ids=["circulant-35-12", "two-cluster-40"])
+def test_cover_tests_distances_only_in_the_graph_build(tmp_path, monkeypatch, family):
+    """Every Fraction distance a cover run evaluates is one of the
+    n(n-1)/2 of the graph build; the dispatch, the far-pair and centre
+    tests and the collinearity test run on integers."""
+    fam, n, param = family
+    inst = tmp_path / "t.udg"
+    option = "--k" if fam == "circulant" else "--separation"
+    assert run(["gen", "--family", fam, "--n", n, option, param, "-o", str(inst)]) == EXIT_OK
+    # (module, function) of each caller, wherever a udgcolor module holds
+    # the predicate, as in test_one_graph_build_per_run
+    callers = {"sq_dist": [], "orientation": []}
+    for fn, calls in callers.items():
+        original = getattr(geom, fn)
+
+        def counting(*args, _fn=original, _calls=calls):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                caller = caller.f_back
+            _calls.append((caller.f_globals["__name__"], caller.f_code.co_name))
+            return _fn(*args)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "udgcolor" and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counting)
+    argv = ["cover", str(inst), "-o", str(tmp_path / "t.cover"), "--trace", str(tmp_path / "t.trace")]
+    assert run(argv) == EXIT_OK
+    n = int(n)
+    assert callers["sq_dist"] == [("udgcolor.core", "instance_graph")] * (n * (n - 1) // 2)
+    assert not any(module == "udgcolor.cover" for module, _ in callers["orientation"])
 
 
 def test_bench_table(tmp_path, capsys):

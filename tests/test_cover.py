@@ -1,8 +1,12 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
+from corpora import (acceptance_corpus, benchmark_toy_instances,
+                     mixed_denominator_points)
+from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
                            instance_graph, interval_closed, is_clique)
 from udgcolor.cover import (CliqueCover, _pivot_pair, collinear_cover,
@@ -12,7 +16,8 @@ from udgcolor.cover import (CliqueCover, _pivot_pair, collinear_cover,
                             trace_from_text, trace_to_text)
 from udgcolor.errors import (EmptyInstance, StabilityViolated,
                              StructureViolation)
-from udgcolor.geom import hull_decomposition, point, smallest_enclosing_disk
+from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, orientation, point,
+                           smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.oracles import brute_cover_exists, verify_cover
 
@@ -401,3 +406,147 @@ def test_structure_violation_is_hard_error():
     inst = build_instance("off", [point(0, 0), point(3, 0)])
     with pytest.raises(StructureViolation):
         disk_case_cover(inst, point(0, 0))
+
+
+# Fraction reference for the dispatch predicates: the tests cover.py ran on
+# Fractions before they moved to per-point homogeneous integers, kept as the
+# differential oracle.
+
+def reference_collinear(pts):
+    return all(orientation(pts[0], pts[1], p) == COLLINEAR for p in pts[2:])
+
+
+def reference_far_pair(pts):
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if sq_dist(pts[i], pts[j]) >= 3:
+                return i, j
+    return None
+
+
+def reference_outside(center, pts):
+    return next((i for i, p in enumerate(pts) if sq_dist(center, p) > 1), None)
+
+
+def reference_branch(pts):
+    """The constructor the dispatch calls; None for the complete graph and
+    the single non-adjacent pair, which need no constructor."""
+    if all(sq_dist(p, q) <= 1 for p in pts for q in pts) or len(pts) == 2:
+        return None
+    if reference_collinear(pts):
+        return "collinear"
+    if reference_far_pair(pts) is not None:
+        return "far_pair"
+    return "disk"
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """cover_module._dispatch with its three constructors replaced by recorders, so
+    the branch shows on any instance, stable or not."""
+    calls = []
+    dummy = CliqueCover((frozenset(), frozenset(), frozenset()), None)
+    monkeypatch.setattr(cover_module, "far_pair_cover",
+                        lambda inst, u, v: calls.append(("far_pair", (u, v))) or dummy)
+    monkeypatch.setattr(cover_module, "collinear_cover",
+                        lambda inst: calls.append(("collinear", None)) or dummy)
+    monkeypatch.setattr(cover_module, "disk_case_cover",
+                        lambda inst, center: calls.append(("disk", center)) or (dummy, None))
+
+    def run(inst):
+        calls.clear()
+        cover_module._dispatch(inst)
+        return calls[0] if calls else (None, None)
+    return run
+
+
+def _assert_dispatch_matches_reference(inst, dispatched):
+    pts = inst.points
+    h = inst.homogeneous
+    assert [(Fraction(x, w), Fraction(y, w)) for x, y, w in h] == [(p.x, p.y) for p in pts]
+    branch, witness = dispatched(inst)
+    assert branch == reference_branch(pts), inst.id
+    if branch == "far_pair":
+        assert witness == reference_far_pair(pts), inst.id
+    if inst.n >= 2:
+        assert cover_module._collinear(h) == reference_collinear(pts), inst.id
+    assert cover_module._far_pair(inst.graph, h) == reference_far_pair(pts), inst.id
+    center = smallest_enclosing_disk(pts).center
+    if branch == "disk":
+        assert witness == center
+    for c in (center, point(0, 0), pts[0]):
+        assert cover_module._outside_unit_disk(c, h) == reference_outside(c, pts), (inst.id, c)
+
+
+def test_dispatch_predicates_match_reference_on_acceptance_corpus(dispatched):
+    branches = set()
+    for inst in acceptance_corpus():
+        _assert_dispatch_matches_reference(inst, dispatched)
+        branches.add(reference_branch(inst.points))
+    assert branches == {None, "far_pair", "disk"}
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7919])
+def test_dispatch_predicates_match_reference_on_benchmark_toy_instances(seed, dispatched):
+    for inst in benchmark_toy_instances(seed):
+        _assert_dispatch_matches_reference(inst, dispatched)
+
+
+def test_dispatch_predicates_match_reference_on_mixed_denominators(dispatched):
+    pts = mixed_denominator_points()
+    _assert_dispatch_matches_reference(build_instance("mixed", pts), dispatched)
+    # points 0 and 1 stay, so the first pair is not always the far one
+    rng = random.Random(5)
+    for size in (3, 5, 9, 20):
+        sample = pts[:2] + rng.sample(pts[2:], size)
+        _assert_dispatch_matches_reference(build_instance("mixed", sample), dispatched)
+
+
+def _big_prime_fraction(rng):
+    return Fraction(rng.randrange(-10 ** 40, 10 ** 40), 2 ** 127 - 1)
+
+
+def test_dispatch_predicates_match_reference_on_collinear_sets(dispatched):
+    rng = random.Random(31)
+    checked = set()
+    for _ in range(60):
+        a = Point(_big_prime_fraction(rng), _big_prime_fraction(rng))
+        d = Point(Fraction(rng.randrange(10 ** 8, 10 ** 9), 10 ** 9 + 7),
+                  Fraction(rng.randrange(-3 ** 40, 3 ** 40), 3 ** 41))
+        ts = rng.sample(range(-40, 41), rng.randrange(3, 9))
+        scale = Fraction(rng.randrange(1, 60), 10)
+        pts = [Point(a.x + scale * t * d.x / 40, a.y + scale * t * d.y / 40) for t in ts]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(pts))
+            pts[i] = Point(pts[i].x, pts[i].y + Fraction(1, 2 ** 200))  # just off the line
+        inst = build_instance("line", pts)
+        _assert_dispatch_matches_reference(inst, dispatched)
+        checked.add(reference_branch(pts))
+    assert {"collinear", "far_pair", "disk"} <= checked
+
+
+ON_CIRCLE = [point("3/5", "4/5"), point(0, 1), point(-1, 0), point("5/13", "-12/13"),
+             point("-8/17", "-15/17"), point(1, 0)]
+TINY = Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("offset", [point(0, 0), point("1/3", "-2/7"),
+                                    Point(Fraction(1, 2 ** 61 - 1), Fraction(-3, 10 ** 25))])
+def test_centre_test_on_and_just_off_the_unit_circle(offset, dispatched):
+    def shifted(pts):
+        return [Point(p.x + offset.x, p.y + offset.y) for p in pts]
+
+    on = shifted(ON_CIRCLE)
+    inside = shifted([point("3/5", "4/5") if p == point(1, 0) else p for p in ON_CIRCLE]
+                     + [Point(Fraction(3, 5) - TINY, Fraction(4, 5))])
+    outside = shifted(ON_CIRCLE[:3] + [Point(Fraction(3, 5) + TINY, Fraction(4, 5))]
+                      + ON_CIRCLE[3:])
+    for pts, expected in ((on, None), (outside, 3)):
+        inst = build_instance("circle", pts)
+        assert cover_module._outside_unit_disk(offset, inst.homogeneous) == expected
+        assert reference_outside(offset, pts) == expected
+        _assert_dispatch_matches_reference(inst, dispatched)
+    inst = build_instance("circle", inside[1:])
+    assert cover_module._outside_unit_disk(offset, inst.homogeneous) is None
+    with pytest.raises(StructureViolation, match="vertex 3 lies outside the unit disk"):
+        disk_case_cover(build_instance("circle", outside), offset)

@@ -5,14 +5,14 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from udgcolor.core import build_instance
+from corpora import (acceptance_corpus, benchmark_toy_instances,
+                     mixed_denominator_points)
 from udgcolor.errors import EmptyInput
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
                            INTERIOR, OUTSIDE, Disk, HullDecomposition, Point,
                            cross, hull_decomposition, orientation, point,
                            point_in_hull, segments_cross,
                            smallest_enclosing_disk, sq_dist)
-from udgcolor.instances import gen_circulant, gen_two_cluster
 
 
 # Fraction reference for the integer hull and enclosing disk: the bodies the
@@ -388,20 +388,6 @@ def test_integer_kernel_matches_reference_on_degenerate_sets(pts):
     _assert_matches_reference(pts)
 
 
-def _mixed_denominator_points():
-    """120 points whose 240 coordinates have distinct 20-bit prime denominators."""
-    rng = random.Random(20)
-    primes: set[int] = set()
-    while len(primes) < 240:
-        c = rng.randrange(1 << 19, 1 << 20) | 1
-        if all(c % d for d in range(3, int(c ** 0.5) + 1, 2)):
-            primes.add(c)
-    dens = sorted(primes)
-    return [Point(Fraction(rng.randrange(-dens[2 * i], dens[2 * i]), dens[2 * i]),
-                  Fraction(rng.randrange(-dens[2 * i + 1], dens[2 * i + 1]), dens[2 * i + 1]))
-            for i in range(120)]
-
-
 def _best_time(fn, pts, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -412,43 +398,19 @@ def _best_time(fn, pts, repeats=3):
 
 
 def test_integer_kernel_on_mixed_denominators_matches_and_is_no_slower():
-    pts = _mixed_denominator_points()
+    pts = mixed_denominator_points()
     _assert_matches_reference(pts)
     for fast, reference in ((hull_decomposition, reference_hull_decomposition),
                             (smallest_enclosing_disk, reference_smallest_enclosing_disk)):
         assert _best_time(fast, pts) <= _best_time(reference, pts), fast.__name__
 
 
-def _acceptance_corpus():
-    """The instances of tests/test_acceptance.py's corpus."""
-    yield from (gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6))
-    separations = ("1", "3/4", "1/2", "1/4")
-    for i in range(200):
-        yield gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
-
-
-def _benchmark_toy_instances(seed):
-    """The benchmark's toy instances (perfbench/run.py make_instances with
-    toy=True), rebuilt here so the tests do not import the benchmark."""
-    for workload in ("far_pair", "disk"):
-        rng = random.Random(f"{workload}:{seed}")
-        separations = ("7/10", "1/2", "1/4") if workload == "disk" else (1,)
-        for i, n in enumerate((10, 14, 18)):
-            yield gen_two_cluster(n, rng.randrange(2 ** 31), separations[i % len(separations)])
-    rng = random.Random(f"circulant:{seed}")
-    for k in (4, 5, 6):
-        base = gen_circulant(3 * k - 1, k)
-        order = list(range(base.n))
-        rng.shuffle(order)
-        yield build_instance(f"{base.id}-shuffled", [base.points[v] for v in order])
-
-
 def test_integer_kernel_matches_reference_on_acceptance_corpus():
-    for inst in _acceptance_corpus():
+    for inst in acceptance_corpus():
         _assert_matches_reference(inst.points)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7919])
 def test_integer_kernel_matches_reference_on_benchmark_toy_instances(seed):
-    for inst in _benchmark_toy_instances(seed):
+    for inst in benchmark_toy_instances(seed):
         _assert_matches_reference(inst.points)
