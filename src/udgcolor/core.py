@@ -4,12 +4,25 @@ Instances live in the distance model: vertices are pairwise distinct planar
 points, adjacent exactly when their squared distance is at most 1.  Vertex
 identity is the index into the point list, so every output of the library
 refers to indices, never to coordinates.
+
+A graph's only adjacency is one int per vertex (AbstractGraph.masks): bit j
+of masks[i] is set exactly when i ~ j.  A 110-vertex graph is then about
+5 KB instead of the half megabyte one frozenset per vertex took, and the
+graph layers (stability gate, complement, clique test, induced subgraph,
+matching, Gallai-Edmonds, the cover constructions) work on whole rows with
+int operations.  Code that walks neighbours decodes a mask with bits() at
+most once per vertex per call, into an ascending list, so searches visit
+neighbours in index order and their results do not depend on set
+iteration order; the lists live for that call only.  neighbors() decodes a
+fresh frozenset on every call and is meant for tests, oracles and one-off
+lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicatePoint, InvalidVertex
@@ -52,102 +65,148 @@ def build_instance(id: str, points: Sequence[Point]) -> Instance:
 
 
 class AbstractGraph:
-    """Finite simple graph: symmetric irreflexive adjacency over 0..n-1."""
+    """Finite simple graph: symmetric irreflexive adjacency over 0..n-1.
 
-    __slots__ = ("id", "n", "_adj")
+    masks[i] is the int whose bit j is set exactly when i ~ j; it is the
+    graph's only adjacency (see the module docstring)."""
+
+    __slots__ = ("id", "n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], id: str = ""):
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InvalidVertex(f"self-loop at {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.id = id
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.masks: tuple[int, ...] = tuple(masks)
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int], id: str = "") -> "AbstractGraph":
+        """The graph with these adjacency masks, taken as they are: each must
+        be symmetric, irreflexive and below 1 << len(masks)."""
+        g = cls.__new__(cls)
+        g.id = id
+        g.masks = tuple(masks)
+        g.n = len(g.masks)
+        return g
 
     def adjacent(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
+        return self.masks[i] >> j & 1 == 1
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return self._adj[i]
+        return frozenset(bits(self.masks[i]))
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return self.masks[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Every edge once as (u, v) with u < v, in ascending order."""
+        for u, mask in enumerate(self.masks):
+            for v in bits(mask >> u + 1):
+                yield (u, u + 1 + v)
 
     def induced(self, vertices: Iterable[int]) -> tuple["AbstractGraph", tuple[int, ...]]:
         """Induced subgraph on sorted(vertices); returns it with the
-        local-index -> global-index map."""
+        local-index -> global-index map.  Ids outside 0..n-1 raise
+        InvalidVertex."""
         glb = tuple(sorted(set(vertices)))
+        _require_vertices(self, glb)
         pos = {g: l for l, g in enumerate(glb)}
-        edges = [(pos[u], pos[v]) for u in glb for v in self._adj[u] if u < v and v in pos]
-        return AbstractGraph(len(glb), edges, id=self.id), glb
+        chosen = mask_of(glb)
+        masks = []
+        for u in glb:
+            local = 0
+            for v in bits(self.masks[u] & chosen):
+                local |= 1 << pos[v]
+            masks.append(local)
+        return AbstractGraph.from_masks(masks, id=self.id), glb
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbstractGraph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self.masks)
 
     def __repr__(self) -> str:
-        return f"AbstractGraph(n={self.n}, m={sum(len(a) for a in self._adj) // 2})"
+        return f"AbstractGraph(n={self.n}, m={sum(m.bit_count() for m in self.masks) // 2})"
+
+
+# bin() digits as the bytes 0 and 1, for itertools.compress
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending: the vertices of a
+    vertex set, or the neighbours of a vertex from its adjacency mask.
+    One pass in C over the binary digits, lowest first."""
+    return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The vertex mask of a set of vertices: the inverse of bits()."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _require_vertices(g: AbstractGraph, ascending: Sequence[int]) -> None:
+    if ascending and (ascending[0] < 0 or ascending[-1] >= g.n):
+        bad = ascending[0] if ascending[0] < 0 else ascending[-1]
+        raise InvalidVertex(f"vertex {bad} out of range for n={g.n}")
 
 
 def instance_graph(inst: Instance) -> AbstractGraph:
     """Derive the unit-distance adjacency of an instance, exactly."""
-    edges = [(i, j)
-             for i in range(inst.n)
-             for j in range(i + 1, inst.n)
-             if sq_dist(inst.points[i], inst.points[j]) <= 1]
-    return AbstractGraph(inst.n, edges, id=inst.id)
+    pts = inst.points
+    n = inst.n
+    masks = [0] * n
+    for i in range(n):
+        p = pts[i]
+        for j in range(i + 1, n):
+            if sq_dist(p, pts[j]) <= 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return AbstractGraph.from_masks(masks, id=inst.id)
 
 
 def stability_witness(g: AbstractGraph) -> tuple[int, int, int] | None:
     """Lexicographically first independent triple, or None when none exists.
 
-    Exhaustive O(n^3) scan; used as a hard precondition gate, so exactness
-    matters more than speed at the target scale.
+    For each non-adjacent pair i < j in row order, the lowest k > j outside
+    N(i) | N(j) completes the triple: O(n^2) mask operations.
     """
-    for i in range(g.n):
-        ni = g.neighbors(i)
-        for j in range(i + 1, g.n):
-            if j in ni:
-                continue
-            nj = g.neighbors(j)
-            for k in range(j + 1, g.n):
-                if k not in ni and k not in nj:
-                    return (i, j, k)
+    masks = g.masks
+    full = (1 << g.n) - 1
+    for i, mi in enumerate(masks):
+        for j in bits((full >> i + 1 << i + 1) & ~mi):
+            rest = (~(mi | masks[j]) & full) >> j + 1
+            if rest:
+                return (i, j, j + (rest & -rest).bit_length())
     return None
 
 
 def is_clique(g: AbstractGraph, s: Iterable[int]) -> bool:
-    """True iff all pairs in s are adjacent; empty and singleton sets pass."""
+    """True iff all pairs in s are adjacent; empty and singleton sets pass.
+    Ids outside 0..n-1 raise InvalidVertex."""
     members = sorted(set(s))
-    for a in range(len(members)):
-        na = g.neighbors(members[a])
-        for b in range(a + 1, len(members)):
-            if members[b] not in na:
-                return False
-    return True
+    _require_vertices(g, members)
+    chosen = mask_of(members)
+    masks = g.masks
+    return all(chosen & ~masks[v] == 1 << v for v in members)
 
 
 def complement(g: AbstractGraph) -> AbstractGraph:
-    edges = [(u, v)
-             for u in range(g.n)
-             for v in range(u + 1, g.n)
-             if not g.adjacent(u, v)]
-    return AbstractGraph(g.n, edges, id=g.id)
+    full = (1 << g.n) - 1
+    return AbstractGraph.from_masks((full ^ m ^ 1 << v for v, m in enumerate(g.masks)),
+                                    id=g.id)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,12 @@ docstring for why it waits.
 
 Every branch reads the graph the instance builds once and caches
 (Instance.graph); the disk case adds the disk center to it as a universal
-vertex instead of rebuilding the graph from coordinates.  The far-pair
+vertex instead of rebuilding the graph from coordinates (each old mask
+gains the center's bit, the center gets the full mask).  The far-pair
 branch and the disk case's non-adjacent consecutive boundary pair share one
 construction, _pair_cover.  Otherwise the disk case cuts the hull boundary
 of m vertices into three clique arcs with one linear two-pointer scan
-(O(m^2) adjacency lookups at worst) and fans the plane from the center into
+(O(m) adjacency-mask tests) and fans the plane from the center into
 at most five regions whose hulls are built once; each vertex is located
 against the prepared hull edges by exact integer sign tests.
 
@@ -36,11 +37,11 @@ always indicates a bug rather than a data condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
-from .core import (AbstractGraph, BoundaryOrder, Instance, interval_closed,
-                   interval_open, is_clique, stability_witness)
+from .core import (AbstractGraph, BoundaryOrder, Instance, bits,
+                   interval_closed, interval_open, is_clique, mask_of,
+                   stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
@@ -143,7 +144,8 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
     n = inst.n
     everything = frozenset(range(n))
 
-    if all(g.adjacent(i, j) for i in range(n) for j in range(i + 1, n)):
+    full = (1 << n) - 1
+    if all(m | 1 << v == full for v, m in enumerate(g.masks)):
         return CliqueCover((everything, everything, frozenset()), 0), None
     if n == 2:
         # the single pair is non-adjacent here
@@ -174,11 +176,11 @@ def _far_pair(g: AbstractGraph, h: Sequence[Homogeneous]) -> tuple[int, int] | N
     """The first pair (i, j), i < j in row order, at squared distance at
     least 3; None when there is none.  An adjacent pair has squared distance
     at most 1, so only non-edges are tested."""
-    for i in range(len(h)):
-        ni = g.neighbors(i)
+    full = (1 << len(h)) - 1
+    for i, mi in enumerate(g.masks):
         hi = h[i]
-        for j in range(i + 1, len(h)):
-            if j not in ni and _sq_dist_sign(hi, h[j], 3) >= 0:
+        for j in bits((full >> i + 1 << i + 1) & ~mi):
+            if _sq_dist_sign(hi, h[j], 3) >= 0:
                 return i, j
     return None
 
@@ -198,9 +200,11 @@ def _pair_cover(g: AbstractGraph, u: int, v: int, where: str) -> CliqueCover:
     the last would extend to an independent triple.  The caller's geometry
     is what makes the middle set a clique.
     """
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    cover = CliqueCover(((nu - nv) | {u}, (nu & nv) | {u}, (nv - nu) | {v}), u)
+    mu = g.masks[u]
+    mv = g.masks[v]
+    cover = CliqueCover((frozenset(bits(mu & ~mv | 1 << u)),
+                         frozenset(bits(mu & mv | 1 << u)),
+                         frozenset(bits(mv & ~mu | 1 << v))), u)
     _require_cover(g, cover, where)
     return cover
 
@@ -232,8 +236,9 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     g = inst.graph
     pts = inst.points
     first = min(range(inst.n), key=lambda i: (pts[i].x, pts[i].y))
-    a = g.neighbors(first) | {first}
-    b = frozenset(range(inst.n)) - a
+    closed = g.masks[first] | 1 << first
+    a = frozenset(bits(closed))
+    b = frozenset(bits((1 << inst.n) - 1 & ~closed))
     c = frozenset({first})
     cover = CliqueCover((a, b, c), first)
     _require_cover(g, cover, "collinear_cover")
@@ -290,8 +295,9 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
     return v_minus, v_plus
 
 
-def _complete_to(g: AbstractGraph, v: int, targets) -> bool:
-    return all(g.adjacent(v, w) for w in targets if w != v)
+def _complete_to(g: AbstractGraph, v: int, targets: int) -> bool:
+    """v is adjacent to every vertex of the mask targets except itself."""
+    return targets & ~g.masks[v] & ~(1 << v) == 0
 
 
 def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
@@ -300,19 +306,26 @@ def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
 
     Two-pointer: a clique arc minus its first vertex is still a clique, so
     the arc end never moves back, and each step either extends the arc or
-    advances its start.  O(m^2) adjacency lookups in the worst case.
+    advances its start.  The arc is kept as a vertex mask, so each step is
+    one mask test against the next vertex's adjacency: O(m) mask operations.
     """
+    masks = g.masks
     m = len(seq)
     lengths = [0] * m
-    end = 1
+    end = 0
+    arc = 0  # mask of seq[i..end-1]
     for i in range(m):
-        end = max(end, i + 1)
+        if end == i:
+            arc = 1 << seq[i]
+            end += 1
         while end - i < m:
-            nw = g.neighbors(seq[end % m])
-            if not all(seq[t % m] in nw for t in range(i, end)):
+            w = seq[end % m]
+            if arc & ~masks[w]:
                 break
+            arc |= 1 << w
             end += 1
         lengths[i] = end - i
+        arc &= ~(1 << seq[i])
     return lengths
 
 
@@ -352,6 +365,12 @@ def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, in
     return None if best is None else best[1:]
 
 
+def _with_universal(g: AbstractGraph) -> AbstractGraph:
+    """g plus one more vertex, numbered g.n, adjacent to every vertex."""
+    n = g.n
+    return AbstractGraph.from_masks([m | 1 << n for m in g.masks] + [(1 << n) - 1], id=g.id)
+
+
 def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
 
@@ -364,7 +383,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     _pair_cover on the instance graph is the cover.  Otherwise the
     boundary of m vertices is cut around a pivot vertex b into the clique
     arcs [b-,b], [b,b+] and a minimal middle arc by one linear scan
-    (O(m^2) adjacency lookups at worst, see _pivot_pair), the plane is
+    (O(m) adjacency-mask tests, see _pivot_pair), the plane is
     fanned into at most five regions from p, each region's hull is built
     once, and every vertex is located against the prepared hull edges in
     region priority order (O(n * h) exact integer sign tests for h hull
@@ -390,8 +409,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
         p_id = n0
         virtual = True
         apts = pts + (center,)
-        g = AbstractGraph(n0 + 1, chain(g0.edges(), ((w, n0) for w in range(n0))),
-                          id=g0.id)
+        g = _with_universal(g0)
 
     hd = hull_decomposition(apts)
     if hd.is_collinear:
@@ -465,11 +483,14 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     else:
         b_plus_set = assigned["B+"]
         b_minus_set = assigned["B-"]
-        t_plus_b = {t for t in region_t_plus if _complete_to(g, t, b_plus_set)}
-        t_plus_r = {t for t in region_t_plus - t_plus_b if _complete_to(g, t, region_r)}
+        r_mask = mask_of(region_r)
+        b_plus_mask = mask_of(b_plus_set)
+        b_minus_mask = mask_of(b_minus_set)
+        t_plus_b = {t for t in region_t_plus if _complete_to(g, t, b_plus_mask)}
+        t_plus_r = {t for t in region_t_plus - t_plus_b if _complete_to(g, t, r_mask)}
         t_plus_star = region_t_plus - t_plus_b - t_plus_r
-        t_minus_b = {t for t in region_t_minus if _complete_to(g, t, b_minus_set)}
-        t_minus_r = {t for t in region_t_minus - t_minus_b if _complete_to(g, t, region_r)}
+        t_minus_b = {t for t in region_t_minus if _complete_to(g, t, b_minus_mask)}
+        t_minus_r = {t for t in region_t_minus - t_minus_b if _complete_to(g, t, r_mask)}
         t_minus_star = region_t_minus - t_minus_b - t_minus_r
         parts = (
             frozenset(b_plus_set | t_plus_b | t_minus_star),

@@ -17,11 +17,16 @@ The small public predicates (``sq_dist``, ``cross``, ``orientation``,
 ``segments_cross``) take and return Fractions.  ``core.instance_graph``
 still builds the unit-distance graph with ``sq_dist``.  On integers that
 build is many times faster, but ``perfbench/run.py`` keeps every pass's
-artifacts until a run ends, so more passes read as more memory: an integer
-build raised ``peak_rss_mb`` by 13 % on ``far_pair`` and 16 % on ``disk``,
-against a 5 % bound.  It moves once the benchmark keeps only what its
-metrics need.  The hull's ordering of points along an edge also sorts by
-``sq_dist``.
+artifacts until a run ends, so more passes read as more memory.  With
+bit-mask adjacency a 30 s ``disk`` run (seed 1) holds about 23.2 MB plus
+0.265 MB per pass, 12 to 14 passes of the Fraction build.  An integer
+build on the masks made 37 passes at speed factor 0.80 (32.95 MB), and
+one on frozensets 48 passes at speed factor 1.09; at 48 passes the masks
+would hold about 35.9 MB.  Either is beyond the 5 % bound on
+``peak_rss_mb``, by an amount that depends on how fast the host runs.  The
+build moves once the benchmark keeps only what its metrics need (ROADMAP
+item 1, step A).  The hull's ordering of points along an edge also sorts
+by ``sq_dist``.
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime

@@ -66,14 +66,23 @@ def gen_circulant(n: int, k: int) -> Instance:
                             _snap(radius * math.sin(theta), _CIRC_DENOM)))
     inst = build_instance(f"circulant-{n}-{k}", points)
 
-    realized = inst.graph
-    intended = circulant_graph(n, k)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if realized.adjacent(i, j) != intended.adjacent(i, j):
-                raise SnapFailure(
-                    f"rounded placement of C_{n}^{k} changes adjacency of ({i},{j})")
+    differ = _first_difference(inst.graph, circulant_graph(n, k))
+    if differ is not None:
+        i, j = differ
+        raise SnapFailure(
+            f"rounded placement of C_{n}^{k} changes adjacency of ({i},{j})")
     return inst
+
+
+def _first_difference(g: AbstractGraph, h: AbstractGraph) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row order, adjacent in exactly one of
+    two graphs on the same vertices; None when they are equal.  Adjacency is
+    symmetric, so row i needs only its bits above i."""
+    for i, (a, b) in enumerate(zip(g.masks, h.masks)):
+        above = (a ^ b) >> i + 1
+        if above:
+            return i, i + (above & -above).bit_length()
+    return None
 
 
 def gen_cs(k: int) -> AbstractGraph:
@@ -231,7 +240,7 @@ def graph_to_text(g: AbstractGraph) -> str:
     if g.n == 0:
         raise EmptyInstance("a graph file needs at least one vertex")
     lines = [f"graph {g.id or 'anon'} {g.n}"]
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

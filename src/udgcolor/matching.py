@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (AbstractGraph, Instance, complement, is_clique,
-                   stability_witness)
+from .core import (AbstractGraph, Instance, bits, complement, is_clique,
+                   mask_of, stability_witness)
 from .errors import AuditFailure, ParseError, StabilityViolated
 from .instances import parse_int, read_records
 from .oracles import max_independent_set
@@ -32,10 +32,15 @@ class Matching:
         return len(self.edges)
 
 
-def _augment_search(g: AbstractGraph, match: list[int],
+def _neighbor_lists(g: AbstractGraph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, decoded once for one search."""
+    return [bits(m) for m in g.masks]
+
+
+def _augment_search(adj: list[list[int]], match: list[int],
                     roots: list[int]) -> list[bool] | None:
-    """One alternating-forest search from exposed roots, contracting
-    blossoms on the fly.
+    """One alternating-forest search from exposed roots over the ascending
+    neighbour lists adj, contracting blossoms on the fly.
 
     Returns None after augmenting match in place along a path from a root
     to an exposed vertex that is not a root.  Otherwise returns the
@@ -43,7 +48,7 @@ def _augment_search(g: AbstractGraph, match: list[int],
     a root, blossoms included.  Two trees that meet raise AuditFailure: they
     hold an augmenting path, so match was not maximum.
     """
-    n = g.n
+    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -78,7 +83,7 @@ def _augment_search(g: AbstractGraph, match: list[int],
 
     while queue:
         v = queue.popleft()
-        for to in sorted(g.neighbors(v)):
+        for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             if used[to]:
@@ -108,25 +113,26 @@ def _augment_search(g: AbstractGraph, match: list[int],
     return used
 
 
-def _matching_array(g: AbstractGraph) -> list[int]:
-    match = [-1] * g.n
-    for v in range(g.n):
+def _matching_array(adj: list[list[int]]) -> list[int]:
+    n = len(adj)
+    match = [-1] * n
+    for v in range(n):
         if match[v] != -1:
             continue
-        for u in sorted(g.neighbors(v)):
+        for u in adj[v]:
             if match[u] == -1:
                 match[v] = u
                 match[u] = v
                 break
-    for v in range(g.n):
+    for v in range(n):
         if match[v] == -1:
-            _augment_search(g, match, [v])
+            _augment_search(adj, match, [v])
     return match
 
 
 def max_matching(g: AbstractGraph) -> Matching:
     """Maximum-cardinality matching via repeated blossom searches."""
-    match = _matching_array(g)
+    match = _matching_array(_neighbor_lists(g))
     edges = frozenset((v, match[v]) for v in range(g.n) if match[v] > v)
     return Matching(edges)
 
@@ -147,24 +153,21 @@ class GallaiEdmonds:
     M_X: frozenset[tuple[int, int]]  # concrete x--component edges
 
 
-def _components(g: AbstractGraph, removed: frozenset[int]) -> list[frozenset[int]]:
-    seen: set[int] = set(removed)
-    comps: list[frozenset[int]] = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        stack = [s]
-        seen.add(s)
-        comp = {s}
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
+def _components(g: AbstractGraph, left: int) -> list[int]:
+    """The connected components of the subgraph induced on the vertex mask
+    left, as vertex masks in order of their lowest vertex."""
+    masks = g.masks
+    comps: list[int] = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= masks[v]
+            frontier = reach & left & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(comp)
     return comps
 
 
@@ -177,19 +180,25 @@ def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
     vertex of X into a distinct odd component, so M_X is M's edges at X.
     """
     n = g.n
-    match = _matching_array(g)
-    even = _augment_search(g, match, [v for v in range(n) if match[v] == -1])
-    A = frozenset(v for v in range(n) if even[v])
-    X = frozenset(u for a in A for u in g.neighbors(a)) - A
+    adj = _neighbor_lists(g)
+    match = _matching_array(adj)
+    even = _augment_search(adj, match, [v for v in range(n) if match[v] == -1])
+    a_mask = mask_of(v for v in range(n) if even[v])
+    x_mask = 0
+    for v in bits(a_mask):
+        x_mask |= g.masks[v]
+    x_mask &= ~a_mask
+    A = frozenset(bits(a_mask))
+    X = frozenset(bits(x_mask))
     B = frozenset(range(n)) - A - X
 
-    comps = _components(g, X)
-    odd = tuple(c for c in comps if c & A)
-    for c in odd:
-        if not c <= A:
-            raise AuditFailure(f"component {sorted(c)} straddles the A boundary")
-        if len(c) % 2 == 0:
-            raise AuditFailure(f"component {sorted(c)} inside A has even size")
+    odd_masks = [c for c in _components(g, (1 << n) - 1 & ~x_mask) if c & a_mask]
+    for c in odd_masks:
+        if c & ~a_mask:
+            raise AuditFailure(f"component {bits(c)} straddles the A boundary")
+        if c.bit_count() % 2 == 0:
+            raise AuditFailure(f"component {bits(c)} inside A has even size")
+    odd = tuple(frozenset(bits(c)) for c in odd_masks)
 
     comp_of = {v: idx for idx, c in enumerate(odd) for v in c}
     x_of: dict[int, int] = {}  # odd component index -> the X vertex matched into it
@@ -258,7 +267,7 @@ def sweep_greedy_color(inst: Instance) -> Coloring:
     order = sorted(range(inst.n), key=lambda v: (pts[v].x, pts[v].y))
     assignment = [-1] * inst.n
     for v in order:
-        taken = {assignment[u] for u in g.neighbors(v) if assignment[u] >= 0}
+        taken = {assignment[u] for u in bits(g.masks[v]) if assignment[u] >= 0}
         c = 0
         while c in taken:
             c += 1
@@ -363,15 +372,12 @@ def audit_bound(inst: Instance) -> AuditReport:
     if witness is not None:
         raise StabilityViolated(witness)
     h = complement(g)
-    n = inst.n
 
-    for i in range(n):
-        ni = h.neighbors(i)
-        for j in sorted(ni):
-            if j <= i:
-                continue
-            if ni & h.neighbors(j):
-                k = min(ni & h.neighbors(j))
+    for i, hi in enumerate(h.masks):
+        for j in bits(hi >> i + 1 << i + 1):
+            common = hi & h.masks[j]
+            if common:
+                k = (common & -common).bit_length() - 1
                 raise AuditFailure(
                     f"complement contains triangle {(i, j, k)}; stability gate is broken")
 
@@ -427,8 +433,8 @@ def audit_bound(inst: Instance) -> AuditReport:
 
     checks.append(AuditCheck("|M_X|=|O_X|", len(ge.M_X), len(ge.O_X), "=="))
 
-    stable_violations = sum(1 for u in a_union for v in a_union
-                            if u < v and h.adjacent(u, v))
+    a_mask = mask_of(a_union)
+    stable_violations = sum((h.masks[u] & a_mask).bit_count() for u in a_union) // 2
     checks.append(AuditCheck("A-union stable in complement", stable_violations, 0, "=="))
     if not is_clique(g, a_union):
         raise AuditFailure("largest parts do not assemble into a clique of the instance")

@@ -52,7 +52,7 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
     out.append(f'<!-- instance {inst.id} n={inst.n} -->')
 
     g = inst.graph
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         a, b = inst.points[u], inst.points[v]
         out.append(f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" '
                    f'x2="{sx(b):.2f}" y2="{sy(b):.2f}" '

@@ -3,7 +3,7 @@ import pytest
 from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
                            complement, instance_graph, interval_closed,
                            interval_open, is_clique, stability_witness)
-from udgcolor.errors import DuplicatePoint
+from udgcolor.errors import DuplicatePoint, InvalidVertex
 from udgcolor.geom import hull_decomposition, point
 from udgcolor.instances import circulant_graph
 
@@ -66,6 +66,30 @@ def test_complement():
     assert list(complement(e2).edges()) == [(0, 1)]
     c5 = circulant_graph(5, 2)
     assert complement(complement(c5)) == c5
+
+
+def test_edges_ascending_with_smaller_endpoint_first():
+    g = AbstractGraph(5, [(3, 2), (4, 0), (1, 0), (2, 1), (0, 3)])
+    assert list(g.edges()) == [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3)]
+    c11 = circulant_graph(11, 4)
+    assert list(c11.edges()) == sorted(c11.edges())
+
+
+@pytest.mark.parametrize("ids", [[-1, 0, 1], [-1, 1], [-3], [5], [0, 3], [2, 3]])
+def test_out_of_range_vertex_ids_raise(ids):
+    path = AbstractGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidVertex):
+        path.induced(ids)
+    with pytest.raises(InvalidVertex):
+        is_clique(path, ids)
+
+
+def test_in_range_vertex_ids_still_work():
+    path = AbstractGraph(3, [(0, 1), (1, 2)])
+    sub, glb = path.induced([2, 0, 2])
+    assert (sub.n, glb, list(sub.edges())) == (2, (0, 2), [])
+    assert is_clique(path, [1, 2]) and not is_clique(path, [0, 2])
+    assert path.induced([]) == (AbstractGraph(0, []), ())
 
 
 SQUARE = build_instance("sq", [point(0, 0), point(1, 0), point(1, 1), point(0, 1)])

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from udgcolor.core import AbstractGraph, build_instance, instance_graph
-from udgcolor.errors import DuplicatePoint, EmptyInstance, ParseError
+from udgcolor.errors import (DuplicatePoint, EmptyInstance, ParseError,
+                             SnapFailure)
 from udgcolor.geom import point
-from udgcolor.instances import (circulant_graph, gen_circulant, gen_cs,
+from udgcolor.instances import (_first_difference, circulant_graph,
+                                gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
                                 graph_to_text, instance_from_text,
                                 instance_to_text, read_graph, read_instance,
@@ -17,6 +21,40 @@ def test_circulant_realizes_abstract_adjacency(n, k):
     realized = instance_graph(inst)
     intended = circulant_graph(n, k)
     assert realized == intended
+
+
+def _pairwise_first_difference(g, h):
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.adjacent(i, j) != h.adjacent(i, j):
+                return i, j
+    return None
+
+
+def test_first_difference_matches_the_pairwise_loop():
+    rng = random.Random(5)
+    for n in range(1, 30):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = AbstractGraph(n, edges)
+        assert _first_difference(g, g) is None
+        for _ in range(3):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            toggled = set(rng.sample(pairs, min(len(pairs), rng.randrange(1, 4))))
+            h = AbstractGraph(n, set(edges) ^ toggled)
+            assert _first_difference(g, h) == _pairwise_first_difference(g, h)
+            assert _first_difference(h, g) == _pairwise_first_difference(h, g)
+
+
+def test_circulant_snap_failure_names_the_first_changed_pair(monkeypatch):
+    import udgcolor.instances as instances_module
+
+    def off_by_two(n, k):
+        exact = circulant_graph(n, k)
+        return AbstractGraph(n, set(exact.edges()) ^ {(3, 6), (1, 5)}, id=exact.id)
+
+    monkeypatch.setattr(instances_module, "circulant_graph", off_by_two)
+    with pytest.raises(SnapFailure, match=r"changes adjacency of \(1,5\)$"):
+        gen_circulant(8, 3)
 
 
 def test_circulant_c5_stats():

@@ -7,7 +7,7 @@ from udgcolor.core import AbstractGraph, build_instance, instance_graph
 from udgcolor.errors import AuditFailure, StabilityViolated
 from udgcolor.geom import point
 from udgcolor.instances import gen_circulant, gen_two_cluster
-from udgcolor.matching import (_augment_search, audit_bound,
+from udgcolor.matching import (_augment_search, _neighbor_lists, audit_bound,
                                color_via_complement_matching,
                                coloring_from_text, coloring_to_text,
                                gallai_edmonds, max_matching,
@@ -74,10 +74,10 @@ def test_forest_search_refuses_a_non_maximum_matching():
     # P4 with only its middle edge matched: the trees of 0 and 3 meet at 0-1-2-3
     p4 = AbstractGraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(AuditFailure, match="not maximum"):
-        _augment_search(p4, [-1, 2, 1, -1], [0, 3])
+        _augment_search(_neighbor_lists(p4), [-1, 2, 1, -1], [0, 3])
     # the same forest over a maximum matching marks the even vertices
     c5 = AbstractGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert _augment_search(c5, [1, 0, 3, 2, -1], [4]) == [True] * 5
+    assert _augment_search(_neighbor_lists(c5), [1, 0, 3, 2, -1], [4]) == [True] * 5
 
 
 def test_gallai_edmonds_c5_factor_critical():
