@@ -25,8 +25,7 @@ one on frozensets 48 passes at speed factor 1.09; at 48 passes the masks
 would hold about 35.9 MB.  Either is beyond the 5 % bound on
 ``peak_rss_mb``, by an amount that depends on how fast the host runs.  The
 build moves once the benchmark keeps only what its metrics need (ROADMAP
-item 1, step A).  The hull's ordering of points along an edge also sorts
-by ``sq_dist``.
+item 1, step A).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime
@@ -206,8 +205,8 @@ def _strict_hull(h: Sequence[Homogeneous], order: Sequence[int]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _lex_order(points: Sequence[Point]) -> list[int]:
-    return sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+def _lex_key(points: Sequence[Point]):
+    return lambda i: (points[i].x, points[i].y)
 
 
 def hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
@@ -225,24 +224,25 @@ def hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
         return HullDecomposition((0,), frozenset(), False)
 
     h = [_homogeneous(p) for p in points]
-    order = _lex_order(points)
+    lex = _lex_key(points)
+    order = sorted(range(n), key=lex)
     hull = _strict_hull(h, order)
     if len(hull) <= 2:
         return HullDecomposition(tuple(order), frozenset(), True)
 
     hull_set = set(hull)
-    rest = [i for i in range(n) if i not in hull_set]
+    rest = [i for i in order if i not in hull_set]  # lex order is monotone along an edge
     boundary: list[int] = []
     m = len(hull)
     for t in range(m):
-        a = hull[t]
+        a, b = hull[t], hull[(t + 1) % m]
         boundary.append(a)
         # every point lies in the hull, so one on an edge's line is on the edge
-        lx, ly, lw = _line(h[a], h[hull[(t + 1) % m]])
+        lx, ly, lw = _line(h[a], h[b])
         on_edge = [i for i in rest if lx * h[i][0] + ly * h[i][1] + lw * h[i][2] == 0]
         if on_edge:
-            pa = points[a]
-            on_edge.sort(key=lambda i: sq_dist(pa, points[i]))
+            if lex(b) < lex(a):
+                on_edge.sort(key=lex, reverse=True)  # stable: ties stay ascending
             boundary.extend(on_edge)
             placed = set(on_edge)
             rest = [i for i in rest if i not in placed]
@@ -267,7 +267,7 @@ class PreparedHull:
         if not uniq:
             raise EmptyInput("hull of an empty point set")
         h = [_homogeneous(p) for p in uniq]
-        order = _lex_order(uniq)
+        order = sorted(range(len(uniq)), key=_lex_key(uniq))
         hull = _strict_hull(h, order)
         self._segment: tuple[Homogeneous, Homogeneous] | None = None
         if len(hull) <= 2:

@@ -89,10 +89,9 @@ def test_criterion_2_coloring_bound(corpus_data, audits):
         if inst.n <= DEFAULT_AO_LIMIT:
             omega = entry["omega"]
         else:
-            # oracle limit binds: use the witnessed clique bound from the
-            # audit chain plus the ceil(n/3) partition consequence
-            report = audits[inst.id]
-            witnessed = sum(c.part_sizes[0] for c in report.components)
+            # oracle limit binds: use the audit's clique A plus the
+            # ceil(n/3) partition consequence
+            witnessed = len(audits[inst.id].clique)
             omega = max(witnessed, math.ceil(inst.n / 3))
             assert omega <= entry["omega"]  # sanity: it is a lower bound
             fallback_used += 1

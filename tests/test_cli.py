@@ -87,6 +87,20 @@ def test_audit_exit_and_output(tmp_path, capsys):
     assert "check" in capsys.readouterr().out
 
 
+def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypatch):
+    # C(5,2): one odd component; 0 and 2 are not adjacent, so an A of {0, 2}
+    # is caught by the certificate's own clique check, not by an exception
+    from udgcolor import matching
+    monkeypatch.setattr(matching, "_partition_sizes_and_largest",
+                        lambda inst, vertices: ((2, 2, 1), frozenset({0, 2})))
+    inst = _gen(tmp_path, family=("circulant", "5", "2"))
+    assert run(["audit", str(inst)]) == EXIT_INTERNAL
+    out = capsys.readouterr().out
+    assert "A 2: 0 2\n" in out
+    assert "check A-union stable in complement: lhs=1 rhs=0 FAIL" in out
+    assert out.endswith("result FAIL\n")
+
+
 def test_stats_instance_and_graph(tmp_path, capsys):
     inst = _gen(tmp_path)
     assert run(["stats", str(inst)]) == EXIT_OK

@@ -367,6 +367,33 @@ def test_integer_kernel_matches_reference_on_random_sets():
         _assert_matches_reference(pts)
 
 
+def test_integer_kernel_matches_reference_on_small_grids():
+    # Small grids put points inside hull edges that run both ways in lex
+    # order (the lower chain ascends, the upper one descends), which is how
+    # the hull orders points along an edge without distances.
+    rng = random.Random(3206)
+    forward = backward = 0
+    for _ in range(500):
+        step = Fraction(1, rng.choice((1, 2, 3)))
+        side = rng.randrange(2, 5)
+        grid = [Point(x * step, y * step) for x in range(side) for y in range(side)]
+        pts = rng.sample(grid, rng.randrange(3, min(len(grid), 12) + 1))
+        if rng.random() < 0.2:
+            pts = pts + pts[:2]  # repeated points
+        _assert_matches_reference(pts)
+        hd = hull_decomposition(pts)
+        if hd.is_collinear:
+            continue
+        ring = [pts[i] for i in hd.boundary]
+        for p, q, r in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]):
+            if p != q != r and orientation(p, q, r) == COLLINEAR:
+                if (p.x, p.y) < (r.x, r.y):
+                    forward += 1
+                else:
+                    backward += 1
+    assert forward > 100 and backward > 100, (forward, backward)
+
+
 @pytest.mark.parametrize("pts", [
     [point(0, 0)],
     [point("1/3", "-2/7")],

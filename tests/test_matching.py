@@ -1,9 +1,14 @@
+import ast
 import hashlib
+import inspect
 import random
 
 import pytest
 
-from udgcolor.core import AbstractGraph, build_instance, instance_graph
+from corpora import acceptance_corpus, benchmark_toy_instances
+from udgcolor import matching
+from udgcolor.core import (AbstractGraph, build_instance, complement,
+                           instance_graph, is_clique)
 from udgcolor.errors import AuditFailure, StabilityViolated
 from udgcolor.geom import point
 from udgcolor.instances import gen_circulant, gen_two_cluster
@@ -12,7 +17,7 @@ from udgcolor.matching import (_augment_search, _neighbor_lists, audit_bound,
                                coloring_from_text, coloring_to_text,
                                gallai_edmonds, max_matching,
                                sweep_greedy_color)
-from udgcolor.oracles import brute_chi, verify_coloring
+from udgcolor.oracles import brute_chi, max_independent_set, verify_coloring
 
 
 def _brute_nu(g: AbstractGraph) -> int:
@@ -182,7 +187,7 @@ def test_audit_c5_exact_numbers():
     assert report.all_pass
     assert report.m_total == 2
     assert report.num_o_prime == 1
-    assert report.alpha_h == 2
+    assert len(report.clique) == 2
     final = [c for c in report.checks if c.name.startswith("2(|M|")][0]
     assert (final.lhs, final.rhs) == (6, 6)
 
@@ -192,13 +197,65 @@ def test_audit_two_cluster():
     assert report.all_pass
 
 
+def test_audit_rejects_an_independent_triple():
+    inst = build_instance("bad", [point(0, 0), point(2, 0), point(4, 0)])
+    with pytest.raises(StabilityViolated) as exc:
+        audit_bound(inst)
+    assert exc.value.witness == (0, 1, 2)
+
+
+def _certified(inst) -> tuple[int, int]:
+    """(2(|M|+|O'|), |A|) of the audit, after checking A as a reader of the
+    report would: every pair of A adjacent in the instance."""
+    report = audit_bound(inst)
+    assert report.all_pass, inst.id
+    assert list(report.clique) == sorted(set(report.clique)), inst.id
+    assert is_clique(inst.graph, report.clique), inst.id
+    final = report.checks[-1]
+    assert final.name == "2(|M|+|O'|)<=3|A|" and final.rhs == 3 * len(report.clique)
+    return final.lhs, len(report.clique)
+
+
+@pytest.mark.parametrize("corpus", ["acceptance", "toy-1", "toy-7919"])
+def test_audit_clique_bound_sits_below_alpha_of_the_complement(corpus):
+    # alpha(H) = omega(G) stays a test oracle: 2(|M|+|O'|) <= 3|A| <= 3 alpha(H)
+    instances = (acceptance_corpus() if corpus == "acceptance"
+                 else benchmark_toy_instances(int(corpus.split("-")[1])))
+    for inst in instances:
+        lhs, a = _certified(inst)
+        alpha_h = len(max_independent_set(complement(inst.graph)))
+        assert lhs <= 3 * a <= 3 * alpha_h, inst.id
+
+
+def test_circulant_colorings_are_optimal_and_certified_up_to_k_40():
+    # C(3k-1, k) has alpha 2, so chi >= ceil((3k-1)/2) = floor(3k/2); the
+    # audit's clique shows floor(3|A|/2) >= colors, far past brute_chi's n <= 16
+    for k in range(2, 41):
+        inst = gen_circulant(3 * k - 1, k)
+        colors = color_via_complement_matching(inst).num_colors
+        assert colors == 3 * k // 2, k
+        lhs, a = _certified(inst)
+        assert lhs == 2 * colors, k
+        assert 3 * a // 2 >= colors, k
+
+
+def test_matching_imports_nothing_from_the_oracles():
+    tree = ast.parse(inspect.getsource(matching))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [m for m in imported if m and m.split(".")[-1] == "oracles"]
+    assert not [name for name, value in vars(matching).items()
+                if getattr(value, "__module__", None) == "udgcolor.oracles"]
+
+
 GOLDEN_AUDITS = {
-    "circulant-14-5": "dc2567f894f943247761230c4eae8a6566f8cdc6da5f23c0d16c9ecba1732b43",
-    "circulant-35-12": "cff1495a99517af69a1d7f7694a0dc5952a53ba2b1aa9d24c6d43147f517f058",
-    "twocluster-8-4-1x1": "2c50fa2b199a06fae7e0f772c7e1068511401bdfcfafb6283145c9dc80e531c7",
-    "twocluster-16-12-1x1": "0f9e9d209401e7a4a091b7a2b9a048941103d7be843450a0cfe1a7d60c259f12",
-    "twocluster-60-1-1x1": "f2019889540ccf0977534a2b44e7f02101145570f1c10e2135b9115b477a1cd8",
-    "twocluster-60-2-1x2": "0e42fbf683a223a269817f333b19902e96a3d1f97103c682cc648a71d14a7bdd",
+    "circulant-14-5": "685fccec92640aa5255719d357a9ffd2a4f5f50f9113f85b2069d978dc11a20f",
+    "circulant-35-12": "bf2591740870fd858662fb163a6e1f2ca62c2b61def32854382cf71ad95770eb",
+    "twocluster-8-4-1x1": "c41c203a6ab91b0511c06897ab299e0147cadd223acf233a783f5fee4db081f7",
+    "twocluster-16-12-1x1": "6fd3deef05e6e51b881efe047b590c0281fc73d660e55c09e2dd9c48120c0906",
+    "twocluster-60-1-1x1": "3c18587671dea7c515c70375a9a9bd7cfea186e937fe57dfcd5c7790edecde42",
+    "twocluster-60-2-1x2": "8bbe6a11f7ea7bd92e5d8264a054a24578421d4a368797eafbb0fd049c0b9227",
 }
 
 
