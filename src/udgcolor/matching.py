@@ -7,7 +7,9 @@ counting argument that bounds the number of classes by 3/2 of the clique
 number; it is not on the coloring hot path.  The Gallai-Edmonds
 decomposition is read off one maximum matching and one alternating forest
 of the same blossom search; there is no second matching algorithm.  The
-audit certifies the bound with a clique it assembles, and uses no oracle.
+audit counts on that matching, proves it maximum by Tutte-Berge instead of
+a second search, certifies the bound with a clique it assembles, and uses
+no oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 from .core import (AbstractGraph, Instance, bits, complement, mask_of,
                    stability_witness)
+from .cover import _dispatch, _require_cover, partition_from_cover
 from .errors import AuditFailure, ParseError, StabilityViolated
 from .instances import parse_int, read_records
 
@@ -141,8 +144,8 @@ def max_matching(g: AbstractGraph) -> Matching:
 class GallaiEdmonds:
     """Canonical decomposition: A missed by some maximum matching,
     X = N(A) \\ A, B the rest, plus the odd (factor-critical) components of
-    G - X and a matching of X into distinct odd components (the maximum
-    matching's own edges at X)."""
+    G - X, the maximum matching M it was read off, and M's edges at X,
+    which match X into distinct odd components."""
 
     A: frozenset[int]
     X: frozenset[int]
@@ -150,7 +153,8 @@ class GallaiEdmonds:
     odd_components: tuple[frozenset[int], ...]
     O_X: tuple[int, ...]        # indices into odd_components matched into X
     O_prime: tuple[int, ...]    # the remaining component indices
-    M_X: frozenset[tuple[int, int]]  # concrete x--component edges
+    M: frozenset[tuple[int, int]]    # the maximum matching, edges (min, max)
+    M_X: frozenset[tuple[int, int]]  # M's x--component edges
 
 
 def _components(g: AbstractGraph, left: int) -> list[int]:
@@ -211,10 +215,11 @@ def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
                                f"into one odd component")
         x_of[idx] = x
 
+    m = frozenset((v, match[v]) for v in range(n) if match[v] > v)
     m_x = frozenset((min(x, match[x]), max(x, match[x])) for x in X)
     o_x = tuple(sorted(x_of))
     o_prime = tuple(i for i in range(len(odd)) if i not in x_of)
-    return GallaiEdmonds(A, X, B, odd, o_x, o_prime, m_x)
+    return GallaiEdmonds(A, X, B, odd, o_x, o_prime, m, m_x)
 
 
 @dataclass(frozen=True)
@@ -348,8 +353,6 @@ def _sub_instance(inst: Instance, vertices) -> tuple[Instance, tuple[int, ...]]:
 def _partition_sizes_and_largest(inst: Instance, vertices) -> tuple[tuple[int, int, int], frozenset[int]]:
     """Clique partition of the induced sub-instance, sizes descending, plus
     the largest part mapped back to global vertex ids."""
-    from .cover import _dispatch, _require_cover, partition_from_cover
-
     sub, glb = _sub_instance(inst, vertices)
     cover, _ = _dispatch(sub)
     _require_cover(sub.graph, cover, "audit component cover")
@@ -367,10 +370,14 @@ def audit_bound(inst: Instance) -> AuditReport:
     the clique A the report lists (the largest parts of the components'
     partitions, stable in H), so colors <= 3/2 omega.
 
-    Structural impossibilities (non-perfect matchings where perfect ones are
-    guaranteed, unmatched X vertices) raise AuditFailure; arithmetic checks
-    are recorded with pass flags and never fail on valid input.  Component
-    covers skip the stability gate, which the whole graph has passed.
+    Every matching count is M's, the decomposition's one maximum matching:
+    M_R and M_K are its edges inside R and inside K.  Tutte-Berge proves M
+    maximum with no second search: the components O are odd in H - X, so
+    2 nu(H) <= n + |X| - |O| = 2|M|.  AuditFailure is raised for a triangle
+    in H, for M not perfect on R or not near-perfect on a K, and for M short
+    of that bound; arithmetic checks are recorded with pass flags and never
+    fail on valid input.  Component covers skip the stability gate, which
+    the whole graph has passed.
     """
     g = inst.graph
     witness = stability_witness(g)
@@ -394,9 +401,8 @@ def audit_bound(inst: Instance) -> AuditReport:
     components: list[ComponentAudit] = []
     a_union: set[int] = set()
 
-    sub_r, _ = h.induced(r_vertices)
-    m_r = max_matching(sub_r)
-    if 2 * m_r.size != len(r_vertices):
+    m_r = sum(u in r_vertices and v in r_vertices for u, v in ge.M)
+    if 2 * m_r != len(r_vertices):
         raise AuditFailure("the even part has no perfect matching")
 
     if r_vertices:
@@ -404,32 +410,26 @@ def audit_bound(inst: Instance) -> AuditReport:
         a_union |= largest_r
     else:
         sizes_r = (0, 0, 0)
-    components.append(ComponentAudit("R", tuple(sorted(r_vertices)), sizes_r, m_r.size))
-    checks.append(AuditCheck("2|M_R|<=3|A_R|", 2 * m_r.size, 3 * sizes_r[0], "<="))
-
-    matched_endpoints = {v for edge in ge.M_X for v in edge} - ge.X
+    components.append(ComponentAudit("R", tuple(sorted(r_vertices)), sizes_r, m_r))
+    checks.append(AuditCheck("2|M_R|<=3|A_R|", 2 * m_r, 3 * sizes_r[0], "<="))
 
     m_k_total = 0
     for idx, comp in enumerate(odd):
-        missed = sorted(comp & matched_endpoints)
-        if len(missed) > 1:
-            raise AuditFailure(f"odd component {idx} touches two X-matching edges")
-        sub_k, _ = h.induced(comp - set(missed))
-        m_k = max_matching(sub_k)
-        if m_k.size != (len(comp) - 1) // 2:
+        m_k = sum(u in comp and v in comp for u, v in ge.M)
+        if m_k != (len(comp) - 1) // 2:
             raise AuditFailure(
                 f"odd component {idx} has no near-perfect matching avoiding its X-endpoint")
-        m_k_total += m_k.size
+        m_k_total += m_k
 
         sizes_k, largest_k = _partition_sizes_and_largest(inst, comp)
         a_union |= largest_k
-        components.append(ComponentAudit(f"K{idx}", tuple(sorted(comp)), sizes_k, m_k.size))
+        components.append(ComponentAudit(f"K{idx}", tuple(sorted(comp)), sizes_k, m_k))
         checks.append(AuditCheck(f"sizeofC[K{idx}]", sizes_k[2] + 1, sizes_k[0], "<="))
         checks.append(AuditCheck(f"2|M_K{idx}|<=3|A_K{idx}|-2",
-                                 2 * m_k.size, 3 * sizes_k[0] - 2, "<="))
+                                 2 * m_k, 3 * sizes_k[0] - 2, "<="))
 
-    m_total = m_r.size + len(ge.M_X) + m_k_total
-    if m_total != max_matching(h).size:
+    m_total = m_r + len(ge.M_X) + m_k_total
+    if 2 * m_total != h.n + len(ge.X) - len(odd):
         raise AuditFailure("assembled matching is not maximum")
 
     checks.append(AuditCheck("|M_X|=|O_X|", len(ge.M_X), len(ge.O_X), "=="))
@@ -446,7 +446,7 @@ def audit_bound(inst: Instance) -> AuditReport:
         instance_id=inst.id,
         clique=tuple(sorted(a_union)),
         m_total=m_total,
-        m_r=m_r.size,
+        m_r=m_r,
         m_x=len(ge.M_X),
         num_odd=len(odd),
         num_o_x=len(ge.O_X),

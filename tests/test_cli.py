@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -99,6 +100,24 @@ def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypat
     assert "A 2: 0 2\n" in out
     assert "check A-union stable in complement: lhs=1 rhs=0 FAIL" in out
     assert out.endswith("result FAIL\n")
+
+
+def test_audit_with_a_short_matching_fails_with_exit_4(tmp_path, capsys, monkeypatch):
+    # a barrier X one R vertex larger than the decomposition's: the matching
+    # falls short of the Tutte-Berge bound, which the audit raises on
+    from udgcolor import matching
+    original = matching.gallai_edmonds
+
+    def widen_x(g):
+        ge = original(g)
+        return dataclasses.replace(ge, X=ge.X | {0})
+
+    monkeypatch.setattr(matching, "gallai_edmonds", widen_x)
+    inst = _gen(tmp_path, family=("circulant", "14", "5"))
+    capsys.readouterr()
+    assert run(["audit", str(inst)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: assembled matching is not maximum\n"
 
 
 def test_stats_instance_and_graph(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
+import itertools
 import random
 
 import pytest
@@ -141,6 +143,14 @@ def test_gallai_edmonds_matches_definition():
         assert len(set(hit)) == len(hit)
         assert sorted(hit) == list(ge.O_X)
         assert sorted(ge.O_X + ge.O_prime) == list(range(len(ge.odd_components)))
+        # M is a maximum matching of g, and Tutte-Berge with X as the barrier
+        # certifies it: 2|M| = n + |X| - odd(g - X)
+        ends = [v for edge in ge.M for v in edge]
+        assert len(ends) == len(set(ends))
+        assert all(u < v and g.adjacent(u, v) for u, v in ge.M)
+        assert len(ge.M) == nu
+        assert 2 * len(ge.M) == n + len(ge.X) - len(ge.odd_components)
+        assert ge.M_X <= ge.M
 
 
 def test_coloring_c5():
@@ -269,6 +279,63 @@ def test_audit_text_matches_golden_hashes(inst):
     # the last two are a far-pair and a disk-case instance, with |M_X| = 29 and 10
     text = audit_bound(inst).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_AUDITS[inst.id]
+
+
+GOLDEN_CORPUS_AUDITS = "108d6510c29a520628012cf201a1fa982dfbd65c405e48dc4ef69ff3d2fffdad"
+
+
+def test_audit_texts_over_the_corpora_match_one_golden_hash():
+    # 246 instances: acceptance, benchmark toys at seeds 1 and 7919, C(3k-1,k) k = 2..24
+    instances = itertools.chain(acceptance_corpus(), benchmark_toy_instances(1),
+                                benchmark_toy_instances(7919),
+                                (gen_circulant(3 * k - 1, k) for k in range(2, 25)))
+    digest = hashlib.sha256()
+    for inst in instances:
+        digest.update(audit_bound(inst).to_text().encode())
+    assert digest.hexdigest() == GOLDEN_CORPUS_AUDITS
+
+
+def test_audit_runs_no_blossom_search_of_its_own(monkeypatch):
+    # the decomposition's one matching is all the audit searches for
+    def refuse(g):
+        raise AssertionError("audit_bound called max_matching")
+
+    def counted(adj):
+        searches.append(len(adj))
+        return matching_array(adj)
+
+    searches = []
+    matching_array = matching._matching_array
+    monkeypatch.setattr(matching, "max_matching", refuse)
+    monkeypatch.setattr(matching, "_matching_array", counted)
+    for audits, inst in enumerate(acceptance_corpus(), start=1):
+        assert audit_bound(inst).all_pass, inst.id
+        assert len(searches) == audits, inst.id
+
+
+def _drop_an_m_edge(ge):
+    return dataclasses.replace(ge, M=ge.M - {min(ge.M)})
+
+
+def _widen_x_into_r(ge):
+    return dataclasses.replace(ge, X=ge.X | {min(ge.B)})
+
+
+@pytest.mark.parametrize("inst, doctor, message", [
+    # C(14,5) has a perfect complement matching, so R is all 14 vertices
+    (gen_circulant(14, 5), _drop_an_m_edge, "even part has no perfect matching"),
+    # C(5,2)'s complement is a 5-cycle, one factor-critical component
+    (gen_circulant(5, 2), _drop_an_m_edge, "near-perfect"),
+    # one more barrier vertex raises the Tutte-Berge bound above 2|M|
+    (gen_circulant(14, 5), _widen_x_into_r, "not maximum"),
+], ids=["perfect-on-R", "near-perfect-on-K", "tutte-berge"])
+def test_audit_refuses_a_doctored_decomposition(monkeypatch, inst, doctor, message):
+    original = matching.gallai_edmonds
+    ge = original(complement(inst.graph))
+    assert ge.B == frozenset(range(inst.n)) or ge.odd_components == (frozenset(range(inst.n)),)
+    monkeypatch.setattr(matching, "gallai_edmonds", lambda g: doctor(original(g)))
+    with pytest.raises(AuditFailure, match=message):
+        audit_bound(inst)
 
 
 def test_audit_text_shape():
