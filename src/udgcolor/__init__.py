@@ -3,8 +3,8 @@ graphs, with exact rational geometry and brute-force verification throughout.
 """
 
 from .core import (AbstractGraph, BoundaryOrder, Instance, build_instance,
-                   complement, instance_graph, interval_closed, interval_open,
-                   is_clique, stability_witness)
+                   complement, instance_graph, interval_closed, is_clique,
+                   stability_witness)
 from .cover import (CliqueCover, CliquePartition, DiskCaseTrace,
                     collinear_cover, cover_three_cliques, disk_case_cover,
                     far_pair_cover, hollow_pivot, partition_from_cover)

@@ -243,9 +243,3 @@ def interval_closed(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
     pv = order.position(v)
     span = (pv - pu) % m
     return tuple(seq[(pu + t) % m] for t in range(span + 1))
-
-
-def interval_open(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
-    """(u,v) = [u,v] minus both endpoints."""
-    closed = interval_closed(order, u, v)
-    return closed[1:-1] if len(closed) > 1 else ()

@@ -21,13 +21,14 @@ docstring for why it waits.
 Every branch reads the graph the instance builds once and caches
 (Instance.graph); the disk case adds the disk center to it as a universal
 vertex instead of rebuilding the graph from coordinates (each old mask
-gains the center's bit, the center gets the full mask).  The far-pair
-branch and the disk case's non-adjacent consecutive boundary pair share one
-construction, _pair_cover.  Otherwise the disk case cuts the hull boundary
-of m vertices into three clique arcs with one linear two-pointer scan
-(O(m) adjacency-mask tests) and fans the plane from the center into
-at most five regions whose hulls are built once; each vertex is located
-against the prepared hull edges by exact integer sign tests.
+gains the center's bit, the center gets the full mask).  The disk case
+scans its hull boundary of m vertices once for clique arc lengths (O(m)
+adjacency-mask tests): an arc of length one is a non-adjacent consecutive
+pair, covered by _pair_cover as in the far-pair branch; otherwise the
+lengths alone give the pivot pair, and the three clique arcs are slices of
+the boundary.  The plane is then fanned from the center into at most five
+regions whose hulls are built once; each vertex is located against the
+prepared hull edges by exact integer sign tests.
 
 Every constructor re-verifies its output; a failed check raises
 StructureViolation, which is unreachable on valid input and therefore
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (AbstractGraph, BoundaryOrder, Instance, bits,
-                   interval_closed, interval_open, is_clique, mask_of,
-                   stability_witness)
+                   interval_closed, is_clique, mask_of, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
@@ -302,7 +302,8 @@ def _complete_to(g: AbstractGraph, v: int, targets: int) -> bool:
 
 def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
     """lengths[i] = number of vertices in the longest clockwise clique arc
-    starting at seq[i] (at most len(seq)).
+    starting at seq[i] (at most len(seq)); for len(seq) >= 2, lengths[i] == 1
+    exactly when seq[i] and its successor are non-adjacent.
 
     Two-pointer: a clique arc minus its first vertex is still a clique, so
     the arc end never moves back, and each step either extends the arc or
@@ -329,13 +330,14 @@ def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
     return lengths
 
 
-def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, int] | None:
-    """The (b-, b+) minimizing (remainder size, offset b+, offset b-) among
-    the pairs for which [b-,b], [b,b+] and the remaining arc are cliques
-    meeting pairwise in at most {b}; None when there is no such pair.
+def _pivot_pair(arc: Sequence[int]) -> tuple[int, int] | None:
+    """Offsets (j, s) of the pivot pair b+ = rot[j], b- = rot[-s % m] around
+    b = rot[0], read off arc = _clique_arc_lengths(rot, g) alone: the pair
+    minimizing (remainder size, offset b+, offset b-) among those for which
+    [b-,b], [b,b+] and the remaining arc are cliques meeting pairwise in at
+    most {b}; None when there is none.  j + s <= m-1 for m = len(arc), and
+    j = s = 0 only when m = 1.
 
-    With offsets taken clockwise from b, b+ sits at offset j and b- at
-    offset m-s (mod m), j + s <= m-1, and j = s = 0 only when m = 1.
     [b,b+] is a clique iff j <= J and [b-,b] iff s <= S, where J and S are
     the step lengths of the longest clique arcs from b clockwise and
     counterclockwise.  For a fixed j the largest s leaves the smallest
@@ -344,11 +346,7 @@ def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, in
     j.  Each j then yields one pair, so scanning j upwards and keeping the
     first smallest remainder never needs the b- offset to break a tie.
     """
-    seq = order.sequence
-    m = len(seq)
-    pos_b = order.position(b)
-    rot = seq[pos_b:] + seq[:pos_b]
-    arc = _clique_arc_lengths(rot, g)
+    m = len(arc)
     longest_ccw = 0
     while longest_ccw < m - 1 and arc[m - 1 - longest_ccw] >= longest_ccw + 2:
         longest_ccw += 1
@@ -361,7 +359,7 @@ def _pivot_pair(order: BoundaryOrder, g: AbstractGraph, b: int) -> tuple[int, in
         if rest and arc[j + 1] < rest:
             continue
         if best is None or rest < best[0]:
-            best = (rest, rot[(m - s) % m], rot[j])
+            best = (rest, j, s)
     return None if best is None else best[1:]
 
 
@@ -378,17 +376,18 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     is reused when the center coincides with one); every vertex lying within
     unit distance of the center is what makes p universal, so the augmented
     graph is the instance graph (inst.graph) plus p joined to everything.
-    If two consecutive boundary vertices u, v are non-adjacent, the whole
-    instance lies on one side of the line uv and the pair construction of
-    _pair_cover on the instance graph is the cover.  Otherwise the
-    boundary of m vertices is cut around a pivot vertex b into the clique
-    arcs [b-,b], [b,b+] and a minimal middle arc by one linear scan
-    (O(m) adjacency-mask tests, see _pivot_pair), the plane is
-    fanned into at most five regions from p, each region's hull is built
-    once, and every vertex is located against the prepared hull edges in
-    region priority order (O(n * h) exact integer sign tests for h hull
-    edges in all).  The two triangular zones are then redistributed by
-    completeness tests.
+    The boundary of m vertices, rotated to start at b (its first vertex
+    other than p), is scanned once for clique arc lengths (O(m)
+    adjacency-mask tests).  An arc of length one marks consecutive
+    non-adjacent boundary vertices u, v: the whole instance lies on one side
+    of the line uv and _pair_cover on the instance graph is the cover.
+    Otherwise the lengths give the pivot pair (_pivot_pair), whose arcs
+    [b-,b], [b,b+] and minimal middle arc are slices of the rotated
+    boundary; the plane is fanned into at most five regions from p, each
+    region's hull is built once, and every vertex is located against the
+    prepared hull edges in region priority order (O(n * h) exact integer
+    sign tests for h hull edges in all).  The two triangular zones are then
+    redistributed by completeness tests.
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
@@ -414,42 +413,42 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     hd = hull_decomposition(apts)
     if hd.is_collinear:
         raise StructureViolation("disk case requires a two-dimensional hull")
-    order = BoundaryOrder(hd.boundary)
-    seq = order.sequence
-    m = len(seq)
-
     p_point = apts[p_id]
-    # consecutive boundary vertices must be adjacent, else the one-sided case
-    for t in range(m):
-        u, w = seq[t], seq[(t + 1) % m]
-        if u != w and not g.adjacent(u, w):
-            trace = DiskCaseTrace(mode="nonedge", p_point=p_point, p_virtual=virtual,
-                                  p_id=p_id, nonedge_pair=(u, w))
-            return _pair_cover(g0, u, w, "nonedge cover"), trace
+    # the boundary from b, its first vertex other than p
+    start = 1 if hd.boundary[0] == p_id else 0
+    rot = hd.boundary[start:] + hd.boundary[:start]
+    b, m = rot[0], len(rot)
+    arc = _clique_arc_lengths(rot, g)
 
-    b = next(w for w in seq if w != p_id)
-    pivot = _pivot_pair(order, g, b)
+    # consecutive boundary vertices must be adjacent, else the one-sided case
+    gap = next((t for t in range(m) if arc[t] == 1), None)
+    if gap is not None:
+        u, w = rot[gap], rot[(gap + 1) % m]
+        trace = DiskCaseTrace(mode="nonedge", p_point=p_point, p_virtual=virtual,
+                              p_id=p_id, nonedge_pair=(u, w))
+        return _pair_cover(g0, u, w, "nonedge cover"), trace
+
+    pivot = _pivot_pair(arc)
     if pivot is None:
         raise StructureViolation(
             f"no admissible boundary pivot pair at vertex {b}; "
             f"only possible when stability exceeds 2")
-    b_minus, b_plus = pivot
-
-    middle = interval_open(order, b_plus, b_minus) if b_plus != b_minus else ()
-    if middle:
-        r_plus, r_minus = middle[0], middle[-1]
-    else:
-        r_plus, r_minus = b_minus, b_plus
+    j, s = pivot
+    arc_plus = rot[:j + 1]
+    arc_minus = rot[m - s:] + rot[:1]
+    middle = rot[j + 1:m - s]
+    b_plus, b_minus = arc_plus[-1], arc_minus[0]
+    r_plus, r_minus = (middle[0], middle[-1]) if middle else (b_minus, b_plus)
 
     def fan_region(ids) -> PreparedHull:
         return PreparedHull([apts[w] for w in ids] + [p_point])
 
     regions: list[tuple[str, PreparedHull]] = [
-        ("B+", fan_region(interval_closed(order, b, b_plus))),
-        ("B-", fan_region(interval_closed(order, b_minus, b))),
+        ("B+", fan_region(arc_plus)),
+        ("B-", fan_region(arc_minus)),
     ]
     if middle:
-        regions.append(("R", fan_region(interval_closed(order, r_plus, r_minus))))
+        regions.append(("R", fan_region(middle)))
         regions.append(("T+", fan_region([b_plus, r_plus])))
         regions.append(("T-", fan_region([r_minus, b_minus])))
     else:

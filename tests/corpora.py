@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from udgcolor.core import build_instance
+from udgcolor.core import build_instance, stability_witness
 from udgcolor.geom import Point
 from udgcolor.instances import gen_circulant, gen_two_cluster
 
@@ -44,3 +44,44 @@ def benchmark_toy_instances(seed):
         order = list(range(base.n))
         rng.shuffle(order)
         yield build_instance(f"{base.id}-shuffled", [base.points[v] for v in order])
+
+
+def lattice_disk_instances(count=400, seed=14):
+    """Stability-two instances on the lattice (1/q)Z^2 inside the closed unit
+    disk around the origin: q in 2..6 and 4 to 14 points, rejection-sampled.
+    They reach the disk case's nonedge, narrow and split modes."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        q = rng.randrange(2, 7)
+        cells = [(x, y) for x in range(-q, q + 1) for y in range(-q, q + 1)
+                 if x * x + y * y <= q * q]
+        chosen = rng.sample(cells, min(rng.randrange(4, 15), len(cells)))
+        inst = build_instance(f"lattice-{made}-q{q}",
+                              [Point(Fraction(x, q), Fraction(y, q)) for x, y in chosen])
+        if stability_witness(inst.graph) is None:
+            made += 1
+            yield inst
+
+
+def explicit_centre_cases(count=200, seed=15):
+    """(instance, centre) pairs for disk_case_cover called with an explicit
+    centre: lattice points of (1/q)Z^2 strictly right of the centre and within
+    distance 1 of it, so the centre is the first hull vertex.  q in 2..6 and
+    3 to 12 points, rejection-sampled to stability two and to a hull that
+    is not a segment."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        q = rng.randrange(2, 7)
+        cx, cy = Fraction(rng.randrange(-q, q + 1), q), Fraction(rng.randrange(-q, q + 1), q)
+        cells = [(x, y) for x in range(1, q + 1) for y in range(-q, q + 1)
+                 if x * x + y * y <= q * q]
+        chosen = rng.sample(cells, min(rng.randrange(3, 13), len(cells)))
+        if all(y * chosen[0][0] == x * chosen[0][1] for x, y in chosen):
+            continue  # every point on one line through the centre
+        inst = build_instance(f"centre-{made}-q{q}",
+                              [Point(cx + Fraction(x, q), cy + Fraction(y, q)) for x, y in chosen])
+        if stability_witness(inst.graph) is None:
+            made += 1
+            yield inst, Point(cx, cy)

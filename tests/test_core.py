@@ -2,7 +2,7 @@ import pytest
 
 from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
                            complement, instance_graph, interval_closed,
-                           interval_open, is_clique, stability_witness)
+                           is_clique, stability_witness)
 from udgcolor.errors import DuplicatePoint, InvalidVertex
 from udgcolor.geom import hull_decomposition, point
 from udgcolor.instances import circulant_graph
@@ -106,9 +106,9 @@ def test_boundary_order_square_intervals():
     c = order.sequence[2]
     b = order.sequence[1]
     assert interval_closed(order, a, a) == (a,)
-    assert interval_open(order, a, c) == (b,)
-    u, v = order.sequence[0], order.sequence[1]
-    assert interval_open(order, u, v) == ()
+    assert interval_closed(order, a, c) == (a, b, c)
+    # consecutive vertices: nothing lies strictly between them
+    assert interval_closed(order, a, b) == (a, b)
 
 
 def test_interval_variants():
@@ -127,10 +127,10 @@ def test_interval_identity_partition():
             if u == v:
                 continue
             closed = interval_closed(order, u, v)
-            other = interval_open(order, v, u)
-            assert len(closed) + len(other) == len(seq)
-            assert set(closed) | set(other) == set(seq)
-            assert not (set(closed) & set(other))
+            back = interval_closed(order, v, u)
+            assert len(closed) + len(back) == len(seq) + 2
+            assert set(closed) | set(back) == set(seq)
+            assert set(closed) & set(back) == {u, v}
 
 
 def test_instance_graph_symmetric_irreflexive():

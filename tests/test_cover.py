@@ -1,24 +1,29 @@
 import hashlib
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
+                     explicit_centre_cases, lattice_disk_instances,
                      mixed_denominator_points)
 from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
                            instance_graph, interval_closed, is_clique)
-from udgcolor.cover import (CliqueCover, _pivot_pair, collinear_cover,
-                            cover_from_text, cover_three_cliques,
-                            cover_to_text, disk_case_cover, far_pair_cover,
-                            hollow_pivot, partition_from_cover,
-                            trace_from_text, trace_to_text)
+from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
+                            collinear_cover, cover_from_text,
+                            cover_three_cliques, cover_to_text,
+                            disk_case_cover, far_pair_cover, hollow_pivot,
+                            partition_from_cover, trace_from_text,
+                            trace_to_text)
 from udgcolor.errors import (EmptyInstance, StabilityViolated,
                              StructureViolation)
 from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, orientation, point,
                            smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.matching import audit_bound
 from udgcolor.oracles import brute_cover_exists, verify_cover
 
 
@@ -187,6 +192,20 @@ def _reference_pivot_pair(order, g, b):
     return None if best is None else best[1:]
 
 
+def _pivot_vertices(order, g, b):
+    """_pivot_pair's offsets (j, s) mapped back to the pair (b-, b+) on the
+    boundary rotated to start at b; None when it finds no pair."""
+    seq = order.sequence
+    pos_b = order.position(b)
+    rot = seq[pos_b:] + seq[:pos_b]
+    m = len(rot)
+    pivot = _pivot_pair(_clique_arc_lengths(rot, g))
+    if pivot is None:
+        return None
+    j, s = pivot
+    return rot[-s % m], rot[j]
+
+
 def test_pivot_scan_matches_enumeration_on_random_boundaries():
     rng = random.Random(2024)
     seen_none = seen_pair = 0
@@ -200,7 +219,7 @@ def test_pivot_scan_matches_enumeration_on_random_boundaries():
             order = BoundaryOrder(tuple(rng.sample(range(n), m)))
             for b in order.sequence:
                 expected = _reference_pivot_pair(order, g, b)
-                assert _pivot_pair(order, g, b) == expected, (m, edges, order, b)
+                assert _pivot_vertices(order, g, b) == expected, (m, edges, order, b)
                 if expected is None:
                     seen_none += 1
                 else:
@@ -208,9 +227,11 @@ def test_pivot_scan_matches_enumeration_on_random_boundaries():
     assert seen_none > 0 and seen_pair > 0
 
 
-def _disk_case_boundary(inst):
-    """The augmented graph and boundary order disk_case_cover works on."""
-    center = smallest_enclosing_disk(inst.points).center
+def _disk_case_boundary(inst, center=None):
+    """The augmented graph and boundary order disk_case_cover works on, around
+    center (default: the smallest enclosing disk's, as the dispatch picks)."""
+    if center is None:
+        center = smallest_enclosing_disk(inst.points).center
     pts = list(inst.points)
     if center not in pts:
         pts.append(center)
@@ -230,10 +251,95 @@ def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
             continue
         g, order = _disk_case_boundary(inst)
         for b in order.sequence:
-            assert _pivot_pair(order, g, b) == _reference_pivot_pair(order, g, b), \
-                (inst.id, b)
+            pair = _pivot_vertices(order, g, b)
+            assert pair == _reference_pivot_pair(order, g, b), (inst.id, b)
+            # a geometric boundary with no gap always has a pivot pair
+            assert pair is not None or trace.mode == "nonedge", (inst.id, b)
             checked += 1
     assert checked > 100
+
+
+def _reference_nonedge_pair(g, boundary):
+    """The first consecutive non-adjacent pair of the boundary, in its own
+    order; None when there is none.  The loop disk_case_cover ran before
+    the clique-arc scan answered this question too."""
+    m = len(boundary)
+    for t in range(m):
+        u, w = boundary[t], boundary[(t + 1) % m]
+        if u != w and not g.adjacent(u, w):
+            return u, w
+    return None
+
+
+def _disk_cases():
+    """(instance, center, trace) for every disk case of the acceptance
+    corpus, the benchmark toys and the lattice corpus, and for every
+    explicit-centre case."""
+    instances = itertools.chain(acceptance_corpus(),
+                                *(benchmark_toy_instances(seed) for seed in (1, 3, 7919)),
+                                lattice_disk_instances())
+    for inst in instances:
+        _, trace = cover_three_cliques(inst)
+        if trace is not None:
+            yield inst, smallest_enclosing_disk(inst.points).center, trace
+    for inst, center in explicit_centre_cases():
+        yield inst, center, disk_case_cover(inst, center)[1]
+
+
+def test_nonedge_mode_matches_the_consecutive_pair_reference():
+    modes = Counter()
+    for inst, center, trace in _disk_cases():
+        g, order = _disk_case_boundary(inst, center)
+        expected = _reference_nonedge_pair(g, order.sequence)
+        assert (trace.mode == "nonedge") == (expected is not None), inst.id
+        assert trace.nonedge_pair == expected, inst.id
+        if expected is None:
+            assert all(_pivot_vertices(order, g, b) is not None for b in order.sequence), \
+                inst.id
+        modes[trace.mode] += 1
+    assert set(modes) == {"nonedge", "narrow", "split"}, modes
+
+
+# SHA-256 over the cover, trace and audit texts of lattice_disk_instances()
+# followed by the cover and trace texts of explicit_centre_cases(), recorded
+# before the disk case read its boundary off one clique-arc scan.
+GOLDEN_DISK_CORPORA = "a7606c66131167706d894a414a8311327acadec12ff04244063bcc88b5af59cf"
+
+
+def test_disk_case_corpora_texts_match_one_golden_hash():
+    digest = hashlib.sha256()
+    for inst in lattice_disk_instances():
+        cover, trace = cover_three_cliques(inst)
+        digest.update(cover_to_text(cover, inst.id).encode())
+        if trace is not None:
+            digest.update(trace_to_text(trace, inst.id).encode())
+        digest.update(audit_bound(inst).to_text().encode())
+    for inst, center in explicit_centre_cases():
+        cover, trace = disk_case_cover(inst, center)
+        digest.update(cover_to_text(cover, inst.id).encode())
+        digest.update(trace_to_text(trace, inst.id).encode())
+    assert digest.hexdigest() == GOLDEN_DISK_CORPORA
+
+
+def test_disk_case_calls_no_boundary_order_helper(monkeypatch):
+    instances = [*acceptance_corpus(), *(gen_circulant(3 * k - 1, k) for k in range(2, 13))]
+
+    def texts():
+        out = []
+        for inst in instances:
+            cover, trace = cover_three_cliques(inst)
+            out.append(cover_to_text(cover, inst.id))
+            out.append(None if trace is None else trace_to_text(trace, inst.id))
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover called a boundary-order helper")
+
+    expected = texts()
+    assert any(text is not None and text.startswith("trace circulant") for text in expected)
+    for name in ("BoundaryOrder", "interval_closed", "is_clique", "hollow_pivot"):
+        monkeypatch.setattr(cover_module, name, refuse)
+    assert texts() == expected
 
 
 # SHA-256 of cover_to_text and trace_to_text (None: no trace), recorded

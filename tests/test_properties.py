@@ -9,8 +9,8 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from udgcolor.core import (BoundaryOrder, build_instance, complement,
-                           instance_graph, interval_closed, interval_open,
-                           is_clique, stability_witness)
+                           instance_graph, interval_closed, is_clique,
+                           stability_witness)
 from udgcolor.cover import cover_three_cliques, partition_from_cover
 from udgcolor.geom import (INTERIOR, OUTSIDE, Point, hull_decomposition,
                            point_in_hull, segments_cross,
@@ -199,9 +199,10 @@ def test_interval_identities_on_generated_boundaries():
                 if u == v:
                     continue
                 closed = interval_closed(order, u, v)
-                rest = interval_open(order, v, u)
-                assert len(closed) + len(rest) == len(seq)
-                assert set(closed) | set(rest) == set(seq)
+                back = interval_closed(order, v, u)
+                assert len(closed) + len(back) == len(seq) + 2
+                assert set(closed) | set(back) == set(seq)
+                assert set(closed) & set(back) == {u, v}
 
 
 def test_udg_abstract_properties_on_corpus():
