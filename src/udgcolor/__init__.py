@@ -2,8 +2,8 @@
 graphs, with exact rational geometry and brute-force verification throughout.
 """
 
-from .core import (AbstractGraph, BoundaryOrder, Instance, build_instance,
-                   complement, instance_graph, interval_closed, is_clique,
+from .core import (AbstractGraph, Instance, build_instance, complement,
+                   instance_graph, interval_closed, is_clique,
                    stability_witness)
 from .cover import (CliqueCover, CliquePartition, DiskCaseTrace,
                     collinear_cover, cover_three_cliques, disk_case_cover,

@@ -209,37 +209,17 @@ def complement(g: AbstractGraph) -> AbstractGraph:
                                     id=g.id)
 
 
-@dataclass(frozen=True)
-class BoundaryOrder:
-    """Circular clockwise order of the vertices on the hull boundary."""
-
-    sequence: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.sequence:
-            raise InvalidVertex("boundary order must be nonempty")
-
-    def position(self, v: int) -> int:
-        try:
-            return self.sequence.index(v)
-        except ValueError:
-            raise InvalidVertex(f"vertex {v} is not on the boundary") from None
-
-    def successor(self, v: int) -> int:
-        return self.sequence[(self.position(v) + 1) % len(self.sequence)]
-
-    def predecessor(self, v: int) -> int:
-        return self.sequence[(self.position(v) - 1) % len(self.sequence)]
+def _boundary_position(boundary: Sequence[int], v: int) -> int:
+    """The index of v in a circular boundary order; InvalidVertex when v is
+    not on it."""
+    try:
+        return boundary.index(v)
+    except ValueError:
+        raise InvalidVertex(f"vertex {v} is not on the boundary") from None
 
 
-def interval_closed(order: BoundaryOrder, u: int, v: int) -> tuple[int, ...]:
+def interval_closed(boundary: Sequence[int], u: int, v: int) -> tuple[int, ...]:
     """[u,v]: boundary vertices from u clockwise through v; [u,u] = (u,)."""
-    if u == v:
-        order.position(u)
-        return (u,)
-    seq = order.sequence
-    m = len(seq)
-    pu = order.position(u)
-    pv = order.position(v)
-    span = (pv - pu) % m
-    return tuple(seq[(pu + t) % m] for t in range(span + 1))
+    pu = _boundary_position(boundary, u)
+    span = (_boundary_position(boundary, v) - pu) % len(boundary)
+    return tuple(boundary[(pu + t) % len(boundary)] for t in range(span + 1))

@@ -26,9 +26,10 @@ scans its hull boundary of m vertices once for clique arc lengths (O(m)
 adjacency-mask tests): an arc of length one is a non-adjacent consecutive
 pair, covered by _pair_cover as in the far-pair branch; otherwise the
 lengths alone give the pivot pair, and the three clique arcs are slices of
-the boundary.  The plane is then fanned from the center into at most five
-regions whose hulls are built once; each vertex is located against the
-prepared hull edges by exact integer sign tests.
+the boundary.  The plane is then fanned from the center into the regions
+B+, B-, R, T+ and T- of one table, each non-empty region's hull is built
+once, and each vertex is located against the prepared hull edges by exact
+integer sign tests; one helper splits both triangles T+ and T-.
 
 Every constructor re-verifies its output; a failed check raises
 StructureViolation, which is unreachable on valid input and therefore
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (AbstractGraph, BoundaryOrder, Instance, bits,
+from .core import (AbstractGraph, Instance, _boundary_position, bits,
                    interval_closed, is_clique, mask_of, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
@@ -245,9 +246,9 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     return cover
 
 
-def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, int]:
+def hollow_pivot(boundary: Sequence[int], g: AbstractGraph, v: int) -> tuple[int, int]:
     """Pivot pair (v-, v+) such that [v-,v], [v,v+] and the rest of the
-    boundary are all cliques.
+    circular boundary order are all cliques.
 
     Greedy construction: extend the clockwise clique prefix from v until the
     first vertex y+ breaks it (v+ is its predecessor), symmetrically y-/v-
@@ -256,17 +257,16 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
     returned directly.  disk_case_cover does not use this pair: it needs the
     one with the smallest remainder, which _pivot_pair finds.
     """
-    seq = order.sequence
-    m = len(seq)
-    pos = order.position(v)
+    m = len(boundary)
+    pos = _boundary_position(boundary, v)
 
-    if all(g.adjacent(seq[a], seq[b]) for a in range(m) for b in range(a + 1, m)):
-        return order.successor(v), order.predecessor(v)
+    if all(g.adjacent(boundary[a], boundary[b]) for a in range(m) for b in range(a + 1, m)):
+        return boundary[(pos + 1) % m], boundary[(pos - 1) % m]
 
     prefix = [v]
     idx = pos
     while True:
-        nxt = seq[(idx + 1) % m]
+        nxt = boundary[(idx + 1) % m]
         if any(not g.adjacent(nxt, w) for w in prefix):
             y_plus = nxt
             break
@@ -277,7 +277,7 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
     suffix = [v]
     idx = pos
     while True:
-        prv = seq[(idx - 1) % m]
+        prv = boundary[(idx - 1) % m]
         if any(not g.adjacent(prv, w) for w in suffix):
             y_minus = prv
             break
@@ -286,8 +286,9 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
 
     v_minus = y_plus if y_minus in prefix else suffix[-1]
 
-    middle = [w for w in seq if w not in set(interval_closed(order, v_minus, v_plus))]
-    for part in (interval_closed(order, v_minus, v), interval_closed(order, v, v_plus), middle):
+    middle = [w for w in boundary if w not in set(interval_closed(boundary, v_minus, v_plus))]
+    for part in (interval_closed(boundary, v_minus, v),
+                 interval_closed(boundary, v, v_plus), middle):
         if not is_clique(g, part):
             raise StructureViolation(
                 f"hollow pivot produced a non-clique around vertex {v}; "
@@ -298,6 +299,15 @@ def hollow_pivot(order: BoundaryOrder, g: AbstractGraph, v: int) -> tuple[int, i
 def _complete_to(g: AbstractGraph, v: int, targets: int) -> bool:
     """v is adjacent to every vertex of the mask targets except itself."""
     return targets & ~g.masks[v] & ~(1 << v) == 0
+
+
+def _split_triangle(g: AbstractGraph, zone: frozenset[int], own_mask: int,
+                    r_mask: int) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """A triangle zone T+ or T- split into the vertices complete to its own
+    B region (mask own_mask), the rest complete to R, and the remainder."""
+    to_b = frozenset(t for t in zone if _complete_to(g, t, own_mask))
+    to_r = frozenset(t for t in zone - to_b if _complete_to(g, t, r_mask))
+    return to_b, to_r, zone - to_b - to_r
 
 
 def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
@@ -382,12 +392,14 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     non-adjacent boundary vertices u, v: the whole instance lies on one side
     of the line uv and _pair_cover on the instance graph is the cover.
     Otherwise the lengths give the pivot pair (_pivot_pair), whose arcs
-    [b-,b], [b,b+] and minimal middle arc are slices of the rotated
-    boundary; the plane is fanned into at most five regions from p, each
-    region's hull is built once, and every vertex is located against the
-    prepared hull edges in region priority order (O(n * h) exact integer
-    sign tests for h hull edges in all).  The two triangular zones are then
-    redistributed by completeness tests.
+    [b-,b], [b,b+] and minimal middle arc R are slices of the rotated
+    boundary.  One table fans the plane from p into B+, B-, R, T+ and T-, in
+    location priority order (R and T- are empty in the narrow mode, where
+    the middle arc is).  p joins every non-empty region and b both B
+    regions; every other vertex goes to the first region whose prepared
+    hull does not leave it OUTSIDE (O(n * h) exact integer sign tests for
+    h hull edges in all).  In the split mode _split_triangle then divides
+    T+ and T- by completeness to their B region or to R.
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
@@ -440,92 +452,43 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     b_plus, b_minus = arc_plus[-1], arc_minus[0]
     r_plus, r_minus = (middle[0], middle[-1]) if middle else (b_minus, b_plus)
 
-    def fan_region(ids) -> PreparedHull:
-        return PreparedHull([apts[w] for w in ids] + [p_point])
-
-    regions: list[tuple[str, PreparedHull]] = [
-        ("B+", fan_region(arc_plus)),
-        ("B-", fan_region(arc_minus)),
-    ]
-    if middle:
-        regions.append(("R", fan_region(middle)))
-        regions.append(("T+", fan_region([b_plus, r_plus])))
-        regions.append(("T-", fan_region([r_minus, b_minus])))
-    else:
-        regions.append(("T+", fan_region([b_plus, r_plus])))
-
-    assigned: dict[str, set[int]] = {name: set() for name, _ in regions}
+    # the fan regions in location priority order; T- is empty when R is
+    regions = {"B+": arc_plus, "B-": arc_minus, "R": middle,
+               "T+": (b_plus, r_plus), "T-": (r_minus, b_minus) if middle else ()}
+    hulls = [(name, PreparedHull([apts[w] for w in ids] + [p_point]))
+             for name, ids in regions.items() if ids]
+    # p is a vertex of every region's hull; b is in both of its arcs
+    assigned = {name: {p_id} if ids else set() for name, ids in regions.items()}
+    assigned["B+"].add(b)
+    assigned["B-"].add(b)
     for w in range(len(apts)):
-        if w == b:
-            assigned["B+"].add(w)
-            assigned["B-"].add(w)
+        if w == b or w == p_id:
             continue
-        if w == p_id:
-            for name, hull in regions:
-                assigned[name].add(w)
-            continue
-        for name, hull in regions:
-            if hull.locate(apts[w]) != OUTSIDE:
-                assigned[name].add(w)
-                break
-        else:
+        name = next((name for name, hull in hulls if hull.locate(apts[w]) != OUTSIDE), None)
+        if name is None:
             raise StructureViolation(f"vertex {w} escaped every fan region")
+        assigned[name].add(w)
+    region = {name: frozenset(ws) for name, ws in assigned.items()}
 
-    region_r = frozenset(assigned.get("R", set()))
-    region_t_plus = frozenset(assigned["T+"])
-    region_t_minus = frozenset(assigned.get("T-", set()))
-
-    if not middle:
-        parts = (frozenset(assigned["B+"]), frozenset(assigned["B-"]), region_t_plus)
-        splits = {}
-        mode = "narrow"
-    else:
-        b_plus_set = assigned["B+"]
-        b_minus_set = assigned["B-"]
-        r_mask = mask_of(region_r)
-        b_plus_mask = mask_of(b_plus_set)
-        b_minus_mask = mask_of(b_minus_set)
-        t_plus_b = {t for t in region_t_plus if _complete_to(g, t, b_plus_mask)}
-        t_plus_r = {t for t in region_t_plus - t_plus_b if _complete_to(g, t, r_mask)}
-        t_plus_star = region_t_plus - t_plus_b - t_plus_r
-        t_minus_b = {t for t in region_t_minus if _complete_to(g, t, b_minus_mask)}
-        t_minus_r = {t for t in region_t_minus - t_minus_b if _complete_to(g, t, r_mask)}
-        t_minus_star = region_t_minus - t_minus_b - t_minus_r
-        parts = (
-            frozenset(b_plus_set | t_plus_b | t_minus_star),
-            frozenset(b_minus_set | t_minus_b | t_plus_star),
-            frozenset(region_r | t_plus_r | t_minus_r),
-        )
-        splits = {
-            "split_t_plus_b": frozenset(t_plus_b),
-            "split_t_plus_r": frozenset(t_plus_r),
-            "split_t_plus_star": frozenset(t_plus_star),
-            "split_t_minus_b": frozenset(t_minus_b),
-            "split_t_minus_r": frozenset(t_minus_r),
-            "split_t_minus_star": frozenset(t_minus_star),
-        }
+    if middle:
         mode = "split"
+        r_mask = mask_of(region["R"])
+        plus = _split_triangle(g, region["T+"], mask_of(region["B+"]), r_mask)
+        minus = _split_triangle(g, region["T-"], mask_of(region["B-"]), r_mask)
+        parts = (region["B+"] | plus[0] | minus[2],
+                 region["B-"] | minus[0] | plus[2],
+                 region["R"] | plus[1] | minus[1])
+    else:
+        mode = "narrow"
+        plus = minus = (frozenset(),) * 3
+        parts = (region["B+"], region["B-"], region["T+"])
 
     if virtual:
         parts = tuple(part - {p_id} for part in parts)  # type: ignore[assignment]
     cover = CliqueCover(parts, b)
-    trace = DiskCaseTrace(
-        mode=mode,
-        p_point=p_point,
-        p_virtual=virtual,
-        p_id=p_id,
-        b=b,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        r_plus=r_plus,
-        r_minus=r_minus,
-        region_b_plus=frozenset(assigned["B+"]),
-        region_b_minus=frozenset(assigned["B-"]),
-        region_r=region_r,
-        region_t_plus=region_t_plus,
-        region_t_minus=region_t_minus,
-        **splits,
-    )
+    # positional in field order: the regions, then T+'s and T-'s split
+    trace = DiskCaseTrace(mode, p_point, virtual, p_id, b, b_plus, b_minus, r_plus, r_minus,
+                          None, *region.values(), *plus, *minus)
     _require_cover(g0, cover, "disk_case_cover")
     return cover, trace
 

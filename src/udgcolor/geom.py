@@ -356,21 +356,25 @@ def _sed_two_boundary(pts: Sequence[Homogeneous], p: Homogeneous,
                       q: Homogeneous) -> IntDisk:
     """Smallest disk through p and q that contains pts.
 
+    The incremental construction calls this only when p and q lie on the
+    boundary of the smallest disk D containing pts.  A point outside the
+    diameter disk of pq lies in D, so on the side of pq that holds D's
+    centre (D's part on the far side lies inside the diameter disk), and
+    sees pq under an acute angle, so its circumcentre with p and q is on
+    that side too.  The candidates therefore all lie on one side, and the
+    answer is the one farthest from pq.
+
     Coordinates are taken relative to p: q - p = (bx, by)/bw and
     r - p = (cx, cy)/cw.  The circumcentre of p, q, r is then p + (nx, ny)/den
-    and cross(p, q, centre) = g/(bw*den) with g = bx*ny - by*nx.  den has the
-    sign of cross(p, q, r), so the candidates on one side of pq share it and
-    compare by g1*den2 against g2*den1; radii compare by
-    (nx1**2 + ny1**2)*den2**2 against the same with 1 and 2 swapped.
+    and cross(p, q, centre) = g/(bw*den) with g = bx*ny - by*nx, so the
+    distances from pq compare by |g1*den2| against |g2*den1|.
     """
     circ = _diameter_disk(p, q)
     px, py, pw = p
     qx, qy, qw = q
     bx, by, bw = qx * pw - px * qw, qy * pw - py * qw, pw * qw
     bb = bx * bx + by * by
-    # (g, nx, ny, den) of the best circumcentre on each side of pq
-    left: tuple[int, int, int, int] | None = None
-    right: tuple[int, int, int, int] | None = None
+    best: tuple[int, int, int, int] | None = None  # (g, nx, ny, den)
     for r in pts:
         if _contains(circ, r):
             continue
@@ -384,18 +388,9 @@ def _sed_two_boundary(pts: Sequence[Homogeneous], p: Homogeneous,
         ny = cc * bx * bw - bb * cx * cw
         den = 2 * side * bw * cw
         g = bx * ny - by * nx
-        if side > 0 and (left is None or g * left[3] > left[0] * den):
-            left = (g, nx, ny, den)
-        elif side < 0 and (right is None or g * right[3] < right[0] * den):
-            right = (g, nx, ny, den)
-    if left is None or right is None:
-        best = left if right is None else right
-        if best is None:
-            return circ
-    else:
-        _, lnx, lny, lden = left
-        _, rnx, rny, rden = right
-        smaller = (lnx * lnx + lny * lny) * rden * rden <= (rnx * rnx + rny * rny) * lden * lden
-        best = left if smaller else right
+        if best is None or abs(g * best[3]) > abs(best[0] * den):
+            best = (g, nx, ny, den)
+    if best is None:
+        return circ
     _, nx, ny, den = best
     return px * den + nx * pw, py * den + ny * pw, pw * den, (nx * nx + ny * ny) * pw * pw

@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction
 
-from udgcolor.core import build_instance, stability_witness
+from udgcolor.core import AbstractGraph, build_instance, stability_witness
 from udgcolor.geom import Point
-from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.instances import circulant_graph, gen_circulant, gen_two_cluster
 
 
 def mixed_denominator_points():
@@ -85,3 +85,37 @@ def explicit_centre_cases(count=200, seed=15):
         if stability_witness(inst.graph) is None:
             made += 1
             yield inst, Point(cx, cy)
+
+
+def _blowup(base, k, sizes):
+    """base = C(n, k) with vertex v replaced by sizes[v] points at x-offsets
+    j/10^15, checked exactly against the abstract blow-up."""
+    ring = circulant_graph(base.n, k)
+    cluster = [v for v in range(base.n) for _ in range(sizes[v])]
+    inst = build_instance(f"blowup-{base.n}-{k}-{''.join(map(str, sizes))}",
+                          [Point(base.points[v].x + Fraction(j, 10 ** 15), base.points[v].y)
+                           for v in range(base.n) for j in range(sizes[v])])
+    expected = AbstractGraph(len(cluster), [
+        (a, b) for a in range(len(cluster)) for b in range(a + 1, len(cluster))
+        if cluster[a] == cluster[b] or ring.adjacent(cluster[a], cluster[b])])
+    assert inst.graph == expected, inst.id
+    assert stability_witness(inst.graph) is None, inst.id
+    return inst
+
+
+def circulant_blowups(seed=16):
+    """C(3k-1, k) from gen_circulant with vertex v blown up into a cluster of
+    t_v points: k = 2..6, once with every t_v = t for t = 1..3 and once with
+    t_v seeded in 1..t, not all equal, for t = 2, 3 (25 instances).  Two
+    points are adjacent exactly when they share a cluster or their clusters
+    are circulant-adjacent, and stability stays two; _blowup checks both."""
+    rng = random.Random(seed)
+    for k in range(2, 7):
+        base = gen_circulant(3 * k - 1, k)
+        for t in (1, 2, 3):
+            yield _blowup(base, k, [t] * base.n)
+            if t > 1:
+                sizes = [t] * base.n
+                while len(set(sizes)) == 1:
+                    sizes = [rng.randint(1, t) for _ in range(base.n)]
+                yield _blowup(base, k, sizes)

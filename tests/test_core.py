@@ -1,8 +1,8 @@
 import pytest
 
-from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
-                           complement, instance_graph, interval_closed,
-                           is_clique, stability_witness)
+from udgcolor.core import (AbstractGraph, build_instance, complement,
+                           instance_graph, interval_closed, is_clique,
+                           stability_witness)
 from udgcolor.errors import DuplicatePoint, InvalidVertex
 from udgcolor.geom import hull_decomposition, point
 from udgcolor.instances import circulant_graph
@@ -96,15 +96,15 @@ SQUARE = build_instance("sq", [point(0, 0), point(1, 0), point(1, 1), point(0, 1
 
 
 def _boundary(inst):
-    return BoundaryOrder(hull_decomposition(inst.points).boundary)
+    return hull_decomposition(inst.points).boundary
 
 
 def test_boundary_order_square_intervals():
     order = _boundary(SQUARE)
-    assert set(order.sequence) == {0, 1, 2, 3}
-    a = order.sequence[0]
-    c = order.sequence[2]
-    b = order.sequence[1]
+    assert set(order) == {0, 1, 2, 3}
+    a = order[0]
+    c = order[2]
+    b = order[1]
     assert interval_closed(order, a, a) == (a,)
     assert interval_closed(order, a, c) == (a, b, c)
     # consecutive vertices: nothing lies strictly between them
@@ -113,23 +113,26 @@ def test_boundary_order_square_intervals():
 
 def test_interval_variants():
     order = _boundary(SQUARE)
-    a, b, c, d = order.sequence
+    a, b, c, d = order
     assert interval_closed(order, a, c) == (a, b, c)
     assert interval_closed(order, c, a) == (c, d, a)
+    # the boundary is a plain tuple; a vertex not on it is still refused
+    for u, v in ((a, 4), (4, a), (4, 4)):
+        with pytest.raises(InvalidVertex, match="vertex 4 is not on the boundary"):
+            interval_closed(order, u, v)
 
 
 def test_interval_identity_partition():
     inst = build_instance("pent", [p for p in __import__("udgcolor").gen_circulant(5, 2).points])
     order = _boundary(inst)
-    seq = order.sequence
-    for u in seq:
-        for v in seq:
+    for u in order:
+        for v in order:
             if u == v:
                 continue
             closed = interval_closed(order, u, v)
             back = interval_closed(order, v, u)
-            assert len(closed) + len(back) == len(seq) + 2
-            assert set(closed) | set(back) == set(seq)
+            assert len(closed) + len(back) == len(order) + 2
+            assert set(closed) | set(back) == set(order)
             assert set(closed) & set(back) == {u, v}
 
 

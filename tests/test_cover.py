@@ -7,24 +7,24 @@ from fractions import Fraction
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     explicit_centre_cases, lattice_disk_instances,
-                     mixed_denominator_points)
+                     circulant_blowups, explicit_centre_cases,
+                     lattice_disk_instances, mixed_denominator_points)
 from udgcolor import cover as cover_module
-from udgcolor.core import (AbstractGraph, BoundaryOrder, build_instance,
-                           instance_graph, interval_closed, is_clique)
+from udgcolor.core import (AbstractGraph, build_instance, instance_graph,
+                           interval_closed, is_clique)
 from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
                             collinear_cover, cover_from_text,
                             cover_three_cliques, cover_to_text,
                             disk_case_cover, far_pair_cover, hollow_pivot,
                             partition_from_cover, trace_from_text,
                             trace_to_text)
-from udgcolor.errors import (EmptyInstance, StabilityViolated,
+from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                              StructureViolation)
 from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, orientation, point,
                            smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
-from udgcolor.matching import audit_bound
-from udgcolor.oracles import brute_cover_exists, verify_cover
+from udgcolor.matching import audit_bound, color_via_complement_matching
+from udgcolor.oracles import brute_chi, brute_cover_exists, verify_cover
 
 
 def _check(inst, cover):
@@ -114,22 +114,24 @@ def test_collinear_cover_far_pair_only():
 def test_hollow_pivot_complete_boundary():
     inst = build_instance("sq", [point(0, 0), point("1/2", 0),
                                  point("1/2", "1/2"), point(0, "1/2")])
-    order = BoundaryOrder(hull_decomposition(inst.points).boundary)
+    order = hull_decomposition(inst.points).boundary
     g = instance_graph(inst)
-    v = order.sequence[0]
-    assert hollow_pivot(order, g, v) == (order.successor(v), order.predecessor(v))
+    v = order[0]
+    assert hollow_pivot(order, g, v) == (order[1], order[-1])
 
 
 def test_hollow_pivot_c8():
     inst = gen_circulant(8, 3)
-    order = BoundaryOrder(hull_decomposition(inst.points).boundary)
+    order = hull_decomposition(inst.points).boundary
     g = instance_graph(inst)
     assert hollow_pivot(order, g, 0) == (6, 2)
+    with pytest.raises(InvalidVertex, match="vertex 8 is not on the boundary"):
+        hollow_pivot(order, g, 8)
 
 
 def test_hollow_pivot_c5():
     inst = gen_circulant(5, 2)
-    order = BoundaryOrder(hull_decomposition(inst.points).boundary)
+    order = hull_decomposition(inst.points).boundary
     g = instance_graph(inst)
     v_minus, v_plus = hollow_pivot(order, g, 0)
     assert (v_minus, v_plus) == (4, 1)
@@ -147,13 +149,12 @@ def test_hollow_pivot_conclusion_holds_on_random_boundaries():
         hd = hull_decomposition(inst.points)
         if hd.is_collinear:
             continue
-        order = BoundaryOrder(hd.boundary)
-        sub = set(order.sequence)
-        for v in order.sequence:
+        order = hd.boundary
+        for v in order:
             v_minus, v_plus = hollow_pivot(order, g, v)
             left = interval_closed(order, v_minus, v)
             right = interval_closed(order, v, v_plus)
-            rest = [w for w in order.sequence
+            rest = [w for w in order
                     if w not in set(interval_closed(order, v_minus, v_plus))]
             assert is_clique(g, left) and is_clique(g, right) and is_clique(g, rest)
         done += 1
@@ -163,16 +164,15 @@ def _reference_pivot_pair(order, g, b):
     """Exhaustive O(m^4) reference for _pivot_pair: every (b-, b+) whose
     arcs [b-,b], [b,b+] and remainder are cliques meeting pairwise in at
     most {b}, minimized by (remainder size, offset b+, offset b-)."""
-    seq = order.sequence
-    m = len(seq)
-    pos_b = order.position(b)
+    m = len(order)
+    pos_b = order.index(b)
 
     def offset(v):
-        return (order.position(v) - pos_b) % m
+        return (order.index(v) - pos_b) % m
 
     best = None
-    for b_minus in seq:
-        for b_plus in seq:
+    for b_minus in order:
+        for b_plus in order:
             if b_minus == b_plus and m > 1:
                 continue
             closed = set(interval_closed(order, b_minus, b_plus))
@@ -182,7 +182,7 @@ def _reference_pivot_pair(order, g, b):
             arc_plus = interval_closed(order, b, b_plus)
             if (set(arc_minus) & set(arc_plus)) - {b}:
                 continue
-            remainder = [w for w in seq if w not in closed]
+            remainder = [w for w in order if w not in closed]
             if not (is_clique(g, arc_minus) and is_clique(g, arc_plus)
                     and is_clique(g, remainder)):
                 continue
@@ -195,9 +195,8 @@ def _reference_pivot_pair(order, g, b):
 def _pivot_vertices(order, g, b):
     """_pivot_pair's offsets (j, s) mapped back to the pair (b-, b+) on the
     boundary rotated to start at b; None when it finds no pair."""
-    seq = order.sequence
-    pos_b = order.position(b)
-    rot = seq[pos_b:] + seq[:pos_b]
+    pos_b = order.index(b)
+    rot = order[pos_b:] + order[:pos_b]
     m = len(rot)
     pivot = _pivot_pair(_clique_arc_lengths(rot, g))
     if pivot is None:
@@ -216,8 +215,8 @@ def test_pivot_scan_matches_enumeration_on_random_boundaries():
             edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < density]
             g = AbstractGraph(n, edges)
-            order = BoundaryOrder(tuple(rng.sample(range(n), m)))
-            for b in order.sequence:
+            order = tuple(rng.sample(range(n), m))
+            for b in order:
                 expected = _reference_pivot_pair(order, g, b)
                 assert _pivot_vertices(order, g, b) == expected, (m, edges, order, b)
                 if expected is None:
@@ -236,7 +235,7 @@ def _disk_case_boundary(inst, center=None):
     if center not in pts:
         pts.append(center)
     aug = build_instance(inst.id, pts)
-    return instance_graph(aug), BoundaryOrder(hull_decomposition(aug.points).boundary)
+    return instance_graph(aug), hull_decomposition(aug.points).boundary
 
 
 def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
@@ -250,7 +249,7 @@ def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
         if trace is None:
             continue
         g, order = _disk_case_boundary(inst)
-        for b in order.sequence:
+        for b in order:
             pair = _pivot_vertices(order, g, b)
             assert pair == _reference_pivot_pair(order, g, b), (inst.id, b)
             # a geometric boundary with no gap always has a pivot pair
@@ -290,12 +289,11 @@ def test_nonedge_mode_matches_the_consecutive_pair_reference():
     modes = Counter()
     for inst, center, trace in _disk_cases():
         g, order = _disk_case_boundary(inst, center)
-        expected = _reference_nonedge_pair(g, order.sequence)
+        expected = _reference_nonedge_pair(g, order)
         assert (trace.mode == "nonedge") == (expected is not None), inst.id
         assert trace.nonedge_pair == expected, inst.id
         if expected is None:
-            assert all(_pivot_vertices(order, g, b) is not None for b in order.sequence), \
-                inst.id
+            assert all(_pivot_vertices(order, g, b) is not None for b in order), inst.id
         modes[trace.mode] += 1
     assert set(modes) == {"nonedge", "narrow", "split"}, modes
 
@@ -321,6 +319,49 @@ def test_disk_case_corpora_texts_match_one_golden_hash():
     assert digest.hexdigest() == GOLDEN_DISK_CORPORA
 
 
+# SHA-256 over the cover, trace and audit texts of circulant_blowups(),
+# recorded before the disk case built its fan from one region table.
+GOLDEN_BLOWUPS = "3a11f8e1b1e3a374c32aaed81675d3fbeb1ba825d820cc7bd7d1a9355b05c835"
+
+
+def test_circulant_blowups_reach_split_and_match_one_golden_hash():
+    digest = hashlib.sha256()
+    modes = Counter()
+    for inst in circulant_blowups():
+        cover, trace = cover_three_cliques(inst)
+        modes[trace.mode] += 1
+        digest.update(cover_to_text(cover, inst.id).encode())
+        digest.update(trace_to_text(trace, inst.id).encode())
+        digest.update(audit_bound(inst).to_text().encode())
+    assert modes == {"split": 25}
+    assert digest.hexdigest() == GOLDEN_BLOWUPS
+
+
+def test_brute_oracles_agree_on_lattice_corpus_and_blowups():
+    """The matching coloring is optimal (n <= 16), a shared-vertex cover
+    exists (n <= 14), and every audit passes with 2 * colors <= 3|A|."""
+    brute = 0
+    for inst in itertools.chain(lattice_disk_instances(), circulant_blowups()):
+        g = inst.graph
+        colors = color_via_complement_matching(inst).num_colors
+        if inst.n <= 16:
+            assert colors == brute_chi(g), inst.id
+            brute += 1
+        if inst.n <= 14:
+            assert brute_cover_exists(g, shared=True) is not None, inst.id
+        audit = audit_bound(inst)
+        assert audit.all_pass, inst.id
+        assert 2 * colors <= 3 * len(audit.clique), inst.id
+    assert brute > 400
+
+
+def test_doubled_c5_is_below_the_three_halves_bound():
+    # every vertex of C5 doubled: omega = 4 and chi = 5 < floor(3 * 4 / 2)
+    inst = next(inst for inst in circulant_blowups() if inst.id == "blowup-5-2-22222")
+    colors = color_via_complement_matching(inst).num_colors
+    assert (len(audit_bound(inst).clique), colors, brute_chi(inst.graph)) == (4, 5, 5)
+
+
 def test_disk_case_calls_no_boundary_order_helper(monkeypatch):
     instances = [*acceptance_corpus(), *(gen_circulant(3 * k - 1, k) for k in range(2, 13))]
 
@@ -337,7 +378,7 @@ def test_disk_case_calls_no_boundary_order_helper(monkeypatch):
 
     expected = texts()
     assert any(text is not None and text.startswith("trace circulant") for text in expected)
-    for name in ("BoundaryOrder", "interval_closed", "is_clique", "hollow_pivot"):
+    for name in ("interval_closed", "is_clique", "hollow_pivot"):
         monkeypatch.setattr(cover_module, name, refuse)
     assert texts() == expected
 

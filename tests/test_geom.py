@@ -7,6 +7,7 @@ import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
                      mixed_denominator_points)
+from udgcolor import geom
 from udgcolor.errors import EmptyInput
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
                            INTERIOR, OUTSIDE, Disk, HullDecomposition, Point,
@@ -392,6 +393,47 @@ def test_integer_kernel_matches_reference_on_small_grids():
                 else:
                     backward += 1
     assert forward > 100 and backward > 100, (forward, backward)
+
+
+# the integer points of the circle x^2 + y^2 = 25
+CIRCLE_25 = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+
+
+def test_enclosing_disk_outside_points_lie_on_one_side(monkeypatch):
+    """Small grids with denominators up to 7, 30 % of them with nine
+    cocircular lattice points added, match the Fraction reference; in every
+    _sed_two_boundary call the points outside the diameter disk of pq lie
+    strictly on one side of pq, so one candidate side is enough."""
+    two_boundary = geom._sed_two_boundary
+    calls = one_sided = 0
+
+    def checked(pts, p, q):
+        nonlocal calls, one_sided
+        circ = geom._diameter_disk(p, q)
+        lx, ly, lw = geom._line(p, q)
+        sides = {(lx * x + ly * y + lw * w > 0) - (lx * x + ly * y + lw * w < 0)
+                 for x, y, w in pts if not geom._contains(circ, (x, y, w))}
+        assert sides in (set(), {1}, {-1}), (pts, p, q)
+        calls += 1
+        one_sided += bool(sides)
+        return two_boundary(pts, p, q)
+
+    monkeypatch.setattr(geom, "_sed_two_boundary", checked)
+    rng = random.Random(1507)
+    cocircular = 0
+    for _ in range(600):
+        step = Fraction(1, rng.randrange(1, 8))
+        side = rng.randrange(2, 5)
+        grid = [Point(x * step, y * step) for x in range(side) for y in range(side)]
+        pts = rng.sample(grid, rng.randrange(2, min(len(grid), 10) + 1))
+        if rng.random() < 0.3:
+            centre = rng.choice(grid)
+            radius = Fraction(rng.randrange(1, 4), 5) * step
+            pts += [Point(centre.x + x * radius, centre.y + y * radius)
+                    for x, y in rng.sample(CIRCLE_25, 9)]
+            cocircular += 1
+        _assert_matches_reference(list(dict.fromkeys(pts)))
+    assert cocircular > 150 and one_sided > 500 and calls > one_sided, (cocircular, one_sided, calls)
 
 
 @pytest.mark.parametrize("pts", [

@@ -8,9 +8,8 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from udgcolor.core import (BoundaryOrder, build_instance, complement,
-                           instance_graph, interval_closed, is_clique,
-                           stability_witness)
+from udgcolor.core import (build_instance, complement, instance_graph,
+                           interval_closed, is_clique, stability_witness)
 from udgcolor.cover import cover_three_cliques, partition_from_cover
 from udgcolor.geom import (INTERIOR, OUTSIDE, Point, hull_decomposition,
                            point_in_hull, segments_cross,
@@ -165,9 +164,8 @@ def test_boundary_has_no_three_nested_nonadjacent_pairs():
         hd = hull_decomposition(inst.points)
         if stability_witness(g) is not None or hd.is_collinear:
             continue
-        order = BoundaryOrder(hd.boundary)
         checked += 1
-        seq = order.sequence
+        seq = hd.boundary
         m = len(seq)
         if m < 6:
             continue
@@ -190,18 +188,17 @@ def test_interval_identities_on_generated_boundaries():
         hd = hull_decomposition(inst.points)
         if hd.is_collinear:
             continue
-        order = BoundaryOrder(hd.boundary)
+        order = hd.boundary
         done += 1
-        seq = order.sequence
-        for u in seq:
+        for u in order:
             assert interval_closed(order, u, u) == (u,)
-            for v in seq:
+            for v in order:
                 if u == v:
                     continue
                 closed = interval_closed(order, u, v)
                 back = interval_closed(order, v, u)
-                assert len(closed) + len(back) == len(seq) + 2
-                assert set(closed) | set(back) == set(seq)
+                assert len(closed) + len(back) == len(order) + 2
+                assert set(closed) | set(back) == set(order)
                 assert set(closed) & set(back) == {u, v}
 
 
