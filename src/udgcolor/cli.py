@@ -18,18 +18,18 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import stability_witness
+from .core import AbstractGraph
 from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_from_text, trace_to_text
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
-from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
+from .instances import (_graph_edges, gen_circulant, gen_cs, gen_two_cluster,
                         instance_from_text, parse_int, parse_scalar, read_instance,
                         write_graph, write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
-from .oracles import (DEFAULT_LIMITS, OracleLimits, brute_chi, brute_omega,
-                      brute_stats, verify_cover, verify_coloring)
+from .oracles import (DEFAULT_LIMITS, OracleLimits, _require_alpha_omega, brute_chi,
+                      brute_omega, brute_stats, verify_cover, verify_coloring)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -64,15 +64,20 @@ def _write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, newline="\n")
 
 
-def _load_any_graph(path: str):
-    """Instance or abstract graph file, sniffed by the header keyword."""
+def _load_any_graph(path: str, limits: OracleLimits) -> AbstractGraph:
+    """Instance or abstract graph file, sniffed by the header keyword.  Its
+    vertex count, which sizes the graph, is held to the alpha/omega limit
+    after the file is parsed and before the graph is built."""
     text = Path(path).read_text()
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "udg":
         inst = instance_from_text(text)
-        return inst.graph, inst
+        _require_alpha_omega(inst.n, limits)
+        return inst.graph
     if head == "graph":
-        return graph_from_text(text), None
+        graph_id, n, edges = _graph_edges(text)
+        _require_alpha_omega(n, limits)
+        return AbstractGraph(n, edges, id=graph_id)
     raise ParseError(1, f"unknown artifact header {head!r} in {path}")
 
 
@@ -114,10 +119,6 @@ def _cmd_cover(args) -> int:
             print("note: no disk-case trace for this instance", file=sys.stderr)
         else:
             _write_text(args.trace, trace_to_text(trace, inst.id))
-    bad = verify_cover(inst.graph, cover)
-    if bad is not None:
-        print(f"cover verification failed: {bad.message}", file=sys.stderr)
-        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -167,8 +168,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g, _ = _load_any_graph(args.input)
-    stats = brute_stats(g, _limits_from_env())
+    limits = _limits_from_env()
+    stats = brute_stats(_load_any_graph(args.input, limits), limits)
     chi = "?" if stats.chi is None else stats.chi
     ccn = "?" if stats.clique_cover_number is None else stats.clique_cover_number
     print(f"alpha={stats.alpha} omega={stats.omega} chi={chi} "
@@ -186,9 +187,9 @@ def _cmd_bench(args) -> int:
         inst = read_instance(path)
         g = inst.graph
         greedy = sweep_greedy_color(inst).num_colors
-        if stability_witness(g) is None:
+        try:
             matching = color_via_complement_matching(inst).num_colors
-        else:
+        except StabilityViolated:
             matching = None
         omega = brute_omega(g) if inst.n <= limits.alpha_omega_max else None
         chi = brute_chi(g) if inst.n <= limits.chroma_max else None

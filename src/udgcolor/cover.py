@@ -31,9 +31,10 @@ B+, B-, R, T+ and T- of one table, each non-empty region's hull is built
 once, and each vertex is located against the prepared hull edges by exact
 integer sign tests; one helper splits both triangles T+ and T-.
 
-Every constructor re-verifies its output; a failed check raises
-StructureViolation, which is unreachable on valid input and therefore
-always indicates a bug rather than a data condition.
+Each cover is checked once, by the constructor that builds it (_pair_cover,
+collinear_cover, disk_case_cover); a failed check raises StructureViolation
+naming it, which is unreachable on valid input and therefore always
+indicates a bug rather than a data condition.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (EmptyInstance, InvalidVertex, ParseError,
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
                    _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
+from .oracles import verify_cover
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,6 @@ class DiskCaseTrace:
 
 
 def _require_cover(g: AbstractGraph, cover: CliqueCover, where: str) -> None:
-    from .oracles import verify_cover
-
     bad = verify_cover(g, cover)
     if bad is not None:
         raise StructureViolation(f"{where}: {bad.message}")
@@ -130,14 +130,10 @@ def cover_three_cliques(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | No
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g = inst.graph
-    witness = stability_witness(g)
+    witness = stability_witness(inst.graph)
     if witness is not None:
         raise StabilityViolated(witness)
-
-    cover, trace = _dispatch(inst)
-    _require_cover(g, cover, "cover_three_cliques")
-    return cover, trace
+    return _dispatch(inst)
 
 
 def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
@@ -159,12 +155,9 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
     if far is not None:
         return far_pair_cover(inst, *far), None
 
-    sed = smallest_enclosing_disk(inst.points)
-    if sed.radius_sq > 1:
-        raise StructureViolation(
-            f"enclosing disk radius_sq {sed.radius_sq} exceeds 1 although all "
-            f"pairs are closer than sqrt(3)")
-    return disk_case_cover(inst, sed.center)
+    # all pairs are closer than sqrt(3), so by Jung's theorem the radius is
+    # below 1; disk_case_cover checks that every point lies in the disk
+    return disk_case_cover(inst, smallest_enclosing_disk(inst.points).center)
 
 
 def _collinear(h: Sequence[Homogeneous]) -> bool:

@@ -245,7 +245,8 @@ def graph_to_text(g: AbstractGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> AbstractGraph:
+def _graph_edges(text: str) -> tuple[str, int, list[tuple[int, int]]]:
+    """The id, vertex count and edges of a graph file, else ParseError."""
     graph_id, n, records = read_records(text, "graph", 1, "u v")
     edges: list[tuple[int, int]] = []
     for no, (a, b) in records:
@@ -253,6 +254,11 @@ def graph_from_text(text: str) -> AbstractGraph:
         if u >= n or v >= n or u == v:
             raise ParseError(no, f"edge '{u} {v}' is a self-loop or out of range for n={n}")
         edges.append((u, v))
+    return graph_id, n, edges  # type: ignore[return-value]
+
+
+def graph_from_text(text: str) -> AbstractGraph:
+    graph_id, n, edges = _graph_edges(text)
     return AbstractGraph(n, edges, id=graph_id)
 
 

@@ -9,7 +9,7 @@ decomposition is read off one maximum matching and one alternating forest
 of the same blossom search; there is no second matching algorithm.  The
 audit counts on that matching, proves it maximum by Tutte-Berge instead of
 a second search, certifies the bound with a clique it assembles, and uses
-no oracle.
+no oracle; each component cover is checked by its constructor only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import (AbstractGraph, Instance, bits, complement, mask_of,
                    stability_witness)
-from .cover import _dispatch, _require_cover, partition_from_cover
+from .cover import _dispatch, partition_from_cover
 from .errors import AuditFailure, ParseError, StabilityViolated
 from .instances import parse_int, read_records
 
@@ -355,7 +355,6 @@ def _partition_sizes_and_largest(inst: Instance, vertices) -> tuple[tuple[int, i
     the largest part mapped back to global vertex ids."""
     sub, glb = _sub_instance(inst, vertices)
     cover, _ = _dispatch(sub)
-    _require_cover(sub.graph, cover, "audit component cover")
     partition = partition_from_cover(cover)
     ordered = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
     sizes = tuple(len(p) for p in ordered)
@@ -373,26 +372,17 @@ def audit_bound(inst: Instance) -> AuditReport:
     Every matching count is M's, the decomposition's one maximum matching:
     M_R and M_K are its edges inside R and inside K.  Tutte-Berge proves M
     maximum with no second search: the components O are odd in H - X, so
-    2 nu(H) <= n + |X| - |O| = 2|M|.  AuditFailure is raised for a triangle
-    in H, for M not perfect on R or not near-perfect on a K, and for M short
-    of that bound; arithmetic checks are recorded with pass flags and never
-    fail on valid input.  Component covers skip the stability gate, which
-    the whole graph has passed.
+    2 nu(H) <= n + |X| - |O| = 2|M|.  AuditFailure is raised for M not
+    perfect on R or not near-perfect on a K, and for M short of that bound;
+    arithmetic checks are recorded with pass flags and never fail on valid
+    input.  The stability gate also rules out a triangle in H, which would
+    be an independent triple of G; component covers skip the gate.
     """
     g = inst.graph
     witness = stability_witness(g)
     if witness is not None:
         raise StabilityViolated(witness)
     h = complement(g)
-
-    for i, hi in enumerate(h.masks):
-        for j in bits(hi >> i + 1 << i + 1):
-            common = hi & h.masks[j]
-            if common:
-                k = (common & -common).bit_length() - 1
-                raise AuditFailure(
-                    f"complement contains triangle {(i, j, k)}; stability gate is broken")
-
     ge = gallai_edmonds(h)
     odd = ge.odd_components
     r_vertices = ge.B  # the odd components cover A

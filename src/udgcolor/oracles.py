@@ -152,10 +152,13 @@ def brute_clique_cover_number(g: AbstractGraph) -> int:
     return brute_chi(complement(g))
 
 
+def _require_alpha_omega(n: int, limits: OracleLimits) -> None:
+    if n > limits.alpha_omega_max:
+        raise LimitExceeded(f"n={n} exceeds alpha/omega limit {limits.alpha_omega_max}")
+
+
 def brute_stats(g: AbstractGraph, limits: OracleLimits = DEFAULT_LIMITS) -> GraphStats:
-    if g.n > limits.alpha_omega_max:
-        raise LimitExceeded(
-            f"n={g.n} exceeds alpha/omega limit {limits.alpha_omega_max}")
+    _require_alpha_omega(g.n, limits)
     alpha = len(max_independent_set(g))
     omega = brute_omega(g)
     if g.n > limits.chroma_max:

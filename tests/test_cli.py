@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from udgcolor import core, geom
+from udgcolor import core, cover, geom, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 
@@ -128,6 +128,17 @@ def test_stats_instance_and_graph(tmp_path, capsys):
     assert run(["gen", "--family", "cs", "--k", "3", "-o", str(gfile)]) == EXIT_OK
     assert run(["stats", str(gfile)]) == EXIT_OK
     assert "alpha=2 omega=4 chi=6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["31", "1000000000000000000000000000000"])
+def test_stats_refuses_a_graph_above_the_limit_before_building_it(tmp_path, capsys,
+                                                                  monkeypatch, count):
+    monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
+    gfile = tmp_path / "big.graph"
+    gfile.write_text(f"graph g {count}\n0 1\n")
+    monkeypatch.setattr(core.AbstractGraph, "__init__", None)  # any build fails
+    assert run(["stats", str(gfile)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"error: n={count} exceeds alpha/omega limit 30\n"
 
 
 def test_usage_errors(tmp_path):
@@ -319,31 +330,61 @@ def test_bench_corpus_must_be_a_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("separation", ["1", "1/2"], ids=["far_pair", "disk"])
-@pytest.mark.parametrize("command", ["cover", "color", "audit"])
+@pytest.mark.parametrize("command", ["cover", "color", "audit", "bench"])
 def test_one_graph_build_per_run(tmp_path, monkeypatch, command, separation):
-    # n = 30 is within the default brute-omega limit, so `color` also
-    # computes omega from the graph
+    """One graph build and one stability gate per instance per command, and
+    one cover check per `cover` run: its constructor's."""
+    # n = 30 is within the default brute-omega limit, so `color` and `bench`
+    # also compute omega from the graph
     monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
-    inst = tmp_path / "t.udg"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    inst = corpus / "t.udg"
     assert run(["gen", "--family", "two_cluster", "--n", "30", "--seed", "0",
                 "--separation", separation, "-o", str(inst)]) == EXIT_OK
-    original = core.instance_graph
-    builds = []
+    calls = {"instance_graph": [], "stability_witness": [], "verify_cover": []}
+    for fn, seen in calls.items():
+        original = getattr(oracles if fn == "verify_cover" else core, fn)
 
-    def counting(instance):
-        builds.append(instance.id)
-        return original(instance)
-
-    # replace the builder wherever a udgcolor module holds it, so calls
-    # through a module global and through a local import both count
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "udgcolor" and getattr(module, "instance_graph", None) is original:
-            monkeypatch.setattr(module, "instance_graph", counting)
-    argv = [command, str(inst)]
+        def counting(*args, _fn=original, _seen=seen):
+            _seen.append(args[0].id)
+            return _fn(*args)
+        # replace the function wherever a udgcolor module holds it, so calls
+        # through a module global and through a local import both count
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "udgcolor" and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counting)
+    argv = [command, str(corpus if command == "bench" else inst)]
     if command == "cover":
         argv += ["-o", str(tmp_path / "t.cover"), "--trace", str(tmp_path / "t.trace")]
     assert run(argv) == EXIT_OK
-    assert len(builds) == 1
+    assert len(calls["instance_graph"]) == 1
+    assert len(calls["stability_witness"]) == 1
+    if command == "cover":
+        assert len(calls["verify_cover"]) == 1
+
+
+def test_corrupted_constructor_output_exits_4(tmp_path, monkeypatch, capsys):
+    """The constructor's own cover check is the only one left: a cover
+    corrupted inside disk_case_cover still ends in exit 4, naming it."""
+    inst = _gen(tmp_path)  # C(8,3) takes the disk case's split mode
+    original = cover._split_triangle
+
+    def corrupted(g, zone, own_mask, r_mask):
+        to_b, to_r, rest = original(g, zone, own_mask, r_mask)
+        # a vertex not complete to the B region joins that region's part
+        stray = next(v for v in range(g.n) if not cover._complete_to(g, v, own_mask))
+        return to_b | {stray}, to_r, rest
+    monkeypatch.setattr(cover, "_split_triangle", corrupted)
+    out = tmp_path / "c.cover"
+    capsys.readouterr()
+    for argv in (["cover", str(inst), "-o", str(out)], ["audit", str(inst)]):
+        assert run(argv) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: disk_case_cover: ")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", [("circulant", "35", "12"), ("two_cluster", "40", "1/2")],

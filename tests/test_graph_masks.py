@@ -12,18 +12,20 @@ and on the disk case's graphs with the universal centre vertex.
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     mixed_denominator_points)
+from corpora import (acceptance_corpus, benchmark_toy_instances, circulant_blowups,
+                     lattice_disk_instances, mixed_denominator_points)
 from udgcolor.core import (AbstractGraph, build_instance, complement,
                            instance_graph, is_clique, stability_witness)
 from udgcolor.cover import _with_universal
 from udgcolor.errors import InvalidVertex
-from udgcolor.geom import sq_dist
+from udgcolor.geom import Point, sq_dist
 from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.oracles import max_independent_set
 
 
 class ReferenceGraph:
@@ -195,3 +197,47 @@ def test_graph_and_complement_stay_small():
     assert g.n == h.n == 110
     assert sum(m.bit_count() for m in g.masks) > 110 * 109 // 4   # dense, as the paper's graphs are
     assert grown < 32 * 1024
+
+
+def complement_triangle(g):
+    """The lexicographically first triangle of complement(g), by a triple
+    loop over adjacent(); None when there is none."""
+    h = complement(g)
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            if h.adjacent(i, j):
+                for k in range(j + 1, h.n):
+                    if h.adjacent(i, k) and h.adjacent(j, k):
+                        return (i, j, k)
+    return None
+
+
+def stability_three_instances(count=150, seed=17):
+    """Instances with stability exactly three: 5 to 12 points of (1/q)Z^2
+    in [0, 2] x [0, 1], q in 2..5, rejection-sampled with the brute
+    independent-set oracle."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        q = rng.randrange(2, 6)
+        cells = [(x, y) for x in range(2 * q + 1) for y in range(q + 1)]
+        chosen = rng.sample(cells, rng.randrange(5, 13))
+        inst = build_instance(f"alpha3-{made}-q{q}",
+                              [Point(Fraction(x, q), Fraction(y, q)) for x, y in chosen])
+        if len(max_independent_set(inst.graph)) == 3:
+            made += 1
+            yield inst
+
+
+def test_stability_gate_rules_out_complement_triangles():
+    """The audit takes H = complement(G) to be triangle-free once the
+    stability gate has passed: a triangle of H is an independent triple of
+    G, and the gate's witness is H's first triangle."""
+    corpora = (acceptance_corpus(), lattice_disk_instances(), circulant_blowups(),
+               stability_three_instances())
+    gated = 0
+    for inst in chain(*corpora):
+        witness = stability_witness(inst.graph)
+        assert witness == complement_triangle(inst.graph), inst.id
+        gated += witness is None
+    assert gated == 205 + 400 + 25
