@@ -193,14 +193,19 @@ def stability_witness(g: AbstractGraph) -> tuple[int, int, int] | None:
     return None
 
 
+def _is_clique_mask(g: AbstractGraph, chosen: int) -> bool:
+    """Every vertex of the vertex mask chosen is adjacent to all the others;
+    the empty mask and one-vertex masks pass."""
+    masks = g.masks
+    return all(chosen & ~masks[v] == 1 << v for v in bits(chosen))
+
+
 def is_clique(g: AbstractGraph, s: Iterable[int]) -> bool:
     """True iff all pairs in s are adjacent; empty and singleton sets pass.
     Ids outside 0..n-1 raise InvalidVertex."""
     members = sorted(set(s))
     _require_vertices(g, members)
-    chosen = mask_of(members)
-    masks = g.masks
-    return all(chosen & ~masks[v] == 1 << v for v in members)
+    return _is_clique_mask(g, mask_of(members))
 
 
 def complement(g: AbstractGraph) -> AbstractGraph:

@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (AbstractGraph, Instance, _boundary_position, bits,
-                   interval_closed, is_clique, mask_of, stability_witness)
+from .core import (AbstractGraph, Instance, _boundary_position, _is_clique_mask,
+                   bits, interval_closed, is_clique, mask_of, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
@@ -141,8 +141,7 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
     n = inst.n
     everything = frozenset(range(n))
 
-    full = (1 << n) - 1
-    if all(m | 1 << v == full for v, m in enumerate(g.masks)):
+    if _is_clique_mask(g, (1 << n) - 1):
         return CliqueCover((everything, everything, frozenset()), 0), None
     if n == 2:
         # the single pair is non-adjacent here
@@ -289,17 +288,13 @@ def hollow_pivot(boundary: Sequence[int], g: AbstractGraph, v: int) -> tuple[int
     return v_minus, v_plus
 
 
-def _complete_to(g: AbstractGraph, v: int, targets: int) -> bool:
-    """v is adjacent to every vertex of the mask targets except itself."""
-    return targets & ~g.masks[v] & ~(1 << v) == 0
-
-
 def _split_triangle(g: AbstractGraph, zone: frozenset[int], own_mask: int,
                     r_mask: int) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """A triangle zone T+ or T- split into the vertices complete to its own
-    B region (mask own_mask), the rest complete to R, and the remainder."""
-    to_b = frozenset(t for t in zone if _complete_to(g, t, own_mask))
-    to_r = frozenset(t for t in zone - to_b if _complete_to(g, t, r_mask))
+    """A triangle zone T+ or T- split into the vertices that its own B region
+    (mask own_mask) stays a clique with, the rest that R stays a clique
+    with, and the remainder."""
+    to_b = frozenset(t for t in zone if _is_clique_mask(g, own_mask | 1 << t))
+    to_r = frozenset(t for t in zone - to_b if _is_clique_mask(g, r_mask | 1 << t))
     return to_b, to_r, zone - to_b - to_r
 
 

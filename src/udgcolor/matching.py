@@ -9,7 +9,9 @@ decomposition is read off one maximum matching and one alternating forest
 of the same blossom search; there is no second matching algorithm.  The
 audit counts on that matching, proves it maximum by Tutte-Berge instead of
 a second search, certifies the bound with a clique it assembles, and uses
-no oracle; each component cover is checked by its constructor only.
+no oracle.  A piece of the decomposition that is a clique of G (in practice
+a single vertex) is its own partition; only the other pieces are covered,
+on a sub-instance, and each such cover is checked by its constructor only.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (AbstractGraph, Instance, bits, complement, mask_of,
-                   stability_witness)
+from .core import (AbstractGraph, Instance, _is_clique_mask, bits, complement,
+                   mask_of, stability_witness)
 from .cover import _dispatch, partition_from_cover
 from .errors import AuditFailure, ParseError, StabilityViolated
 from .instances import parse_int, read_records
@@ -352,14 +354,15 @@ def _sub_instance(inst: Instance, vertices) -> tuple[Instance, tuple[int, ...]]:
 
 def _partition_sizes_and_largest(inst: Instance, vertices) -> tuple[tuple[int, int, int], frozenset[int]]:
     """Clique partition of the induced sub-instance, sizes descending, plus
-    the largest part mapped back to global vertex ids."""
+    the largest part mapped back to global vertex ids; a clique K is its own
+    partition, (|K|, 0, 0), as _dispatch's complete cover would make it."""
+    if _is_clique_mask(inst.graph, mask_of(vertices)):
+        return (len(vertices), 0, 0), frozenset(vertices)
     sub, glb = _sub_instance(inst, vertices)
     cover, _ = _dispatch(sub)
-    partition = partition_from_cover(cover)
-    ordered = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
+    ordered = sorted(partition_from_cover(cover).parts, key=lambda p: (-len(p), sorted(p)))
     sizes = tuple(len(p) for p in ordered)
-    largest_global = frozenset(glb[v] for v in ordered[0])
-    return sizes, largest_global  # type: ignore[return-value]
+    return sizes, frozenset(glb[v] for v in ordered[0])  # type: ignore[return-value]
 
 
 def audit_bound(inst: Instance) -> AuditReport:
@@ -376,7 +379,9 @@ def audit_bound(inst: Instance) -> AuditReport:
     perfect on R or not near-perfect on a K, and for M short of that bound;
     arithmetic checks are recorded with pass flags and never fail on valid
     input.  The stability gate also rules out a triangle in H, which would
-    be an independent triple of G; component covers skip the gate.
+    be an independent triple of G.  A clique piece (in practice a single
+    vertex: a larger piece holds an edge of H) is its own partition; only
+    the other pieces are covered, on a sub-instance, skipping the gate.
     """
     g = inst.graph
     witness = stability_witness(g)
@@ -385,40 +390,34 @@ def audit_bound(inst: Instance) -> AuditReport:
     h = complement(g)
     ge = gallai_edmonds(h)
     odd = ge.odd_components
-    r_vertices = ge.B  # the odd components cover A
+    pieces = (ge.B, *odd)  # R = B, then the odd components, which cover A
+    piece_of = {v: idx for idx, piece in enumerate(pieces) for v in piece}  # X is in none
+    inside = [0] * len(pieces)  # M's edges inside each piece
+    for u, v in ge.M:
+        if u in piece_of and piece_of[u] == piece_of.get(v):
+            inside[piece_of[u]] += 1
 
     checks: list[AuditCheck] = []
     components: list[ComponentAudit] = []
     a_union: set[int] = set()
+    for idx, piece in enumerate(pieces):
+        # M is perfect on R and near-perfect on each K, whose A-bound is 2 lower
+        odd_piece = int(idx > 0)
+        label = f"K{idx - 1}" if odd_piece else "R"
+        m_p = inside[idx]
+        if 2 * m_p != len(piece) - odd_piece:
+            raise AuditFailure(f"odd component {idx - 1} has no near-perfect matching "
+                               f"avoiding its X-endpoint" if odd_piece
+                               else "the even part has no perfect matching")
+        sizes, largest = _partition_sizes_and_largest(inst, piece)
+        a_union |= largest
+        components.append(ComponentAudit(label, tuple(sorted(piece)), sizes, m_p))
+        if odd_piece:
+            checks.append(AuditCheck(f"sizeofC[{label}]", sizes[2] + 1, sizes[0], "<="))
+        checks.append(AuditCheck(f"2|M_{label}|<=3|A_{label}|" + "-2" * odd_piece,
+                                 2 * m_p, 3 * sizes[0] - 2 * odd_piece, "<="))
 
-    m_r = sum(u in r_vertices and v in r_vertices for u, v in ge.M)
-    if 2 * m_r != len(r_vertices):
-        raise AuditFailure("the even part has no perfect matching")
-
-    if r_vertices:
-        sizes_r, largest_r = _partition_sizes_and_largest(inst, r_vertices)
-        a_union |= largest_r
-    else:
-        sizes_r = (0, 0, 0)
-    components.append(ComponentAudit("R", tuple(sorted(r_vertices)), sizes_r, m_r))
-    checks.append(AuditCheck("2|M_R|<=3|A_R|", 2 * m_r, 3 * sizes_r[0], "<="))
-
-    m_k_total = 0
-    for idx, comp in enumerate(odd):
-        m_k = sum(u in comp and v in comp for u, v in ge.M)
-        if m_k != (len(comp) - 1) // 2:
-            raise AuditFailure(
-                f"odd component {idx} has no near-perfect matching avoiding its X-endpoint")
-        m_k_total += m_k
-
-        sizes_k, largest_k = _partition_sizes_and_largest(inst, comp)
-        a_union |= largest_k
-        components.append(ComponentAudit(f"K{idx}", tuple(sorted(comp)), sizes_k, m_k))
-        checks.append(AuditCheck(f"sizeofC[K{idx}]", sizes_k[2] + 1, sizes_k[0], "<="))
-        checks.append(AuditCheck(f"2|M_K{idx}|<=3|A_K{idx}|-2",
-                                 2 * m_k, 3 * sizes_k[0] - 2, "<="))
-
-    m_total = m_r + len(ge.M_X) + m_k_total
+    m_total = sum(inside) + len(ge.M_X)
     if 2 * m_total != h.n + len(ge.X) - len(odd):
         raise AuditFailure("assembled matching is not maximum")
 
@@ -436,7 +435,7 @@ def audit_bound(inst: Instance) -> AuditReport:
         instance_id=inst.id,
         clique=tuple(sorted(a_union)),
         m_total=m_total,
-        m_r=m_r,
+        m_r=inside[0],
         m_x=len(ge.M_X),
         num_odd=len(odd),
         num_o_x=len(ge.O_X),

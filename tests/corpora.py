@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from udgcolor.core import AbstractGraph, build_instance, stability_witness
+from udgcolor.core import (AbstractGraph, bits, build_instance, mask_of,
+                           stability_witness)
 from udgcolor.geom import Point
 from udgcolor.instances import circulant_graph, gen_circulant, gen_two_cluster
 
@@ -62,6 +63,67 @@ def lattice_disk_instances(count=400, seed=14):
         if stability_witness(inst.graph) is None:
             made += 1
             yield inst
+
+
+# the 8 symmetries of the square lattice, (a, b, c, d): (x, y) -> (ax + by, cx + dy)
+_SQUARE_SYMMETRIES = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+                      (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0))
+
+
+def _canonical_image(cells):
+    """The lex-least sorted image of a set of lattice cells under the 8
+    square-lattice symmetries, translated to touch both axes from above."""
+    best = None
+    for a, b, c, d in _SQUARE_SYMMETRIES:
+        image = [(a * x + b * y, c * x + d * y) for x, y in cells]
+        dx = min(x for x, _ in image)
+        dy = min(y for _, y in image)
+        image = tuple(sorted((x - dx, y - dy) for x, y in image))
+        if best is None or image < best:
+            best = image
+    return best
+
+
+def lattice_world(name, q, cells):
+    """Every non-empty stability-two subset of the lattice points cells (integer
+    pairs read as (x/q, y/q)), one instance per class under the 8
+    square-lattice symmetries and translation, at its canonical image and in
+    canonical order.
+
+    Sets grow in index order.  Stability two is hereditary, so a set with an
+    independent triple is pruned with all its supersets; `blocked` holds the
+    vertices that complete an independent triple with a non-adjacent pair of
+    the set, so only triples through the new point are ever checked, with one
+    mask test."""
+    n = len(cells)
+    far = [mask_of(j for j, (x2, y2) in enumerate(cells) if (x - x2) ** 2 + (y - y2) ** 2 > q * q)
+           for x, y in cells]
+    classes = set()
+
+    def grow(last, chosen, blocked):
+        classes.add(_canonical_image([cells[v] for v in bits(chosen)]))
+        for j in range(last + 1, n):
+            if blocked >> j & 1:
+                continue
+            grown = blocked
+            for a in bits(chosen & far[j]):
+                grown |= far[a] & far[j]
+            grow(j, chosen | 1 << j, grown)
+
+    for first in range(n):
+        grow(first, 1 << first, 0)
+    for i, image in enumerate(sorted(classes)):
+        yield build_instance(f"world-{name}-{i}",
+                             [Point(Fraction(x, q), Fraction(y, q)) for x, y in image])
+
+
+def lattice_worlds():
+    """The two exhaustive worlds of the tests: (1/2)Z^2 inside the closed unit
+    disk (13 points) and (1/2)Z^2 inside [0,2]x[0,1] (15 points)."""
+    disk = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if x * x + y * y <= 4]
+    strip = [(x, y) for x in range(5) for y in range(3)]
+    return {"disk": list(lattice_world("disk", 2, disk)),
+            "strip": list(lattice_world("strip", 2, strip))}
 
 
 def explicit_centre_cases(count=200, seed=15):

@@ -373,7 +373,7 @@ def test_corrupted_constructor_output_exits_4(tmp_path, monkeypatch, capsys):
     def corrupted(g, zone, own_mask, r_mask):
         to_b, to_r, rest = original(g, zone, own_mask, r_mask)
         # a vertex not complete to the B region joins that region's part
-        stray = next(v for v in range(g.n) if not cover._complete_to(g, v, own_mask))
+        stray = next(v for v in range(g.n) if not core._is_clique_mask(g, own_mask | 1 << v))
         return to_b | {stray}, to_r, rest
     monkeypatch.setattr(cover, "_split_triangle", corrupted)
     out = tmp_path / "c.cover"

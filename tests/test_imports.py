@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in [*(ROOT / "src" / "udgcolor").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+                           *(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "perfbench").glob("*.py")]
                if p.name != "__init__.py")
 
 

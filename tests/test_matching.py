@@ -4,13 +4,16 @@ import hashlib
 import inspect
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from corpora import acceptance_corpus, benchmark_toy_instances
+from corpora import (acceptance_corpus, benchmark_toy_instances,
+                     lattice_disk_instances)
 from udgcolor import matching
 from udgcolor.core import (AbstractGraph, build_instance, complement,
                            instance_graph, is_clique)
+from udgcolor.cover import _dispatch, partition_from_cover
 from udgcolor.errors import AuditFailure, StabilityViolated
 from udgcolor.geom import point
 from udgcolor.instances import gen_circulant, gen_two_cluster
@@ -311,6 +314,64 @@ def test_audit_runs_no_blossom_search_of_its_own(monkeypatch):
     for audits, inst in enumerate(acceptance_corpus(), start=1):
         assert audit_bound(inst).all_pass, inst.id
         assert len(searches) == audits, inst.id
+
+
+def test_audit_builds_a_sub_instance_only_for_pieces_of_two_or_more(monkeypatch):
+    # R and every odd component of H - X are the audit's pieces; a single
+    # vertex is a clique, its own partition, and needs no cover
+    def counted(inst, vertices):
+        covered.append(frozenset(vertices))
+        return sub_instance(inst, vertices)
+
+    sub_instance = matching._sub_instance
+    monkeypatch.setattr(matching, "_sub_instance", counted)
+    sizes = Counter()
+    instances = itertools.chain(acceptance_corpus(), benchmark_toy_instances(1),
+                                benchmark_toy_instances(7919), lattice_disk_instances())
+    for inst in instances:
+        covered = []
+        assert audit_bound(inst).all_pass, inst.id
+        ge = gallai_edmonds(complement(inst.graph))
+        pieces = [p for p in (ge.B, *ge.odd_components) if p]
+        sizes.update("single" if len(p) == 1 else "larger" for p in pieces)
+        assert sorted(covered, key=sorted) == sorted((p for p in pieces if len(p) >= 2),
+                                                     key=sorted), inst.id
+    assert sizes == {"single": 4443, "larger": 286}
+
+
+def _reference_partition(inst, vertices):
+    """The partition every piece took before clique pieces kept their own:
+    cover the sub-instance through _dispatch and disjointify the cover."""
+    sub, glb = matching._sub_instance(inst, vertices)
+    cover, _ = _dispatch(sub)
+    ordered = sorted(partition_from_cover(cover).parts, key=lambda p: (-len(p), sorted(p)))
+    return tuple(len(p) for p in ordered), frozenset(glb[v] for v in ordered[0])
+
+
+def test_clique_pieces_partition_as_the_dispatched_cover_does(monkeypatch):
+    # no audit reaches a clique piece of two or more vertices, so cliques of
+    # sizes 1-5 are grown greedily from circulant and two-cluster instances
+    instances = [gen_circulant(3 * k - 1, k) for k in (2, 4, 6)]
+    instances += [gen_two_cluster(n, seed=n, separation=sep)
+                  for n in (12, 20) for sep in ("1", "1/2")]
+    cases = []
+    for inst in instances:
+        g = inst.graph
+        for start in range(0, inst.n, 3):
+            clique = [start]
+            for v in sorted(g.neighbors(start)):
+                if all(g.adjacent(v, w) for w in clique):
+                    clique.append(v)
+            cases.extend((inst, clique[:size]) for size in range(1, min(len(clique), 5) + 1))
+    expected = [_reference_partition(inst, clique) for inst, clique in cases]
+
+    def refuse(inst, vertices):
+        raise AssertionError("a clique piece was covered on a sub-instance")
+
+    monkeypatch.setattr(matching, "_sub_instance", refuse)
+    got = [matching._partition_sizes_and_largest(inst, clique) for inst, clique in cases]
+    assert got == expected
+    assert {len(clique) for _, clique in cases} == {1, 2, 3, 4, 5}
 
 
 def _drop_an_m_edge(ge):
