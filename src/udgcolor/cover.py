@@ -27,9 +27,14 @@ adjacency-mask tests): an arc of length one is a non-adjacent consecutive
 pair, covered by _pair_cover as in the far-pair branch; otherwise the
 lengths alone give the pivot pair, and the three clique arcs are slices of
 the boundary.  The plane is then fanned from the center into the regions
-B+, B-, R, T+ and T- of one table, each non-empty region's hull is built
-once, and each vertex is located against the prepared hull edges by exact
-integer sign tests; one helper splits both triangles T+ and T-.
+B+, B-, R, T+ and T-, each non-empty region's hull is built once, and each
+vertex is located against the prepared hull edges by exact integer sign
+tests; one helper splits both triangles T+ and T-.
+
+The disk case's labels are one table (REGIONS, PIVOTS, SET_LABELS), read by
+disk_case_cover, the trace text writer and reader, and render.  Its trace,
+DiskCaseTrace, holds two maps keyed by that table: pivots (label -> boundary
+vertex) and sets (label -> vertex set).
 
 Each cover is checked once, by the constructor that builds it (_pair_cover,
 collinear_cover, disk_case_cover); a failed check raises StructureViolation
@@ -71,6 +76,15 @@ class CliquePartition:
     parts: tuple[frozenset[int], frozenset[int], frozenset[int]]
 
 
+# The fan regions around p in location priority order, the boundary pivots,
+# and the trace's vertex sets: each region, then T+ and T- split into the
+# vertices complete to their B region (B), to R (R), and the rest (*).
+REGIONS = ("B+", "B-", "R", "T+", "T-")
+PIVOTS = ("b", "b+", "b-", "r+", "r-")
+SET_LABELS = (*(f"region {name}" for name in REGIONS),
+              *(f"split {zone}{part}" for zone in ("T+", "T-") for part in "BR*"))
+
+
 @dataclass(frozen=True)
 class DiskCaseTrace:
     """Everything the bounded-diameter case computed, for diagnosis.
@@ -78,42 +92,27 @@ class DiskCaseTrace:
     mode is "nonedge" (two consecutive boundary vertices are non-adjacent;
     the cover is the pair construction shared with far_pair_cover),
     "narrow" (empty middle arc, three-region cover) or "split" (full
-    T+/T- redistribution).  Region sets are the priority-assigned, pairwise
-    disjoint sets except that b sits in both B+ and B- and the universal
-    vertex sits in every region containing it geometrically.
+    T+/T- redistribution).  pivots maps each PIVOTS label to its boundary
+    vertex; it is empty in the nonedge mode, the only one with a
+    nonedge_pair.  sets maps every SET_LABELS label to its vertex set (all
+    empty in the nonedge mode).  Region sets are the priority-assigned,
+    pairwise disjoint sets except that b sits in both B+ and B- and the
+    universal vertex sits in every region containing it geometrically.
     """
 
     mode: str
     p_point: Point
     p_virtual: bool
     p_id: int
-    b: int | None = None
-    b_plus: int | None = None
-    b_minus: int | None = None
-    r_plus: int | None = None
-    r_minus: int | None = None
-    nonedge_pair: tuple[int, int] | None = None
-    region_b_plus: frozenset[int] = frozenset()
-    region_b_minus: frozenset[int] = frozenset()
-    region_r: frozenset[int] = frozenset()
-    region_t_plus: frozenset[int] = frozenset()
-    region_t_minus: frozenset[int] = frozenset()
-    split_t_plus_b: frozenset[int] = frozenset()
-    split_t_plus_r: frozenset[int] = frozenset()
-    split_t_plus_star: frozenset[int] = frozenset()
-    split_t_minus_b: frozenset[int] = frozenset()
-    split_t_minus_r: frozenset[int] = frozenset()
-    split_t_minus_star: frozenset[int] = frozenset()
+    pivots: dict[str, int]
+    nonedge_pair: tuple[int, int] | None
+    sets: dict[str, frozenset[int]]
 
     @property
     def vertices(self) -> frozenset[int]:
         """Every vertex id the trace names, p_id included."""
-        named = {self.p_id, *(self.nonedge_pair or ())}
-        named.update(v for _, attr in _TRACE_IDS
-                     if (v := getattr(self, attr)) is not None)
-        for _, attr in _TRACE_SETS:
-            named |= getattr(self, attr)
-        return frozenset(named)
+        named = {self.p_id, *(self.nonedge_pair or ()), *self.pivots.values()}
+        return frozenset(named.union(*self.sets.values()))
 
 
 def _require_cover(g: AbstractGraph, cover: CliqueCover, where: str) -> None:
@@ -424,8 +423,8 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     gap = next((t for t in range(m) if arc[t] == 1), None)
     if gap is not None:
         u, w = rot[gap], rot[(gap + 1) % m]
-        trace = DiskCaseTrace(mode="nonedge", p_point=p_point, p_virtual=virtual,
-                              p_id=p_id, nonedge_pair=(u, w))
+        trace = DiskCaseTrace("nonedge", p_point, virtual, p_id, {}, (u, w),
+                              dict.fromkeys(SET_LABELS, frozenset()))
         return _pair_cover(g0, u, w, "nonedge cover"), trace
 
     pivot = _pivot_pair(arc)
@@ -440,9 +439,9 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     b_plus, b_minus = arc_plus[-1], arc_minus[0]
     r_plus, r_minus = (middle[0], middle[-1]) if middle else (b_minus, b_plus)
 
-    # the fan regions in location priority order; T- is empty when R is
-    regions = {"B+": arc_plus, "B-": arc_minus, "R": middle,
-               "T+": (b_plus, r_plus), "T-": (r_minus, b_minus) if middle else ()}
+    # the fan's boundary vertices per region; T- is empty when R is
+    regions = dict(zip(REGIONS, (arc_plus, arc_minus, middle, (b_plus, r_plus),
+                                 (r_minus, b_minus) if middle else ())))
     hulls = [(name, PreparedHull([apts[w] for w in ids] + [p_point]))
              for name, ids in regions.items() if ids]
     # p is a vertex of every region's hull; b is in both of its arcs
@@ -474,9 +473,9 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     if virtual:
         parts = tuple(part - {p_id} for part in parts)  # type: ignore[assignment]
     cover = CliqueCover(parts, b)
-    # positional in field order: the regions, then T+'s and T-'s split
-    trace = DiskCaseTrace(mode, p_point, virtual, p_id, b, b_plus, b_minus, r_plus, r_minus,
-                          None, *region.values(), *plus, *minus)
+    trace = DiskCaseTrace(mode, p_point, virtual, p_id,
+                          dict(zip(PIVOTS, (b, b_plus, b_minus, r_plus, r_minus))), None,
+                          dict(zip(SET_LABELS, (*region.values(), *plus, *minus))))
     _require_cover(g0, cover, "disk_case_cover")
     return cover, trace
 
@@ -544,48 +543,31 @@ def cover_from_text(text: str) -> tuple[str, CliqueCover]:
 
 
 _TRACE_MODES = ("nonedge", "narrow", "split")
-_TRACE_IDS = (("b", "b"), ("b+", "b_plus"), ("b-", "b_minus"),
-              ("r+", "r_plus"), ("r-", "r_minus"))
-_TRACE_SETS = (
-    ("region B+", "region_b_plus"),
-    ("region B-", "region_b_minus"),
-    ("region R", "region_r"),
-    ("region T+", "region_t_plus"),
-    ("region T-", "region_t_minus"),
-    ("split T+B", "split_t_plus_b"),
-    ("split T+R", "split_t_plus_r"),
-    ("split T+*", "split_t_plus_star"),
-    ("split T-B", "split_t_minus_b"),
-    ("split T-R", "split_t_minus_r"),
-    ("split T-*", "split_t_minus_star"),
-)
 
 
 def trace_to_text(trace: DiskCaseTrace, instance_id: str) -> str:
     lines = [f"trace {instance_id}", f"mode {trace.mode}"]
     lines.append(f"p {trace.p_point.x} {trace.p_point.y} "
                  f"virtual={int(trace.p_virtual)} id={trace.p_id}")
-    for label, attr in _TRACE_IDS:
-        value = getattr(trace, attr)
-        if value is not None:
-            lines.append(f"{label} {value}")
+    lines += [f"{label} {trace.pivots[label]}" for label in PIVOTS if label in trace.pivots]
     if trace.nonedge_pair is not None:
         lines.append(f"nonedge {trace.nonedge_pair[0]} {trace.nonedge_pair[1]}")
-    for label, attr in _TRACE_SETS:
-        members = " ".join(str(v) for v in sorted(getattr(trace, attr)))
+    for label in SET_LABELS:
+        members = " ".join(str(v) for v in sorted(trace.sets[label]))
         lines.append(f"{label}: {members}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
     instance_id, _, records = read_records(text, "trace")
-    fields: dict = {}
-    set_by_label = {f"{label}:": attr for label, attr in _TRACE_SETS}
-    scalar_by_label = dict(_TRACE_IDS)
+    fields: dict = {"nonedge_pair": None}
+    pivots: dict[str, int] = {}
+    sets = dict.fromkeys(SET_LABELS, frozenset())
     kinds_read: set[str] = set()
     for no, toks in records:
-        set_label = " ".join(toks[:2])
-        kind = set_label if set_label in set_by_label else toks[0]
+        head = " ".join(toks[:2])
+        set_label = head[:-1] if head.endswith(":") and head[:-1] in sets else None
+        kind = head if set_label else toks[0]
         if kind in kinds_read:
             raise ParseError(no, f"second {kind!r} line")
         kinds_read.add(kind)
@@ -601,13 +583,13 @@ def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
             fields["p_id"] = parse_int(toks[4][3:], no)
         elif toks[0] == "nonedge" and len(toks) == 3:
             fields["nonedge_pair"] = (parse_int(toks[1], no), parse_int(toks[2], no))
-        elif set_label in set_by_label:
-            fields[set_by_label[set_label]] = frozenset(parse_int(tok, no) for tok in toks[2:])
-        elif toks[0] in scalar_by_label and len(toks) == 2:
-            fields[scalar_by_label[toks[0]]] = parse_int(toks[1], no)
+        elif set_label:
+            sets[set_label] = frozenset(parse_int(tok, no) for tok in toks[2:])
+        elif toks[0] in PIVOTS and len(toks) == 2:
+            pivots[toks[0]] = parse_int(toks[1], no)
         else:
             raise ParseError(no, f"unrecognized trace line {' '.join(toks)!r}")
     for key in ("mode", "p_point", "p_virtual", "p_id"):
         if key not in fields:
             raise ParseError(records[-1][0] if records else 1, f"trace block is missing {key}")
-    return instance_id, DiskCaseTrace(**fields)
+    return instance_id, DiskCaseTrace(pivots=pivots, sets=sets, **fields)

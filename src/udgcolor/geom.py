@@ -60,11 +60,6 @@ OUTSIDE = "outside"
 _SED_SHUFFLE_SEED = 4099
 
 
-def scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or "num/den" string to a canonical rational."""
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Point:
     x: Fraction
@@ -72,7 +67,7 @@ class Point:
 
 
 def point(x: int | str | Fraction, y: int | str | Fraction) -> Point:
-    return Point(scalar(x), scalar(y))
+    return Point(Fraction(x), Fraction(y))
 
 
 @dataclass(frozen=True)

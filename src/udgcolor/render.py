@@ -8,20 +8,14 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 from .core import Instance
-from .cover import DiskCaseTrace
+from .cover import REGIONS, DiskCaseTrace
 from .geom import Point, hull_decomposition
 from .matching import Coloring
 
 _WIDTH = 640.0
 _PAD = 0.15  # world-units of padding around the drawing
 
-_REGION_STYLE = [
-    ("region_b_plus", "B+", "#d62728"),
-    ("region_b_minus", "B-", "#1f77b4"),
-    ("region_r", "R", "#2ca02c"),
-    ("region_t_plus", "T+", "#ff7f0e"),
-    ("region_t_minus", "T-", "#9467bd"),
-]
+_REGION_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd")  # one per REGIONS
 
 
 def _hue(i: int, total: int) -> str:
@@ -59,8 +53,8 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
                    f'stroke="#999999" stroke-width="1.2"/>')
 
     if trace is not None:
-        for attr, label, color in _REGION_STYLE:
-            ids = sorted(getattr(trace, attr))
+        for name, color in zip(REGIONS, _REGION_COLORS):
+            ids = sorted(trace.sets[f"region {name}"])
             if len(ids) < 2:
                 continue
             region_pts = [pts[i] for i in ids]
@@ -70,7 +64,7 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
             out.append(f'<polygon points="{path}" fill="{color}" '
                        f'fill-opacity="0.10" stroke="{color}" '
                        f'stroke-width="1.5" stroke-dasharray="6,3">'
-                       f'<title>{label}</title></polygon>')
+                       f'<title>{name}</title></polygon>')
 
     total = coloring.num_colors if coloring is not None else 1
     for v, p in enumerate(inst.points):

@@ -205,6 +205,11 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("render", "trace circulant-8-3\nmode split\nmode narrow\np 0 0 virtual=1 id=8\n"),
     ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\n"
                "region B+: 0 1\nregion B+: 2\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion B+ 1\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion B+x: 1\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nsplit T+B 1\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nb+ 1 2\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion Q: 1\n"),
     ("stats", "graph g 2\n0 5\n"),
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
@@ -213,7 +218,9 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
 ], ids=["cover-shared-x", "cover-no-id", "cover-underscore", "cover-shared-plus",
         "cover-two-word-id", "coloring-plus", "coloring-twice", "trace-p-1", "trace-b-x",
         "trace-region-z", "trace-exponent", "trace-no-id", "trace-mode-bogus",
-        "trace-mode-twice", "trace-region-twice", "graph-edge-out-of-range",
+        "trace-mode-twice", "trace-region-twice", "trace-region-no-colon",
+        "trace-region-suffix", "trace-split-no-colon", "trace-pivot-two-values",
+        "trace-region-unknown", "graph-edge-out-of-range",
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)

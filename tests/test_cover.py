@@ -425,6 +425,7 @@ def test_disk_case_artifacts_match_golden_hashes(inst):
         assert cover_to_text(cover_from_text(text)[1], inst.id) == cover_text
     if trace_text is not None:
         for text in (trace_text, trace_text.replace("\n", "\n\n")):
+            assert trace_from_text(text) == (inst.id, trace)
             assert trace_to_text(trace_from_text(text)[1], inst.id) == trace_text
 
 
@@ -480,17 +481,16 @@ def test_disk_case_trace_regions_cover_everything():
     cover, trace = cover_three_cliques(inst)
     _check(inst, cover)
     assert trace.mode == "split"
-    region_union = (trace.region_b_plus | trace.region_b_minus | trace.region_r
-                    | trace.region_t_plus | trace.region_t_minus)
+    sets = trace.sets
+    region_union = (sets["region B+"] | sets["region B-"] | sets["region R"]
+                    | sets["region T+"] | sets["region T-"])
     expected = set(range(inst.n)) | {trace.p_id}
     assert region_union == expected
-    assert (trace.split_t_plus_b | trace.split_t_plus_r | trace.split_t_plus_star
-            == trace.region_t_plus)
-    assert (trace.split_t_minus_b | trace.split_t_minus_r | trace.split_t_minus_star
-            == trace.region_t_minus)
+    assert sets["split T+B"] | sets["split T+R"] | sets["split T+*"] == sets["region T+"]
+    assert sets["split T-B"] | sets["split T-R"] | sets["split T-*"] == sets["region T-"]
     g = instance_graph(inst)
     # the two R-complete zones must join into one clique
-    assert is_clique(g, (trace.split_t_plus_r | trace.split_t_minus_r) - {trace.p_id})
+    assert is_clique(g, (sets["split T+R"] | sets["split T-R"]) - {trace.p_id})
 
 
 def test_partition_single_vertex_cover():

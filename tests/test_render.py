@@ -1,0 +1,43 @@
+"""The SVG renderer's output, pinned byte for byte."""
+
+import hashlib
+
+import pytest
+
+from udgcolor.cover import cover_three_cliques
+from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.matching import color_via_complement_matching
+from udgcolor.render import render_svg
+
+# SHA-256 of render_svg(inst, coloring, trace) with the matching coloring and
+# the cover's trace, recorded before the disk-case trace became one label
+# table.  The instances are those of test_cover.GOLDEN_COVERS (split, far-pair
+# and nonedge) plus a narrow-mode two-cluster of tests/corpora.py's
+# acceptance corpus.
+GOLDEN_SVGS = {
+    "circulant-35-12": ("split",
+                        "15f43d70ff01699b631ebe7cbde1239b471e7431b533e9b657aa016faffae847"),
+    "circulant-59-20": ("split",
+                        "d63963b5ece1e9bea003ca8a83bb3a326932739f8b735a16bef4e2b1a11709eb"),
+    "twocluster-80-3-1x2": ("split",
+                            "4e02dedab2b39512ba017d97a498caf0b1a1f56664add89c2e6110955f18a38c"),
+    "twocluster-30-0-1x1": (None,
+                            "f0ba27af179b7e0c7e18f5a7e05c49776d03b4fba9d451c2d93f8ef387cbad73"),
+    "twocluster-30-3-3x4": ("nonedge",
+                            "b0cff35922a7c1ab5f771c2082286d620f76b9578d972baf86694e7ab2ddb3db"),
+    "twocluster-19-15-1x4": ("narrow",
+                             "80dd5952ad71ee1b1c47ea56e4af159af423bda6e774d983cda3a3633086d424"),
+}
+
+
+@pytest.mark.parametrize("inst", [gen_circulant(35, 12), gen_circulant(59, 20),
+                                  gen_two_cluster(80, seed=3, separation="1/2"),
+                                  gen_two_cluster(30, seed=0, separation=1),
+                                  gen_two_cluster(30, seed=3, separation="3/4"),
+                                  gen_two_cluster(19, seed=15, separation="1/4")],
+                         ids=lambda inst: inst.id)
+def test_svg_matches_golden_hash(inst):
+    trace = cover_three_cliques(inst)[1]
+    svg = render_svg(inst, color_via_complement_matching(inst), trace)
+    mode = None if trace is None else trace.mode
+    assert (mode, hashlib.sha256(svg.encode()).hexdigest()) == GOLDEN_SVGS[inst.id]
