@@ -50,14 +50,18 @@ class Instance:
         return tuple(_homogeneous(p) for p in self.points)
 
 
+def _point_key(p: Point) -> tuple[int, int, int, int]:
+    """The integers of p's two coordinates.  Fractions are kept in lowest
+    terms, so equal points have equal keys; hashing these integers skips the
+    modular inverse that Fraction.__hash__ computes for each coordinate."""
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
 def build_instance(id: str, points: Sequence[Point]) -> Instance:
     """Validate pairwise distinctness and freeze the point list."""
-    # Fractions are kept in lowest terms, so equal points have equal
-    # numerators and denominators; hashing these integers skips the modular
-    # inverse that Fraction.__hash__ computes
     seen: dict[tuple[int, int, int, int], int] = {}
     for i, p in enumerate(points):
-        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        key = _point_key(p)
         if key in seen:
             raise DuplicatePoint(seen[key], i)
         seen[key] = i

@@ -563,14 +563,14 @@ def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
     fields: dict = {"nonedge_pair": None}
     pivots: dict[str, int] = {}
     sets = dict.fromkeys(SET_LABELS, frozenset())
-    kinds_read: set[str] = set()
+    kinds_read: dict[str, int] = {}  # kind of line -> its line number
     for no, toks in records:
         head = " ".join(toks[:2])
         set_label = head[:-1] if head.endswith(":") and head[:-1] in sets else None
         kind = head if set_label else toks[0]
         if kind in kinds_read:
             raise ParseError(no, f"second {kind!r} line")
-        kinds_read.add(kind)
+        kinds_read[kind] = no
         if toks[0] == "mode" and len(toks) == 2:
             if toks[1] not in _TRACE_MODES:
                 raise ParseError(no, f"unknown mode {toks[1]!r}, expected "
@@ -589,7 +589,16 @@ def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
             pivots[toks[0]] = parse_int(toks[1], no)
         else:
             raise ParseError(no, f"unrecognized trace line {' '.join(toks)!r}")
+    last = records[-1][0] if records else 1
     for key in ("mode", "p_point", "p_virtual", "p_id"):
         if key not in fields:
-            raise ParseError(records[-1][0] if records else 1, f"trace block is missing {key}")
+            raise ParseError(last, f"trace block is missing {key}")
+    mode = fields["mode"]
+    wanted, unwanted = (("nonedge",), PIVOTS) if mode == "nonedge" else (PIVOTS, ("nonedge",))
+    for kind in unwanted:
+        if kind in kinds_read:
+            raise ParseError(kinds_read[kind], f"a {mode} trace has no {kind!r} line")
+    for kind in wanted:
+        if kind not in kinds_read:
+            raise ParseError(last, f"a {mode} trace needs a {kind!r} line")
     return instance_id, DiskCaseTrace(pivots=pivots, sets=sets, **fields)

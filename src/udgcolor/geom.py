@@ -17,12 +17,13 @@ The small public predicates (``sq_dist``, ``cross``, ``orientation``,
 ``segments_cross``) take and return Fractions.  ``core.instance_graph``
 still builds the unit-distance graph with ``sq_dist``.  On integers that
 build is many times faster, but ``perfbench/run.py`` keeps every pass's
-artifacts until a run ends, so more passes read as more memory.  With
-bit-mask adjacency a 30 s ``disk`` run (seed 1) holds about 23.2 MB plus
-0.265 MB per pass, 12 to 14 passes of the Fraction build.  An integer
-build on the masks made 37 passes at speed factor 0.80 (32.95 MB), and
-one on frozensets 48 passes at speed factor 1.09; at 48 passes the masks
-would hold about 35.9 MB.  Either is beyond the 5 % bound on
+artifacts until a run ends, so more passes read as more memory: a ``disk``
+pass keeps about 254 KB of strings, 229 KB of them the audit text held
+twice (the ``-o`` file and stdout).  A 30 s ``disk`` run at seed 1 made 11
+passes of the Fraction build and peaked at 25.5 MB; a prototype with the
+integer build, artifacts unchanged, made 56 passes and peaked at 37.7 MB
+(+48 %), and on ``far_pair`` 60 passes against 9, 35.5 MB against
+24.4 MB (Python 3.11, 2 vCPU Xeon).  That is far beyond the 5 % bound on
 ``peak_rss_mb``, by an amount that depends on how fast the host runs.  The
 build moves once the benchmark keeps only what its metrics need (ROADMAP
 item 1, step A).
@@ -258,11 +259,15 @@ class PreparedHull:
     __slots__ = ("_segment", "_edges")
 
     def __init__(self, points: Iterable[Point]):
-        uniq = list(dict.fromkeys(points))
-        if not uniq:
+        # equal points have equal triples, and int triples hash without the
+        # modular inverse of Fraction.__hash__
+        first: dict[Homogeneous, Point] = {}
+        for p in points:
+            first.setdefault(_homogeneous(p), p)
+        if not first:
             raise EmptyInput("hull of an empty point set")
-        h = [_homogeneous(p) for p in uniq]
-        order = sorted(range(len(uniq)), key=_lex_key(uniq))
+        h = list(first)
+        order = sorted(range(len(h)), key=_lex_key(list(first.values())))
         hull = _strict_hull(h, order)
         self._segment: tuple[Homogeneous, Homogeneous] | None = None
         if len(hull) <= 2:

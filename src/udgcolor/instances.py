@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .core import AbstractGraph, Instance, build_instance
+from .core import AbstractGraph, Instance, _point_key, build_instance
 from .errors import EmptyInstance, NotRealizable, ParseError, SnapFailure
 from .geom import Point
 
@@ -125,20 +125,25 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
     if not 0 < sep <= 1:
         raise ValueError(f"separation must be in (0, 1], got {sep}")
     rng = random.Random(seed)
-    centers = ((Fraction(0), Fraction(0)), (sep, Fraction(0)))
+    # each centre's x as (numerator, denominator); both centres have y = 0
+    centers = ((0, 1), (sep.numerator, sep.denominator))
     radius = 0.5 - _CLUSTER_MARGIN
 
     points: list[Point] = []
-    taken: set[Point] = set()
+    taken: set[tuple[int, int, int, int]] = set()
     for _ in range(n):
         while True:
-            cx, cy = centers[rng.randrange(2)]
+            cnum, cden = centers[rng.randrange(2)]
             r = radius * math.sqrt(rng.random())
             theta = 2.0 * math.pi * rng.random()
-            p = Point(cx + _snap(r * math.cos(theta), _CLUSTER_DENOM),
-                      cy + _snap(r * math.sin(theta), _CLUSTER_DENOM))
-            if p not in taken:
-                taken.add(p)
+            # the centre plus the offset snapped to 1/_CLUSTER_DENOM, as one
+            # numerator over one denominator
+            dx = round(r * math.cos(theta) * _CLUSTER_DENOM)
+            p = Point(Fraction(cnum * _CLUSTER_DENOM + dx * cden, cden * _CLUSTER_DENOM),
+                      _snap(r * math.sin(theta), _CLUSTER_DENOM))
+            key = _point_key(p)
+            if key not in taken:
+                taken.add(key)
                 points.append(p)
                 break
     sep_tag = f"{sep.numerator}x{sep.denominator}"
@@ -149,7 +154,7 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
 # text formats (bit-exact round trip)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INT = re.compile(r"[0-9]+")
 
 
@@ -171,11 +176,14 @@ def parse_scalar(token: str, line_no: int) -> Fraction:
     """An integer or "num/den" token as an exact rational, else ParseError.
 
     This is exactly what str(Fraction) writes.  Fraction's own grammar also
-    takes decimals and exponents, and computes 10**exp before any check.
+    takes decimals and exponents, and computes 10**exp before any check; the
+    integers matched here are handed to Fraction as they are.
     """
-    if _RATIONAL.fullmatch(token):
+    match = _RATIONAL.fullmatch(token)
+    if match:
+        num, den = match.groups()
         try:
-            return Fraction(token)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):  # zero denominator, digit limit
             pass
     raise ParseError(line_no, f"bad rational {token!r}, expected an integer or num/den")

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from udgcolor import core, cover, geom, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
+from udgcolor.instances import gen_circulant, gen_two_cluster
 
 
 def _gen(tmp_path, name="c8.udg", family=("circulant", "8", "3")) -> Path:
@@ -188,6 +190,10 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
         assert err.count("\n") == 1
 
 
+# the five pivot lines a narrow or split trace needs
+_PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
+
+
 @pytest.mark.parametrize("command,text", [
     ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: x\n"),
     ("verify", "cover \nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
@@ -210,6 +216,11 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
     ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nsplit T+B 1\n"),
     ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nb+ 1 2\n"),
     ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion Q: 1\n"),
+    ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nb 7\nregion R: 8\n"),
+    ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\nb 1\n"),
+    ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\n"),
+    ("render", "trace circulant-8-3\nmode narrow\np 0 0 virtual=1 id=8\n" + _PIVOT_LINES
+               + "nonedge 1 2\n"),
     ("stats", "graph g 2\n0 5\n"),
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
@@ -220,7 +231,8 @@ def test_unreadable_input_is_a_parse_error(tmp_path, capsys, command):
         "trace-region-z", "trace-exponent", "trace-no-id", "trace-mode-bogus",
         "trace-mode-twice", "trace-region-twice", "trace-region-no-colon",
         "trace-region-suffix", "trace-split-no-colon", "trace-pivot-two-values",
-        "trace-region-unknown", "graph-edge-out-of-range",
+        "trace-region-unknown", "trace-split-one-pivot", "trace-nonedge-with-pivot",
+        "trace-nonedge-no-pair", "trace-narrow-with-pair", "graph-edge-out-of-range",
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
@@ -239,10 +251,12 @@ def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("kind,text", [
-    ("trace", "trace other\nmode split\np 0 0 virtual=1 id=8\n"),
-    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nregion B+: 0 99\n"),
-    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=9\n"),
-    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=0 id=0\nregion R: 0 8\n"),
+    ("trace", "trace other\nmode split\np 0 0 virtual=1 id=8\n" + _PIVOT_LINES),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\n" + _PIVOT_LINES
+              + "region B+: 0 99\n"),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=9\n" + _PIVOT_LINES),
+    ("trace", "trace circulant-8-3\nmode split\np 0 0 virtual=0 id=0\n" + _PIVOT_LINES
+              + "region R: 0 8\n"),
     ("trace", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=0 id=0\nnonedge 2 8\n"),
     ("coloring", "coloring other 4\n" + "".join(f"{v} {v % 4}\n" for v in range(8))),
 ], ids=["trace-other-instance", "trace-region-99", "trace-virtual-id-n+1",
@@ -424,6 +438,34 @@ def test_cover_tests_distances_only_in_the_graph_build(tmp_path, monkeypatch, fa
     n = int(n)
     assert callers["sq_dist"] == [("udgcolor.core", "instance_graph")] * (n * (n - 1) // 2)
     assert not any(module == "udgcolor.cover" for module, _ in callers["orientation"])
+
+
+def test_coordinates_are_never_hashed_as_fractions(tmp_path, monkeypatch):
+    """Points are generated, parsed, deduplicated and hulled on their
+    integers: Fraction.__hash__ computes a modular inverse per coordinate,
+    and nothing on these paths calls it."""
+    def unhashable(self):
+        raise AssertionError("a Fraction was hashed")
+    monkeypatch.setattr(Fraction, "__hash__", unhashable)
+    # the benchmark's two-cluster sizes and separations
+    for n in (50, 80, 110):
+        for separation in ("1", "7/10", "1/2", "1/4"):
+            assert gen_two_cluster(n, n, separation).n == n
+    assert gen_circulant(35, 12).n == 35
+    for name, family in [("far.udg", ("two_cluster", "30", "1")),
+                         ("disk.udg", ("two_cluster", "30", "1/2")),
+                         ("circ.udg", ("circulant", "11", "4"))]:
+        fam, n, param = family
+        inst = tmp_path / name
+        option = "--k" if fam == "circulant" else "--separation"
+        assert run(["gen", "--family", fam, "--n", n, option, param, "-o", str(inst)]) == EXIT_OK
+        trace = tmp_path / f"{name}.trace"
+        assert run(["cover", str(inst), "-o", str(tmp_path / "t.cover"),
+                    "--trace", str(trace)]) == EXIT_OK
+        assert run(["color", str(inst), "-o", str(tmp_path / "t.coloring")]) == EXIT_OK
+        assert run(["audit", str(inst), "-o", str(tmp_path / "t.audit")]) == EXIT_OK
+    assert (tmp_path / "disk.udg.trace").exists()
+    assert (tmp_path / "circ.udg.trace").exists()
 
 
 def test_bench_table(tmp_path, capsys):

@@ -1,17 +1,20 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from udgcolor.core import AbstractGraph, build_instance, instance_graph
 from udgcolor.errors import (DuplicatePoint, EmptyInstance, ParseError,
                              SnapFailure)
+from udgcolor import instances
 from udgcolor.geom import point
 from udgcolor.instances import (_first_difference, circulant_graph,
                                 gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
                                 graph_to_text, instance_from_text,
-                                instance_to_text, read_graph, read_instance,
-                                write_graph, write_instance)
+                                instance_to_text, parse_scalar, read_graph,
+                                read_instance, write_graph, write_instance)
 from udgcolor.oracles import brute_stats, check_nbhprop
 
 
@@ -174,6 +177,70 @@ def test_two_cluster_separation_validated():
 def test_two_cluster_requires_a_point(n):
     with pytest.raises(ValueError):
         gen_two_cluster(n, seed=1)
+
+
+# sha256 over instance_to_text of gen_two_cluster(n, seed, separation) for
+# every separation, n and seed below, in that nesting order; recorded before
+# the generator built each coordinate as one numerator over one denominator.
+# 1/3 and 2/7 have denominators that do not divide the 10**9 snapping grid.
+GOLDEN_TWO_CLUSTER = "ea2b64f62ea6fe0be043363d0fdd56ac97d85855f9ae5839e965b51f1a25a6e7"
+
+
+def test_two_cluster_texts_match_golden_hash():
+    digest = hashlib.sha256()
+    for separation in ("1", "7/10", "1/2", "1/4", "3/4", "1/3", "2/7"):
+        for n in (1, 2, 50, 80, 110):
+            for seed in (0, 1, 2, 7919):
+                digest.update(instance_to_text(gen_two_cluster(n, seed, separation)).encode())
+    assert digest.hexdigest() == GOLDEN_TWO_CLUSTER
+
+
+def test_two_cluster_redraws_a_repeated_point(monkeypatch):
+    real_random = random.Random
+    made = []
+
+    class RepeatFirstDraw:
+        """Draws the first point twice, then draws as random.Random does."""
+
+        def __init__(self, seed):
+            self.rng = real_random(seed)
+            # cluster, radius draw and angle draw of one point, twice
+            self.script = [1, 0.25, 0.5] * 2
+            made.append(self)
+
+        def randrange(self, stop):
+            return self.script.pop(0) if self.script else self.rng.randrange(stop)
+
+        def random(self):
+            return self.script.pop(0) if self.script else self.rng.random()
+
+    monkeypatch.setattr(instances.random, "Random", RepeatFirstDraw)
+    inst = gen_two_cluster(6, seed=0, separation="1/3")
+    assert made[0].script == []  # both scripted draws were taken
+    assert inst.n == 6
+    assert len({(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+                for p in inst.points}) == 6
+    # the repeated draw is the first point, kept once; the second is fresh
+    again = gen_two_cluster(1, seed=0, separation="1/3")
+    assert inst.points[0] == again.points[0]
+    assert inst.points[1] != inst.points[0]
+
+
+@pytest.mark.parametrize("token", [
+    "0", "-0", "00", "-00/7", "007", "-007/010", "3/5", "-7/2", "4", "10/4", "-10/4",
+    "0/5", "1/0", "-1/0", "0/0", "00/000", "9" * 4300, "9" * 4301, "1/" + "9" * 4301,
+    "-" + "12" * 2000 + "/" + "34" * 2000])
+def test_parse_scalar_agrees_with_fraction(token):
+    """On tokens of the coordinate grammar parse_scalar gives Fraction(token),
+    and a ParseError wherever Fraction(token) raises."""
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            parse_scalar(token, 3)
+    else:
+        got = parse_scalar(token, 3)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
 def test_writers_reject_what_readers_reject():
