@@ -3,11 +3,10 @@ graphs, with exact rational geometry and brute-force verification throughout.
 """
 
 from .core import (AbstractGraph, Instance, build_instance, complement,
-                   instance_graph, interval_closed, is_clique,
-                   stability_witness)
+                   instance_graph, stability_witness)
 from .cover import (CliqueCover, CliquePartition, DiskCaseTrace,
                     collinear_cover, cover_three_cliques, disk_case_cover,
-                    far_pair_cover, hollow_pivot, partition_from_cover)
+                    far_pair_cover, partition_from_cover)
 from .geom import (Disk, HullDecomposition, Point, hull_decomposition,
                    orientation, point, point_in_hull, segments_cross,
                    smallest_enclosing_disk, sq_dist)

@@ -10,13 +10,17 @@ which not all parts have the same cardinality.  Dispatch:
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
-The dispatch tests are exact integer comparisons on the per-point
-homogeneous integers the instance computes once (Instance.homogeneous): the
-collinearity test is one dot product with the line through the first two
-points per point, the far-pair scan and the centre test compare squared
-distances against 3 and 1 (geom._sq_dist_sign).  Only the graph build
-(core.instance_graph) still takes Fraction distances; see the geom module
-docstring for why it waits.
+Each point is converted once, to the homogeneous integers the instance
+computes on first use (Instance.homogeneous), and the disk case converts
+only the disk centre, once.  Everything geometric reads these integers:
+the dispatch tests (the collinearity test is one dot product with the line
+through the first two points per point, the far-pair scan and the centre
+test compare squared distances against 3 and 1 with geom._sq_dist_sign),
+the enclosing disk (geom.smallest_enclosing_disk), the collinear cover's
+first point (geom._lex_order), and the disk case's hull
+(geom.hull_decomposition) and fan location (geom.PreparedHull).  Only the
+graph build (core.instance_graph) still takes Fraction distances; see the
+geom module docstring for why it waits.
 
 Every branch reads the graph the instance builds once and caches
 (Instance.graph); the disk case adds the disk center to it as a universal
@@ -51,8 +55,8 @@ from .core import (AbstractGraph, Instance, _boundary_position, _is_clique_mask,
                    bits, interval_closed, is_clique, mask_of, stability_witness)
 from .errors import (EmptyInstance, InvalidVertex, ParseError,
                      StabilityViolated, StructureViolation)
-from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _line,
-                   _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
+from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _lex_order,
+                   _line, _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
 from .oracles import verify_cover
 
@@ -155,7 +159,7 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
 
     # all pairs are closer than sqrt(3), so by Jung's theorem the radius is
     # below 1; disk_case_cover checks that every point lies in the disk
-    return disk_case_cover(inst, smallest_enclosing_disk(inst.points).center)
+    return disk_case_cover(inst, smallest_enclosing_disk(h).center)
 
 
 def _collinear(h: Sequence[Homogeneous]) -> bool:
@@ -177,9 +181,8 @@ def _far_pair(g: AbstractGraph, h: Sequence[Homogeneous]) -> tuple[int, int] | N
     return None
 
 
-def _outside_unit_disk(center: Point, h: Sequence[Homogeneous]) -> int | None:
-    """The first point farther than 1 from center; None when there is none."""
-    c = _homogeneous(center)
+def _outside_unit_disk(c: Homogeneous, h: Sequence[Homogeneous]) -> int | None:
+    """The first point farther than 1 from c; None when there is none."""
     return next((i for i, p in enumerate(h) if _sq_dist_sign(c, p, 1) > 0), None)
 
 
@@ -226,8 +229,7 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
     g = inst.graph
-    pts = inst.points
-    first = min(range(inst.n), key=lambda i: (pts[i].x, pts[i].y))
+    first = _lex_order(inst.homogeneous)[0]
     closed = g.masks[first] | 1 << first
     a = frozenset(bits(closed))
     b = frozenset(bits((1 << inst.n) - 1 & ~closed))
@@ -369,50 +371,44 @@ def _with_universal(g: AbstractGraph) -> AbstractGraph:
 def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
 
-    The center joins the instance as a universal vertex p (an existing vertex
-    is reused when the center coincides with one); every vertex lying within
-    unit distance of the center is what makes p universal, so the augmented
-    graph is the instance graph (inst.graph) plus p joined to everything.
-    The boundary of m vertices, rotated to start at b (its first vertex
-    other than p), is scanned once for clique arc lengths (O(m)
-    adjacency-mask tests).  An arc of length one marks consecutive
-    non-adjacent boundary vertices u, v: the whole instance lies on one side
-    of the line uv and _pair_cover on the instance graph is the cover.
-    Otherwise the lengths give the pivot pair (_pivot_pair), whose arcs
-    [b-,b], [b,b+] and minimal middle arc R are slices of the rotated
-    boundary.  One table fans the plane from p into B+, B-, R, T+ and T-, in
-    location priority order (R and T- are empty in the narrow mode, where
-    the middle arc is).  p joins every non-empty region and b both B
-    regions; every other vertex goes to the first region whose prepared
-    hull does not leave it OUTSIDE (O(n * h) exact integer sign tests for
-    h hull edges in all).  In the split mode _split_triangle then divides
-    T+ and T- by completeness to their B region or to R.
+    The center joins the instance as a universal vertex p (an existing
+    vertex is reused when the center coincides with one); every vertex lying
+    within unit distance of the center is what makes p universal, so the
+    augmented graph is the instance graph (inst.graph) plus p joined to
+    everything.  The center is converted to homogeneous integers once; the
+    hull and the fan read inst.homogeneous plus that triple.  The boundary
+    of m vertices, rotated to start at b (its first vertex other than p), is
+    scanned once for clique arc lengths (O(m) adjacency-mask tests).  An arc
+    of length one marks consecutive non-adjacent boundary vertices u, v: the
+    whole instance lies on one side of the line uv and _pair_cover on the
+    instance graph is the cover.  Otherwise the lengths give the pivot pair
+    (_pivot_pair), whose arcs [b-,b], [b,b+] and minimal middle arc R are
+    slices of the rotated boundary.  One table fans the plane from p into
+    B+, B-, R, T+ and T-, in location priority order (R and T- are empty in
+    the narrow mode, where the middle arc is).  p joins every non-empty
+    region and b both B regions; every other vertex goes to the first region
+    whose prepared hull does not leave it OUTSIDE (O(n * h) exact integer
+    sign tests for h hull edges in all).  In the split mode _split_triangle
+    then divides T+ and T- by completeness to their B region or to R.
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
     g0 = inst.graph
-    pts = inst.points
-    n0 = inst.n
-    outside = _outside_unit_disk(center, inst.homogeneous)
+    h = inst.homogeneous
+    c = _homogeneous(center)
+    outside = _outside_unit_disk(c, h)
     if outside is not None:
         raise StructureViolation(
             f"vertex {outside} lies outside the unit disk around the given center")
 
-    if center in pts:
-        p_id = pts.index(center)
-        virtual = False
-        apts = pts
-        g = g0
-    else:
-        p_id = n0
-        virtual = True
-        apts = pts + (center,)
-        g = _with_universal(g0)
+    virtual = c not in h  # equal points have equal triples
+    p_id = inst.n if virtual else h.index(c)
+    g = _with_universal(g0) if virtual else g0
+    h = h + (c,) if virtual else h
 
-    hd = hull_decomposition(apts)
+    hd = hull_decomposition(h)
     if hd.is_collinear:
         raise StructureViolation("disk case requires a two-dimensional hull")
-    p_point = apts[p_id]
     # the boundary from b, its first vertex other than p
     start = 1 if hd.boundary[0] == p_id else 0
     rot = hd.boundary[start:] + hd.boundary[:start]
@@ -423,7 +419,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     gap = next((t for t in range(m) if arc[t] == 1), None)
     if gap is not None:
         u, w = rot[gap], rot[(gap + 1) % m]
-        trace = DiskCaseTrace("nonedge", p_point, virtual, p_id, {}, (u, w),
+        trace = DiskCaseTrace("nonedge", center, virtual, p_id, {}, (u, w),
                               dict.fromkeys(SET_LABELS, frozenset()))
         return _pair_cover(g0, u, w, "nonedge cover"), trace
 
@@ -442,16 +438,16 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     # the fan's boundary vertices per region; T- is empty when R is
     regions = dict(zip(REGIONS, (arc_plus, arc_minus, middle, (b_plus, r_plus),
                                  (r_minus, b_minus) if middle else ())))
-    hulls = [(name, PreparedHull([apts[w] for w in ids] + [p_point]))
+    hulls = [(name, PreparedHull([h[w] for w in ids] + [c]))
              for name, ids in regions.items() if ids]
     # p is a vertex of every region's hull; b is in both of its arcs
     assigned = {name: {p_id} if ids else set() for name, ids in regions.items()}
     assigned["B+"].add(b)
     assigned["B-"].add(b)
-    for w in range(len(apts)):
+    for w in range(len(h)):
         if w == b or w == p_id:
             continue
-        name = next((name for name, hull in hulls if hull.locate(apts[w]) != OUTSIDE), None)
+        name = next((name for name, hull in hulls if hull.locate(h[w]) != OUTSIDE), None)
         if name is None:
             raise StructureViolation(f"vertex {w} escaped every fan region")
         assigned[name].add(w)
@@ -473,7 +469,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     if virtual:
         parts = tuple(part - {p_id} for part in parts)  # type: ignore[assignment]
     cover = CliqueCover(parts, b)
-    trace = DiskCaseTrace(mode, p_point, virtual, p_id,
+    trace = DiskCaseTrace(mode, center, virtual, p_id,
                           dict(zip(PIVOTS, (b, b_plus, b_minus, r_plus, r_minus))), None,
                           dict(zip(SET_LABELS, (*region.values(), *plus, *minus))))
     _require_cover(g0, cover, "disk_case_cover")

@@ -4,29 +4,32 @@ Every predicate is exact; there are no floating-point code paths and no
 epsilons.  Adjacency thresholds elsewhere in the library reduce to comparing
 squared distances against 1 and 3.
 
-The convex hull (``hull_decomposition``, ``PreparedHull``), the smallest
-enclosing disk and the cover's dispatch tests (``_sq_dist_sign`` and
-``_line``, used by ``cover``) run on per-point homogeneous integers: a point
-becomes (X, Y, W) with W the lcm of its own two denominators, a disk
-becomes (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and squared radius
+The convex hull, the smallest enclosing disk, the (x, y) order
+(``_lex_order``) and the cover's dispatch tests (``_sq_dist_sign``,
+``_line``) run on per-point homogeneous integers: a point becomes
+(X, Y, W) with W the lcm of its own two denominators (``_homogeneous``), a
+disk (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and squared radius
 R2/UW**2, and every test is a cross-multiplied integer comparison with no
-gcd.  The result is turned back into Fractions once, so it equals what the
-same decisions on Fractions give.
+gcd.  ``hull_decomposition``, ``smallest_enclosing_disk`` and
+``PreparedHull`` take these triples.  Each point is converted once, by
+``Instance.homogeneous``, plus the disk centre in the disk case;
+``point_in_hull`` converts its Points on entry.  The enclosing disk is
+turned back into Fractions once, so it equals what the same decisions on
+Fractions give.
 
 The small public predicates (``sq_dist``, ``cross``, ``orientation``,
-``segments_cross``) take and return Fractions.  ``core.instance_graph``
+``segments_cross``) take and return Fractions, and ``core.instance_graph``
 still builds the unit-distance graph with ``sq_dist``.  On integers that
 build is many times faster, but ``perfbench/run.py`` keeps every pass's
-artifacts until a run ends, so more passes read as more memory: a ``disk``
-pass keeps about 254 KB of strings, 229 KB of them the audit text held
-twice (the ``-o`` file and stdout).  A 30 s ``disk`` run at seed 1 made 11
+artifacts until a run ends (a ``disk`` pass: about 254 KB of strings,
+229 KB of them the audit text held twice, as the ``-o`` file and stdout),
+so more passes read as more memory.  A 30 s ``disk`` run at seed 1 made 11
 passes of the Fraction build and peaked at 25.5 MB; a prototype with the
 integer build, artifacts unchanged, made 56 passes and peaked at 37.7 MB
-(+48 %), and on ``far_pair`` 60 passes against 9, 35.5 MB against
-24.4 MB (Python 3.11, 2 vCPU Xeon).  That is far beyond the 5 % bound on
-``peak_rss_mb``, by an amount that depends on how fast the host runs.  The
-build moves once the benchmark keeps only what its metrics need (ROADMAP
-item 1, step A).
+(+48 %), and on ``far_pair`` 60 passes against 9, 35.5 MB against 24.4 MB
+(Python 3.11, 2 vCPU Xeon): far beyond the 5 % bound on ``peak_rss_mb``,
+by an amount that depends on the host's speed.  The build moves once the
+benchmark keeps only what its metrics need (ROADMAP item 1, step A).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime
@@ -42,6 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput
@@ -201,27 +205,32 @@ def _strict_hull(h: Sequence[Homogeneous], order: Sequence[int]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _lex_key(points: Sequence[Point]):
-    return lambda i: (points[i].x, points[i].y)
+def _lex_order(h: Sequence[Homogeneous], idxs: Iterable[int] | None = None,
+               reverse: bool = False) -> list[int]:
+    """The indices idxs (all of h by default) in exact (x, y) order, descending
+    with reverse; tied points keep their order in idxs."""
+    def compare(i: int, j: int) -> int:
+        (xi, yi, wi), (xj, yj, wj) = h[i], h[j]
+        return xi * wj - xj * wi or yi * wj - yj * wi  # cross-multiplied: every W > 0
+    return sorted(range(len(h)) if idxs is None else idxs, key=cmp_to_key(compare), reverse=reverse)
 
 
-def hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
-    """Boundary walk (edge-collinear points included) and interior split.
+def hull_decomposition(h: Sequence[Homogeneous]) -> HullDecomposition:
+    """Boundary walk (edge-collinear points included) and interior split of
+    the points with homogeneous triples h.
 
     The walk starts at the lexicographically smallest point, the first
     vertex of the strict hull; the direction is fixed so that for the unit
     square with an edge midpoint the boundary reads
     (0,0),(1,0),(2,0),(2,2),(0,2).
     """
-    n = len(points)
+    n = len(h)
     if n == 0:
         raise EmptyInput("hull of an empty point set")
     if n == 1:
         return HullDecomposition((0,), frozenset(), False)
 
-    h = [_homogeneous(p) for p in points]
-    lex = _lex_key(points)
-    order = sorted(range(n), key=lex)
+    order = _lex_order(h)
     hull = _strict_hull(h, order)
     if len(hull) <= 2:
         return HullDecomposition(tuple(order), frozenset(), True)
@@ -237,17 +246,16 @@ def hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
         lx, ly, lw = _line(h[a], h[b])
         on_edge = [i for i in rest if lx * h[i][0] + ly * h[i][1] + lw * h[i][2] == 0]
         if on_edge:
-            if lex(b) < lex(a):
-                on_edge.sort(key=lex, reverse=True)  # stable: ties stay ascending
-            boundary.extend(on_edge)
+            # from a to b, which may run down the (x, y) order; ties stay ascending
+            boundary.extend(_lex_order(h, on_edge, reverse=_lex_order(h, (a, b))[0] == b))
             placed = set(on_edge)
             rest = [i for i in rest if i not in placed]
     return HullDecomposition(tuple(boundary), frozenset(rest), False)
 
 
 class PreparedHull:
-    """Closed convex hull of a point set, built once for repeated exact
-    point location.
+    """Closed convex hull of a set of homogeneous triples, built once for
+    repeated exact location of triples.
 
     Each counterclockwise hull edge a->b is stored as its homogeneous line
     (see ``_line``), so locating a point costs three integer products per
@@ -258,16 +266,11 @@ class PreparedHull:
 
     __slots__ = ("_segment", "_edges")
 
-    def __init__(self, points: Iterable[Point]):
-        # equal points have equal triples, and int triples hash without the
-        # modular inverse of Fraction.__hash__
-        first: dict[Homogeneous, Point] = {}
-        for p in points:
-            first.setdefault(_homogeneous(p), p)
-        if not first:
+    def __init__(self, points: Iterable[Homogeneous]):
+        h = list(dict.fromkeys(points))  # equal points have equal triples
+        if not h:
             raise EmptyInput("hull of an empty point set")
-        h = list(first)
-        order = sorted(range(len(h)), key=_lex_key(list(first.values())))
+        order = _lex_order(h)
         hull = _strict_hull(h, order)
         self._segment: tuple[Homogeneous, Homogeneous] | None = None
         if len(hull) <= 2:
@@ -277,9 +280,8 @@ class PreparedHull:
         m = len(hull)
         self._edges = [_line(h[hull[t]], h[hull[(t + 1) % m]]) for t in range(m)]
 
-    def locate(self, p: Point) -> str:
+    def locate(self, c: Homogeneous) -> str:
         """INTERIOR, BOUNDARY or OUTSIDE for the closed hull."""
-        c = _homogeneous(p)
         x, y, w = c
         if self._segment is not None:
             lx, ly, lw = self._edges[0]
@@ -298,7 +300,7 @@ class PreparedHull:
 
 def point_in_hull(p: Point, points: Sequence[Point]) -> str:
     """Exact location of p relative to the closed convex hull of points."""
-    return PreparedHull(points).locate(p)
+    return PreparedHull(map(_homogeneous, points)).locate(_homogeneous(p))
 
 
 # A closed disk with centre (UX/UW, UY/UW) and squared radius R2/UW**2, as
@@ -322,15 +324,16 @@ def _diameter_disk(a: Homogeneous, b: Homogeneous) -> IntDisk:
     return ax * bw + bx * aw, ay * bw + by * aw, 2 * aw * bw, dx * dx + dy * dy
 
 
-def smallest_enclosing_disk(points: Sequence[Point]) -> Disk:
-    """Unique minimal closed disk containing all points, exactly.
+def smallest_enclosing_disk(h: Sequence[Homogeneous]) -> Disk:
+    """Unique minimal closed disk containing the points with homogeneous
+    triples h, exactly.
 
     Incremental construction on homogeneous integers; the insertion order
     is a seeded permutation so results and running time are reproducible.
     """
-    if not points:
+    if not h:
         raise EmptyInput("enclosing disk of an empty point set")
-    pts = [_homogeneous(p) for p in points]
+    pts = list(h)
     random.Random(_SED_SHUFFLE_SEED).shuffle(pts)
     d: IntDisk | None = None
     for i, p in enumerate(pts):

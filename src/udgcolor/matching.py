@@ -23,6 +23,7 @@ from .core import (AbstractGraph, Instance, _is_clique_mask, bits, complement,
                    mask_of, stability_witness)
 from .cover import _dispatch, partition_from_cover
 from .errors import AuditFailure, ParseError, StabilityViolated
+from .geom import _lex_order
 from .instances import parse_int, read_records
 
 
@@ -270,8 +271,7 @@ def sweep_greedy_color(inst: Instance) -> Coloring:
     color count at 3*omega - 2.
     """
     g = inst.graph
-    pts = inst.points
-    order = sorted(range(inst.n), key=lambda v: (pts[v].x, pts[v].y))
+    order = _lex_order(inst.homogeneous)
     assignment = [-1] * inst.n
     for v in order:
         taken = {assignment[u] for u in bits(g.masks[v]) if assignment[u] >= 0}

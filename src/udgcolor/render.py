@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .core import Instance
 from .cover import REGIONS, DiskCaseTrace
-from .geom import Point, hull_decomposition
+from .geom import Point, _homogeneous, hull_decomposition
 from .matching import Coloring
 
 _WIDTH = 640.0
@@ -25,8 +25,10 @@ def _hue(i: int, total: int) -> str:
 def render_svg(inst: Instance, coloring: Coloring | None = None,
                trace: DiskCaseTrace | None = None) -> str:
     pts = list(inst.points)
+    h = list(inst.homogeneous)
     if trace is not None and trace.p_virtual:
         pts.append(trace.p_point)
+        h.append(_homogeneous(trace.p_point))
     xs = [float(p.x) for p in pts] or [0.0]
     ys = [float(p.y) for p in pts] or [0.0]
     lo_x, hi_x = min(xs) - _PAD, max(xs) + _PAD
@@ -57,9 +59,8 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
             ids = sorted(trace.sets[f"region {name}"])
             if len(ids) < 2:
                 continue
-            region_pts = [pts[i] for i in ids]
-            hd = hull_decomposition(region_pts)
-            ring = [region_pts[i] for i in hd.boundary]
+            hd = hull_decomposition([h[i] for i in ids])
+            ring = [pts[ids[i]] for i in hd.boundary]
             path = " ".join(f"{sx(p):.2f},{sy(p):.2f}" for p in ring)
             out.append(f'<polygon points="{path}" fill="{color}" '
                        f'fill-opacity="0.10" stroke="{color}" '

@@ -5,8 +5,14 @@ from fractions import Fraction
 
 from udgcolor.core import (AbstractGraph, bits, build_instance, mask_of,
                            stability_witness)
-from udgcolor.geom import Point
+from udgcolor.geom import Point, _homogeneous
 from udgcolor.instances import circulant_graph, gen_circulant, gen_two_cluster
+
+
+def homogeneous(points):
+    """Each point as the integers (X, Y, W) that geom's hull and enclosing
+    disk take; an instance has these as Instance.homogeneous."""
+    return [_homogeneous(p) for p in points]
 
 
 def mixed_denominator_points():

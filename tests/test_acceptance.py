@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from corpora import homogeneous
 from udgcolor.core import instance_graph, stability_witness
 from udgcolor.cover import cover_three_cliques, partition_from_cover
 from udgcolor.geom import (OUTSIDE, Point, point_in_hull, segments_cross,
@@ -253,7 +254,7 @@ def test_criterion_8_geometric_property_suites():
         # box [0, 6/5]^2: squared diagonal 72/25 approaches the threshold 3
         pts = _grid_points(rng, 5, 10, 0, 12)
         assert max(sq_dist(p, q) for p in pts for q in pts) <= 3
-        assert smallest_enclosing_disk(pts).radius_sq <= 1
+        assert smallest_enclosing_disk(homogeneous(pts)).radius_sq <= 1
 
     rng = random.Random(8005)
     for i in range(cases):

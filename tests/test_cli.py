@@ -1,14 +1,16 @@
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from udgcolor import core, cover, geom, oracles
+from udgcolor import core, cover, geom, matching, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
-from udgcolor.instances import gen_circulant, gen_two_cluster
+from udgcolor.core import build_instance
+from udgcolor.instances import gen_circulant, gen_two_cluster, write_instance
 
 
 def _gen(tmp_path, name="c8.udg", family=("circulant", "8", "3")) -> Path:
@@ -93,7 +95,6 @@ def test_audit_exit_and_output(tmp_path, capsys):
 def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypatch):
     # C(5,2): one odd component; 0 and 2 are not adjacent, so an A of {0, 2}
     # is caught by the certificate's own clique check, not by an exception
-    from udgcolor import matching
     monkeypatch.setattr(matching, "_partition_sizes_and_largest",
                         lambda inst, vertices: ((2, 2, 1), frozenset({0, 2})))
     inst = _gen(tmp_path, family=("circulant", "5", "2"))
@@ -107,7 +108,6 @@ def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypat
 def test_audit_with_a_short_matching_fails_with_exit_4(tmp_path, capsys, monkeypatch):
     # a barrier X one R vertex larger than the decomposition's: the matching
     # falls short of the Tutte-Berge bound, which the audit raises on
-    from udgcolor import matching
     original = matching.gallai_edmonds
 
     def widen_x(g):
@@ -221,6 +221,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
     ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\n"),
     ("render", "trace circulant-8-3\nmode narrow\np 0 0 virtual=1 id=8\n" + _PIVOT_LINES
                + "nonedge 1 2\n"),
+    ("verify", "\ncover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("stats", "\nudg u 1\n0 0\n"),
     ("stats", "graph g 2\n0 5\n"),
     ("stats", "graph g 2\n0 0\n"),
     ("stats", "graph g -3\n"),
@@ -232,7 +234,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
         "trace-mode-twice", "trace-region-twice", "trace-region-no-colon",
         "trace-region-suffix", "trace-split-no-colon", "trace-pivot-two-values",
         "trace-region-unknown", "trace-split-one-pivot", "trace-nonedge-with-pivot",
-        "trace-nonedge-no-pair", "trace-narrow-with-pair", "graph-edge-out-of-range",
+        "trace-nonedge-no-pair", "trace-narrow-with-pair", "cover-blank-first-line",
+        "udg-blank-first-line", "graph-edge-out-of-range",
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
@@ -466,6 +469,64 @@ def test_coordinates_are_never_hashed_as_fractions(tmp_path, monkeypatch):
         assert run(["audit", str(inst), "-o", str(tmp_path / "t.audit")]) == EXIT_OK
     assert (tmp_path / "disk.udg.trace").exists()
     assert (tmp_path / "circ.udg.trace").exists()
+
+
+def test_each_point_is_converted_once_and_never_compared_as_a_fraction(tmp_path, monkeypatch):
+    """cover converts each point to its homogeneous integers once, plus the
+    disk centre; audit converts each sub-instance's points once, plus one
+    centre per disk-case sub-cover.  No Fraction is then ordered or
+    compared for equality on cover, color or audit; the graph build's
+    Fraction <= is the one comparison left."""
+    base = gen_circulant(59, 20)
+    order = list(range(base.n))
+    random.Random(1).shuffle(order)
+    instances = {"disk": gen_two_cluster(110, 1, "1/2"),
+                 "circulant": build_instance("c59-shuffled", [base.points[v] for v in order]),
+                 "far": gen_two_cluster(50, 1, "1")}
+    paths = {}
+    for name, inst in instances.items():
+        paths[name] = tmp_path / f"{name}.udg"
+        write_instance(paths[name], inst)
+
+    calls = 0
+    to_integers = geom._homogeneous
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return to_integers(p)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("udgcolor") and vars(module).get("_homogeneous") is to_integers:
+            monkeypatch.setattr(module, "_homogeneous", counted)
+    sub_sizes = []
+    sub_instance = matching._sub_instance
+    monkeypatch.setattr(matching, "_sub_instance", lambda inst, vertices: sub_sizes.append(
+        len(vertices)) or sub_instance(inst, vertices))
+    disk_cases = []
+    disk_case_cover = cover.disk_case_cover
+    monkeypatch.setattr(cover, "disk_case_cover", lambda inst, center: disk_cases.append(
+        inst.n) or disk_case_cover(inst, center))
+    for name in ("disk", "circulant"):
+        calls = 0
+        assert run(["cover", str(paths[name]), "-o", str(tmp_path / "t.cover")]) == EXIT_OK
+        assert calls <= instances[name].n + 1, (name, calls)
+        calls = 0
+        sub_sizes.clear()
+        disk_cases.clear()
+        assert run(["audit", str(paths[name]), "-o", str(tmp_path / "t.audit")]) == EXIT_OK
+        assert calls <= sum(sub_sizes) + len(disk_cases), (name, calls)
+
+    def compared(self, other):
+        raise AssertionError("a Fraction was compared")
+    for name in ("__lt__", "__gt__", "__ge__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, compared)
+    for name, path in paths.items():
+        trace = tmp_path / f"{name}.trace"
+        assert run(["cover", str(path), "-o", str(tmp_path / "t.cover"),
+                    "--trace", str(trace)]) == EXIT_OK
+        assert run(["color", str(path), "-o", str(tmp_path / "t.coloring")]) == EXIT_OK
+        assert run(["audit", str(path), "-o", str(tmp_path / "t.audit")]) == EXIT_OK
+        assert trace.exists() == (name != "far"), name
 
 
 def test_bench_table(tmp_path, capsys):

@@ -96,7 +96,7 @@ SQUARE = build_instance("sq", [point(0, 0), point(1, 0), point(1, 1), point(0, 1
 
 
 def _boundary(inst):
-    return hull_decomposition(inst.points).boundary
+    return hull_decomposition(inst.homogeneous).boundary
 
 
 def test_boundary_order_square_intervals():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     circulant_blowups, explicit_centre_cases,
+                     circulant_blowups, explicit_centre_cases, homogeneous,
                      lattice_disk_instances, mixed_denominator_points)
 from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, build_instance, instance_graph,
@@ -114,7 +114,7 @@ def test_collinear_cover_far_pair_only():
 def test_hollow_pivot_complete_boundary():
     inst = build_instance("sq", [point(0, 0), point("1/2", 0),
                                  point("1/2", "1/2"), point(0, "1/2")])
-    order = hull_decomposition(inst.points).boundary
+    order = hull_decomposition(inst.homogeneous).boundary
     g = instance_graph(inst)
     v = order[0]
     assert hollow_pivot(order, g, v) == (order[1], order[-1])
@@ -122,7 +122,7 @@ def test_hollow_pivot_complete_boundary():
 
 def test_hollow_pivot_c8():
     inst = gen_circulant(8, 3)
-    order = hull_decomposition(inst.points).boundary
+    order = hull_decomposition(inst.homogeneous).boundary
     g = instance_graph(inst)
     assert hollow_pivot(order, g, 0) == (6, 2)
     with pytest.raises(InvalidVertex, match="vertex 8 is not on the boundary"):
@@ -131,7 +131,7 @@ def test_hollow_pivot_c8():
 
 def test_hollow_pivot_c5():
     inst = gen_circulant(5, 2)
-    order = hull_decomposition(inst.points).boundary
+    order = hull_decomposition(inst.homogeneous).boundary
     g = instance_graph(inst)
     v_minus, v_plus = hollow_pivot(order, g, 0)
     assert (v_minus, v_plus) == (4, 1)
@@ -146,7 +146,7 @@ def test_hollow_pivot_conclusion_holds_on_random_boundaries():
         inst = gen_two_cluster(4 + rng.randrange(12), seed=rng.randrange(10000),
                                separation="3/4")
         g = instance_graph(inst)
-        hd = hull_decomposition(inst.points)
+        hd = hull_decomposition(inst.homogeneous)
         if hd.is_collinear:
             continue
         order = hd.boundary
@@ -230,12 +230,12 @@ def _disk_case_boundary(inst, center=None):
     """The augmented graph and boundary order disk_case_cover works on, around
     center (default: the smallest enclosing disk's, as the dispatch picks)."""
     if center is None:
-        center = smallest_enclosing_disk(inst.points).center
+        center = smallest_enclosing_disk(inst.homogeneous).center
     pts = list(inst.points)
     if center not in pts:
         pts.append(center)
     aug = build_instance(inst.id, pts)
-    return instance_graph(aug), hull_decomposition(aug.points).boundary
+    return instance_graph(aug), hull_decomposition(aug.homogeneous).boundary
 
 
 def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
@@ -280,7 +280,7 @@ def _disk_cases():
     for inst in instances:
         _, trace = cover_three_cliques(inst)
         if trace is not None:
-            yield inst, smallest_enclosing_disk(inst.points).center, trace
+            yield inst, smallest_enclosing_disk(inst.homogeneous).center, trace
     for inst, center in explicit_centre_cases():
         yield inst, center, disk_case_cover(inst, center)[1]
 
@@ -432,7 +432,7 @@ def test_disk_case_artifacts_match_golden_hashes(inst):
 def test_disk_case_small_square_complete():
     inst = build_instance("sq", [point(0, 0), point("1/2", 0),
                                  point("1/2", "1/2"), point(0, "1/2")])
-    center = smallest_enclosing_disk(inst.points).center
+    center = smallest_enclosing_disk(inst.homogeneous).center
     cover, trace = disk_case_cover(inst, center)
     _check(inst, cover)
     assert trace.mode in ("narrow", "split")
@@ -618,11 +618,12 @@ def _assert_dispatch_matches_reference(inst, dispatched):
     if inst.n >= 2:
         assert cover_module._collinear(h) == reference_collinear(pts), inst.id
     assert cover_module._far_pair(inst.graph, h) == reference_far_pair(pts), inst.id
-    center = smallest_enclosing_disk(pts).center
+    center = smallest_enclosing_disk(h).center
     if branch == "disk":
         assert witness == center
     for c in (center, point(0, 0), pts[0]):
-        assert cover_module._outside_unit_disk(c, h) == reference_outside(c, pts), (inst.id, c)
+        assert (cover_module._outside_unit_disk(*homogeneous([c]), h)
+                == reference_outside(c, pts)), (inst.id, c)
 
 
 def test_dispatch_predicates_match_reference_on_acceptance_corpus(dispatched):
@@ -690,10 +691,10 @@ def test_centre_test_on_and_just_off_the_unit_circle(offset, dispatched):
                       + ON_CIRCLE[3:])
     for pts, expected in ((on, None), (outside, 3)):
         inst = build_instance("circle", pts)
-        assert cover_module._outside_unit_disk(offset, inst.homogeneous) == expected
+        assert cover_module._outside_unit_disk(*homogeneous([offset]), inst.homogeneous) == expected
         assert reference_outside(offset, pts) == expected
         _assert_dispatch_matches_reference(inst, dispatched)
     inst = build_instance("circle", inside[1:])
-    assert cover_module._outside_unit_disk(offset, inst.homogeneous) is None
+    assert cover_module._outside_unit_disk(*homogeneous([offset]), inst.homogeneous) is None
     with pytest.raises(StructureViolation, match="vertex 3 lies outside the unit disk"):
         disk_case_cover(build_instance("circle", outside), offset)

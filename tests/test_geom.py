@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     mixed_denominator_points)
+                     homogeneous, lattice_worlds, mixed_denominator_points)
 from udgcolor import geom
 from udgcolor.errors import EmptyInput
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
@@ -197,7 +197,7 @@ def test_segments_cross_collinear_overlap():
 
 def test_hull_midpoint_on_edge_is_boundary():
     pts = [point(0, 0), point(2, 0), point(2, 2), point(0, 2), point(1, 0)]
-    hd = hull_decomposition(pts)
+    hd = hull_decomposition(homogeneous(pts))
     assert not hd.is_collinear
     assert hd.interior == frozenset()
     assert [pts[i] for i in hd.boundary] == [
@@ -206,13 +206,13 @@ def test_hull_midpoint_on_edge_is_boundary():
 
 def test_hull_center_is_interior():
     pts = [point(0, 0), point(2, 0), point(2, 2), point(0, 2), point(1, 1)]
-    hd = hull_decomposition(pts)
+    hd = hull_decomposition(homogeneous(pts))
     assert hd.interior == frozenset({4})
     assert set(hd.boundary) == {0, 1, 2, 3}
 
 
 def test_hull_single_point():
-    hd = hull_decomposition([point(0, 0)])
+    hd = hull_decomposition(homogeneous([point(0, 0)]))
     assert hd.boundary == (0,)
     assert hd.interior == frozenset()
     assert not hd.is_collinear
@@ -220,7 +220,7 @@ def test_hull_single_point():
 
 def test_hull_collinear_flag_and_order():
     pts = [point(2, 0), point(0, 0), point(1, 0)]
-    hd = hull_decomposition(pts)
+    hd = hull_decomposition(homogeneous(pts))
     assert hd.is_collinear
     assert [pts[i] for i in hd.boundary] == [point(0, 0), point(1, 0), point(2, 0)]
 
@@ -248,17 +248,17 @@ def test_point_in_hull_degenerate():
 
 
 def test_enclosing_disk_diameter_pair():
-    d = smallest_enclosing_disk([point(0, 0), point(2, 0)])
+    d = smallest_enclosing_disk(homogeneous([point(0, 0), point(2, 0)]))
     assert d == Disk(point(1, 0), Fraction(1))
 
 
 def test_enclosing_disk_right_triangle():
-    d = smallest_enclosing_disk([point(0, 0), point(2, 0), point(0, 2)])
+    d = smallest_enclosing_disk(homogeneous([point(0, 0), point(2, 0), point(0, 2)]))
     assert d == Disk(point(1, 1), Fraction(2))
 
 
 def test_enclosing_disk_single_point():
-    d = smallest_enclosing_disk([point(0, 0)])
+    d = smallest_enclosing_disk(homogeneous([point(0, 0)]))
     assert d == Disk(point(0, 0), Fraction(0))
 
 
@@ -279,7 +279,7 @@ def test_enclosing_disk_contains_all_and_support():
     rng = random.Random(42)
     for _ in range(150):
         pts = _random_points(rng, rng.randrange(2, 9))
-        d = smallest_enclosing_disk(pts)
+        d = smallest_enclosing_disk(homogeneous(pts))
         assert all(disk_contains(d, p) for p in pts)
         support = [p for p in pts if sq_dist(d.center, p) == d.radius_sq]
         assert len(support) >= 2
@@ -295,7 +295,7 @@ def test_enclosing_disk_radius_under_bounded_diameter():
         pts = _random_points(rng, rng.randrange(2, 7), denom=10, span=1)
         if max(sq_dist(a, b) for a in pts for b in pts) > 3:
             continue
-        d = smallest_enclosing_disk(pts)
+        d = smallest_enclosing_disk(homogeneous(pts))
         assert d.radius_sq <= 1
         done += 1
 
@@ -304,7 +304,7 @@ def test_hull_boundary_and_point_location_agree():
     rng = random.Random(99)
     for _ in range(80):
         pts = _random_points(rng, rng.randrange(3, 9))
-        hd = hull_decomposition(pts)
+        hd = hull_decomposition(homogeneous(pts))
         if hd.is_collinear:
             continue
         for i, p in enumerate(pts):
@@ -349,11 +349,11 @@ def test_point_location_matches_rational_reference():
 def _assert_matches_reference(pts):
     """Hull and enclosing disk equal the Fraction reference, also on the
     points plus the disk centre (the augmented set the disk case hulls)."""
-    assert hull_decomposition(pts) == reference_hull_decomposition(pts), pts
-    disk = smallest_enclosing_disk(pts)
+    assert hull_decomposition(homogeneous(pts)) == reference_hull_decomposition(pts), pts
+    disk = smallest_enclosing_disk(homogeneous(pts))
     assert disk == reference_smallest_enclosing_disk(pts), pts
     augmented = list(pts) + [disk.center]
-    assert hull_decomposition(augmented) == reference_hull_decomposition(augmented), pts
+    assert hull_decomposition(homogeneous(augmented)) == reference_hull_decomposition(augmented), pts
 
 
 def test_integer_kernel_matches_reference_on_random_sets():
@@ -382,7 +382,7 @@ def test_integer_kernel_matches_reference_on_small_grids():
         if rng.random() < 0.2:
             pts = pts + pts[:2]  # repeated points
         _assert_matches_reference(pts)
-        hd = hull_decomposition(pts)
+        hd = hull_decomposition(homogeneous(pts))
         if hd.is_collinear:
             continue
         ring = [pts[i] for i in hd.boundary]
@@ -471,7 +471,9 @@ def test_integer_kernel_on_mixed_denominators_matches_and_is_no_slower():
     _assert_matches_reference(pts)
     for fast, reference in ((hull_decomposition, reference_hull_decomposition),
                             (smallest_enclosing_disk, reference_smallest_enclosing_disk)):
-        assert _best_time(fast, pts) <= _best_time(reference, pts), fast.__name__
+        # the timed call includes the conversion to integers
+        assert (_best_time(lambda p: fast(homogeneous(p)), pts)
+                <= _best_time(reference, pts)), fast.__name__
 
 
 def test_integer_kernel_matches_reference_on_acceptance_corpus():
@@ -483,3 +485,40 @@ def test_integer_kernel_matches_reference_on_acceptance_corpus():
 def test_integer_kernel_matches_reference_on_benchmark_toy_instances(seed):
     for inst in benchmark_toy_instances(seed):
         _assert_matches_reference(inst.points)
+
+
+def _reference_lex_order(pts, idxs, reverse=False):
+    """The Fraction key the hull, the collinear cover and the sweep-greedy
+    coloring sorted by before they moved to homogeneous integers."""
+    return sorted(idxs, key=lambda i: (pts[i].x, pts[i].y), reverse=reverse)
+
+
+def _mixed_sets(rng, count):
+    """Mixed-denominator sets with negative coordinates, x values shared by
+    several points, and repeated points."""
+    for _ in range(count):
+        xs = [Fraction(rng.randrange(-60, 61), rng.choice((1, 2, 3, 7, 10, 2 ** 61 - 1)))
+              for _ in range(rng.randrange(1, 5))]
+        pts = [Point(rng.choice(xs), Fraction(rng.randrange(-60, 61), rng.randrange(1, 12)))
+               for _ in range(rng.randrange(1, 12))]
+        pts += rng.choices(pts, k=rng.randrange(4))
+        rng.shuffle(pts)
+        yield pts
+
+
+def test_lex_order_matches_the_fraction_key():
+    rng = random.Random(2020)
+    sets = [list(inst.points) for inst in acceptance_corpus()]
+    sets += [list(inst.points) for world in lattice_worlds().values() for inst in world]
+    sets += [mixed_denominator_points(), *_mixed_sets(rng, 500)]
+    ties = 0
+    for pts in sets:
+        h = homogeneous(pts)
+        n = len(pts)
+        assert geom._lex_order(h) == _reference_lex_order(pts, range(n)), pts
+        idxs = rng.sample(range(n), rng.randrange(n + 1))
+        for reverse in (False, True):
+            assert (geom._lex_order(h, idxs, reverse)
+                    == _reference_lex_order(pts, idxs, reverse)), (pts, idxs)
+        ties += len(set(pts)) < n
+    assert ties > 300, ties

@@ -8,6 +8,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from corpora import homogeneous
 from udgcolor.core import (build_instance, complement, instance_graph,
                            interval_closed, is_clique, stability_witness)
 from udgcolor.cover import cover_three_cliques, partition_from_cover
@@ -46,7 +47,7 @@ def test_segments_cross_symmetries(u, v, x, y):
 def test_hull_partitions_and_agrees_with_locator(pts):
     from udgcolor.geom import hull_decomposition
 
-    hd = hull_decomposition(pts)
+    hd = hull_decomposition(homogeneous(pts))
     assert len(hd.boundary) == len(set(hd.boundary))
     assert not set(hd.boundary) & hd.interior
     assert set(hd.boundary) | hd.interior == set(range(len(pts)))
@@ -61,7 +62,7 @@ def test_hull_partitions_and_agrees_with_locator(pts):
 @given(st.lists(points, min_size=2, max_size=8, unique=True))
 @settings(max_examples=120, deadline=None)
 def test_enclosing_disk_support_properties(pts):
-    d = smallest_enclosing_disk(pts)
+    d = smallest_enclosing_disk(homogeneous(pts))
     assert all(sq_dist(d.center, p) <= d.radius_sq for p in pts)
     support = [p for p in pts if sq_dist(d.center, p) == d.radius_sq]
     assert len(support) >= 2
@@ -161,7 +162,7 @@ def test_boundary_has_no_three_nested_nonadjacent_pairs():
         inst = gen_two_cluster(6 + rng.randrange(7), seed=rng.randrange(100000),
                                separation="1")
         g = instance_graph(inst)
-        hd = hull_decomposition(inst.points)
+        hd = hull_decomposition(inst.homogeneous)
         if stability_witness(g) is not None or hd.is_collinear:
             continue
         checked += 1
@@ -185,7 +186,7 @@ def test_interval_identities_on_generated_boundaries():
     while done < 20:
         inst = gen_two_cluster(5 + rng.randrange(8), seed=rng.randrange(100000),
                                separation="3/4")
-        hd = hull_decomposition(inst.points)
+        hd = hull_decomposition(inst.homogeneous)
         if hd.is_collinear:
             continue
         order = hd.boundary
