@@ -181,6 +181,25 @@ def instance_graph(inst: Instance) -> AbstractGraph:
     return AbstractGraph.from_masks(masks, id=inst.id)
 
 
+def _unit_masks(triples: Sequence[Homogeneous]) -> list[int]:
+    """The adjacency masks of the unit-distance graph over homogeneous
+    (X, Y, W) triples: i ~ j exactly when DX**2 + DY**2 <= (Wi*Wj)**2, with
+    DX = Xi*Wj - Xj*Wi and DY likewise (geom._sq_dist_sign(a, b, 1) <= 0,
+    inlined).  Equal to instance_graph's masks on the same points."""
+    n = len(triples)
+    masks = [0] * n
+    for i, (ix, iy, iw) in enumerate(triples):
+        for j in range(i + 1, n):
+            jx, jy, jw = triples[j]
+            dx = ix * jw - jx * iw
+            dy = iy * jw - jy * iw
+            ww = iw * jw
+            if dx * dx + dy * dy <= ww * ww:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
 def stability_witness(g: AbstractGraph) -> tuple[int, int, int] | None:
     """Lexicographically first independent triple, or None when none exists.
 

@@ -19,17 +19,22 @@ Fractions give.
 
 The small public predicates (``sq_dist``, ``cross``, ``orientation``,
 ``segments_cross``) take and return Fractions, and ``core.instance_graph``
-still builds the unit-distance graph with ``sq_dist``.  On integers that
-build is many times faster, but ``perfbench/run.py`` keeps every pass's
-artifacts until a run ends (a ``disk`` pass: about 254 KB of strings,
-229 KB of them the audit text held twice, as the ``-o`` file and stdout),
-so more passes read as more memory.  A 30 s ``disk`` run at seed 1 made 11
-passes of the Fraction build and peaked at 25.5 MB; a prototype with the
-integer build, artifacts unchanged, made 56 passes and peaked at 37.7 MB
-(+48 %), and on ``far_pair`` 60 passes against 9, 35.5 MB against 24.4 MB
-(Python 3.11, 2 vCPU Xeon): far beyond the 5 % bound on ``peak_rss_mb``,
-by an amount that depends on the host's speed.  The build moves once the
-benchmark keeps only what its metrics need (ROADMAP item 1, step A).
+still builds the unit-distance graph with ``sq_dist``.  The integer build is
+``core._unit_masks`` (``_sq_dist_sign(a, b, 1) <= 0``, inlined, over
+``Instance.homogeneous``); it is tested equal to ``instance_graph`` and so
+far serves only the circulant generator's check, which ``cover``, ``color``
+and ``audit`` never reach.  On integers the build is many times faster, but
+``perfbench/run.py`` keeps every pass's artifacts until a run ends (a
+``disk`` pass: about 254 KB of strings, 229 KB of them the audit text held
+twice, as the ``-o`` file and stdout), so more passes read as more memory.
+A 30 s ``disk`` run at seed 1 made 11 passes of the Fraction build and
+peaked at 25.5 MB; a prototype with the integer build, artifacts unchanged,
+made 56 passes and peaked at 37.7 MB (+48 %), and on ``far_pair`` 60 passes
+against 9, 35.5 MB against 24.4 MB (Python 3.11, 2 vCPU Xeon): far beyond
+the 5 % bound on ``peak_rss_mb``, by an amount that depends on the host's
+speed.  The build moves, as a switch of ``instance_graph`` to
+``_unit_masks``, once the benchmark keeps only what its metrics need
+(ROADMAP item 1, step A).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime

@@ -3,7 +3,11 @@
 Generators are pure functions of their parameters (and seed); the circulant
 family is placed on a circle and then verified against the intended abstract
 adjacency with exact arithmetic, so a bad rounding can never slip through as
-a silently different graph.
+a silently different graph.  That check builds the unit-distance graph with
+``core._unit_masks`` on the instance's homogeneous integers, with no
+Fraction, and stores the graph it checked as the instance's graph; every
+other instance graph is built on first use by ``core.instance_graph``, which
+still compares Fraction distances.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .core import AbstractGraph, Instance, _point_key, build_instance
+from .core import AbstractGraph, Instance, _point_key, _unit_masks, build_instance
 from .errors import EmptyInstance, NotRealizable, ParseError, SnapFailure
 from .geom import Point
 
@@ -41,7 +45,8 @@ def gen_circulant(n: int, k: int) -> Instance:
     lengths at index distances k-1 and k across the unit threshold.
 
     The realized exact adjacency is compared against the abstract relation;
-    any mismatch raises SnapFailure instead of returning a wrong graph.
+    any mismatch raises SnapFailure instead of returning a wrong graph.  The
+    returned instance carries the graph it was checked with.
     """
     if n < 3 or k < 2 or k > n:
         raise ValueError(f"circulant requires n >= 3 and 2 <= k <= n, got ({n},{k})")
@@ -66,11 +71,13 @@ def gen_circulant(n: int, k: int) -> Instance:
                             _snap(radius * math.sin(theta), _CIRC_DENOM)))
     inst = build_instance(f"circulant-{n}-{k}", points)
 
-    differ = _first_difference(inst.graph, circulant_graph(n, k))
+    realized = AbstractGraph.from_masks(_unit_masks(inst.homogeneous), id=inst.id)
+    differ = _first_difference(realized, circulant_graph(n, k))
     if differ is not None:
         i, j = differ
         raise SnapFailure(
             f"rounded placement of C_{n}^{k} changes adjacency of ({i},{j})")
+    vars(inst)["graph"] = realized  # the value the cached property would compute
     return inst
 
 
@@ -118,9 +125,18 @@ def gen_cs(k: int) -> AbstractGraph:
 def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> Instance:
     """n points sampled in two radius-1/2 disks whose centers sit separation
     apart; each disk induces a clique, so stability is at most 2 by
-    construction.  Fully deterministic for a fixed (n, seed, separation)."""
+    construction.  Fully deterministic for a fixed (n, seed, separation).
+
+    A string separation is an integer or "num/den" (parse_scalar's grammar);
+    anything else, decimals and exponents included, raises ValueError."""
     if n < 1:
         raise ValueError(f"two_cluster requires n >= 1, got {n}")
+    if isinstance(separation, str):
+        try:
+            separation = parse_scalar(separation, 1)
+        except ParseError:
+            raise ValueError(f"separation must be an integer or num/den, "
+                             f"got {separation!r}") from None
     sep = Fraction(separation)
     if not 0 < sep <= 1:
         raise ValueError(f"separation must be in (0, 1], got {sep}")

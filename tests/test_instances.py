@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from udgcolor.core import AbstractGraph, build_instance, instance_graph
 from udgcolor.errors import (DuplicatePoint, EmptyInstance, ParseError,
                              SnapFailure)
-from udgcolor import instances
+from udgcolor import geom, instances
 from udgcolor.geom import point
 from udgcolor.instances import (_first_difference, circulant_graph,
                                 gen_circulant, gen_cs,
@@ -18,12 +19,22 @@ from udgcolor.instances import (_first_difference, circulant_graph,
 from udgcolor.oracles import brute_stats, check_nbhprop
 
 
-@pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (11, 4), (14, 5), (17, 6)])
+# n = 2k - 1, (7, 4) and (10, 6) have k - 1 >= n // 2: the complete graph
+CIRCULANT_PARAMETERS = sorted({(n, k) for k in range(2, 31)
+                               for n in (2 * k - 1, 2 * k + 1, 3 * k - 2, 3 * k - 1, 3 * k)}
+                              | {(7, 4), (10, 6)})
+
+
+@pytest.mark.parametrize("n,k", CIRCULANT_PARAMETERS)
 def test_circulant_realizes_abstract_adjacency(n, k):
+    """The generator's integer check stores its graph; it equals the
+    Fraction build of the same points and the abstract circulant."""
     inst = gen_circulant(n, k)
-    realized = instance_graph(inst)
+    assert "graph" in vars(inst)
+    fresh = instance_graph(build_instance(inst.id, inst.points))
     intended = circulant_graph(n, k)
-    assert realized == intended
+    assert inst.graph == fresh == intended
+    assert inst.graph.id == fresh.id == intended.id
 
 
 def _pairwise_first_difference(g, h):
@@ -58,6 +69,44 @@ def test_circulant_snap_failure_names_the_first_changed_pair(monkeypatch):
     monkeypatch.setattr(instances_module, "circulant_graph", off_by_two)
     with pytest.raises(SnapFailure, match=r"changes adjacency of \(1,5\)$"):
         gen_circulant(8, 3)
+
+
+# sha256 of instance_to_text(gen_circulant(n, k)), recorded while the
+# generator still checked its placement with Fraction distances
+GOLDEN_CIRCULANTS = {
+    (35, 12): "d1ea125a24d8dc8247f9dce7db5e8a8b71f1396082419e4831a626dfb38811ea",
+    (47, 16): "a54854a1f20b6e4842b93a6a1fe68516f83773057c3cf70f8aaf5bee26ba5f78",
+    (59, 20): "e433c83a0eb2e5d9c5a8e8022190be7eaa31d1658173be9c977cb3df2b2307ba",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(GOLDEN_CIRCULANTS))
+def test_circulant_texts_match_golden_hash(n, k):
+    text = instance_to_text(gen_circulant(n, k))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CIRCULANTS[n, k]
+
+
+def test_circulant_check_compares_no_fraction_distance(monkeypatch):
+    def refused(p, q):
+        raise AssertionError("sq_dist was called")
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("udgcolor") and vars(module).get("sq_dist") is geom.sq_dist:
+            monkeypatch.setattr(module, "sq_dist", refused)
+    inst = gen_circulant(59, 20)
+    assert inst.graph == circulant_graph(59, 20)
+
+
+def test_circulant_snap_failure_on_a_coarse_grid(monkeypatch):
+    """On a grid of 1/100 the margin check refuses C(59,20), whose chords
+    sit within 0.031 of 1 in squared length, before any point is placed;
+    C(8,3), with a margin of 0.23, still places exactly."""
+    monkeypatch.setattr(instances, "_CIRC_DENOM", 100)
+    with pytest.raises(SnapFailure, match=r"^rounding margin too small for C_59\^20; "
+                                          r"increase precision$"):
+        gen_circulant(59, 20)
+    inst = gen_circulant(8, 3)
+    assert all(100 % p.x.denominator == 100 % p.y.denominator == 0 for p in inst.points)
+    assert instance_graph(build_instance(inst.id, inst.points)) == circulant_graph(8, 3)
 
 
 def test_circulant_c5_stats():
@@ -171,6 +220,22 @@ def test_two_cluster_separation_validated():
         gen_two_cluster(5, seed=0, separation=2)
     with pytest.raises(ValueError):
         gen_two_cluster(5, seed=0, separation=0)
+
+
+@pytest.mark.parametrize("separation", [
+    "1e-3000000", "1e-999999999", "0.5", "1e0", "+1", " 1", "1_0", "1/0", "one"])
+def test_two_cluster_refuses_separations_outside_the_rational_grammar(separation):
+    """Fraction(str) would take the exponents and compute 10**3000000 or
+    10**999999999 first; the generator refuses them on sight."""
+    with pytest.raises(ValueError, match="separation must be an integer or num/den"):
+        gen_two_cluster(5, seed=0, separation=separation)
+
+
+def test_two_cluster_string_separation_is_the_fraction():
+    assert gen_two_cluster(9, 2, "3/4") == gen_two_cluster(9, 2, Fraction(3, 4))
+    assert gen_two_cluster(9, 2, "1") == gen_two_cluster(9, 2, 1)
+    with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+        gen_two_cluster(5, seed=0, separation="-1/2")
 
 
 @pytest.mark.parametrize("n", [0, -4])
