@@ -3,7 +3,9 @@
 Instances live in the distance model: vertices are pairwise distinct planar
 points, adjacent exactly when their squared distance is at most 1.  Vertex
 identity is the index into the point list, so every output of the library
-refers to indices, never to coordinates.
+refers to indices, never to coordinates.  build_instance converts each
+point once to the homogeneous integers (X, Y, W) that every geometric
+predicate reads, and stores them as Instance.homogeneous.
 
 A graph's only adjacency is one int per vertex (AbstractGraph.masks): bit j
 of masks[i] is set exactly when i ~ j.  A 110-vertex graph is then about
@@ -33,6 +35,7 @@ from .geom import Homogeneous, Point, _homogeneous, sq_dist
 class Instance:
     id: str
     points: tuple[Point, ...]
+    homogeneous: tuple[Homogeneous, ...]
 
     @property
     def n(self) -> int:
@@ -43,29 +46,19 @@ class Instance:
         """The unit-distance graph, built on first use and shared after."""
         return instance_graph(self)
 
-    @cached_property
-    def homogeneous(self) -> tuple[Homogeneous, ...]:
-        """Each point as the integers (X, Y, W) of geom's exact predicates,
-        computed on first use and shared after."""
-        return tuple(_homogeneous(p) for p in self.points)
-
-
-def _point_key(p: Point) -> tuple[int, int, int, int]:
-    """The integers of p's two coordinates.  Fractions are kept in lowest
-    terms, so equal points have equal keys; hashing these integers skips the
-    modular inverse that Fraction.__hash__ computes for each coordinate."""
-    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-
 
 def build_instance(id: str, points: Sequence[Point]) -> Instance:
-    """Validate pairwise distinctness and freeze the point list."""
-    seen: dict[tuple[int, int, int, int], int] = {}
-    for i, p in enumerate(points):
-        key = _point_key(p)
-        if key in seen:
-            raise DuplicatePoint(seen[key], i)
-        seen[key] = i
-    return Instance(id, tuple(points))
+    """Convert each point once, validate pairwise distinctness on the
+    triples, and freeze both lists.  Fractions are kept in lowest terms, so
+    equal points have equal triples; hashing these integers skips the
+    modular inverse that Fraction.__hash__ computes for each coordinate."""
+    homogeneous = tuple(_homogeneous(p) for p in points)
+    seen: dict[Homogeneous, int] = {}
+    for i, key in enumerate(homogeneous):
+        first = seen.setdefault(key, i)
+        if first != i:
+            raise DuplicatePoint(first, i)
+    return Instance(id, tuple(points), homogeneous)
 
 
 class AbstractGraph:

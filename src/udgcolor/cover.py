@@ -10,8 +10,8 @@ which not all parts have the same cardinality.  Dispatch:
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
-Each point is converted once, to the homogeneous integers the instance
-computes on first use (Instance.homogeneous), and the disk case converts
+Each point is converted once, by build_instance, to the homogeneous
+integers the instance stores (Instance.homogeneous); the disk case converts
 only the disk centre, once.  Everything geometric reads these integers:
 the dispatch tests (the collinearity test is one dot product with the line
 through the first two points per point, the far-pair scan and the centre

@@ -11,9 +11,9 @@ The convex hull, the smallest enclosing disk, the (x, y) order
 disk (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and squared radius
 R2/UW**2, and every test is a cross-multiplied integer comparison with no
 gcd.  ``hull_decomposition``, ``smallest_enclosing_disk`` and
-``PreparedHull`` take these triples.  Each point is converted once, by
-``Instance.homogeneous``, plus the disk centre in the disk case;
-``point_in_hull`` converts its Points on entry.  The enclosing disk is
+``PreparedHull`` take these triples.  ``core.build_instance`` converts each
+point once (``Instance.homogeneous``), the disk case its centre, and
+``point_in_hull`` its Points on entry.  The enclosing disk is
 turned back into Fractions once, so it equals what the same decisions on
 Fractions give.
 

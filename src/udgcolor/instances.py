@@ -18,9 +18,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .core import AbstractGraph, Instance, _point_key, _unit_masks, build_instance
+from .core import AbstractGraph, Instance, _unit_masks, build_instance
 from .errors import EmptyInstance, NotRealizable, ParseError, SnapFailure
-from .geom import Point
+from .geom import Homogeneous, Point, _homogeneous
 
 _CIRC_DENOM = 10 ** 12
 _CLUSTER_DENOM = 10 ** 9
@@ -127,17 +127,16 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
     apart; each disk induces a clique, so stability is at most 2 by
     construction.  Fully deterministic for a fixed (n, seed, separation).
 
-    A string separation is an integer or "num/den" (parse_scalar's grammar);
-    anything else, decimals and exponents included, raises ValueError."""
+    The separation is read from its str() by parse_scalar: an int, a
+    Fraction, or a string integer or "num/den".  Anything else, floats,
+    bools, decimals and exponents included, raises ValueError."""
     if n < 1:
         raise ValueError(f"two_cluster requires n >= 1, got {n}")
-    if isinstance(separation, str):
-        try:
-            separation = parse_scalar(separation, 1)
-        except ParseError:
-            raise ValueError(f"separation must be an integer or num/den, "
-                             f"got {separation!r}") from None
-    sep = Fraction(separation)
+    try:
+        sep = parse_scalar(str(separation), 1)
+    except ParseError:
+        raise ValueError(f"separation must be an integer or num/den, "
+                         f"got {separation!r}") from None
     if not 0 < sep <= 1:
         raise ValueError(f"separation must be in (0, 1], got {sep}")
     rng = random.Random(seed)
@@ -146,7 +145,7 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
     radius = 0.5 - _CLUSTER_MARGIN
 
     points: list[Point] = []
-    taken: set[tuple[int, int, int, int]] = set()
+    taken: set[Homogeneous] = set()
     for _ in range(n):
         while True:
             cnum, cden = centers[rng.randrange(2)]
@@ -157,7 +156,7 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
             dx = round(r * math.cos(theta) * _CLUSTER_DENOM)
             p = Point(Fraction(cnum * _CLUSTER_DENOM + dx * cden, cden * _CLUSTER_DENOM),
                       _snap(r * math.sin(theta), _CLUSTER_DENOM))
-            key = _point_key(p)
+            key = _homogeneous(p)
             if key not in taken:
                 taken.add(key)
                 points.append(p)

@@ -343,11 +343,12 @@ def _sub_instance(inst: Instance, vertices) -> tuple[Instance, tuple[int, ...]]:
     """The sub-instance on vertices, plus its local -> global vertex map.
 
     Its graph is the induced subgraph of the instance graph, which is the
-    unit-distance graph of the subset, so it is not rebuilt from
-    coordinates."""
+    unit-distance graph of the subset, and its triples are the instance's,
+    so neither is rebuilt from coordinates."""
     graph, glb = inst.graph.induced(vertices)
     graph.id = f"{inst.id}/sub"
-    sub = Instance(graph.id, tuple(inst.points[v] for v in glb))
+    sub = Instance(graph.id, tuple(inst.points[v] for v in glb),
+                   tuple(inst.homogeneous[v] for v in glb))
     vars(sub)["graph"] = graph  # the value the cached property would compute
     return sub, glb
 

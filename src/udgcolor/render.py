@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from .core import Instance
 from .cover import REGIONS, DiskCaseTrace
-from .geom import Point, _homogeneous, hull_decomposition
+from .errors import ParseError
+from .geom import _homogeneous, hull_decomposition
 from .matching import Coloring
 
 _WIDTH = 640.0
@@ -24,24 +25,31 @@ def _hue(i: int, total: int) -> str:
 
 def render_svg(inst: Instance, coloring: Coloring | None = None,
                trace: DiskCaseTrace | None = None) -> str:
+    """The SVG text; ParseError names a point it cannot draw in floats."""
     pts = list(inst.points)
     h = list(inst.homogeneous)
     if trace is not None and trace.p_virtual:
-        pts.append(trace.p_point)
+        pts.append(trace.p_point)  # drawn as vertex n
         h.append(_homogeneous(trace.p_point))
-    xs = [float(p.x) for p in pts] or [0.0]
-    ys = [float(p.y) for p in pts] or [0.0]
+    xy = []
+    for v, p in enumerate(pts):
+        try:
+            xy.append((float(p.x), float(p.y)))
+        except OverflowError:
+            name = "trace p" if v == inst.n else f"vertex {v}"
+            raise ParseError(1, f"{name} has a coordinate beyond the float range") from None
+    xs, ys = zip(*xy) if xy else ((0.0,), (0.0,))
     lo_x, hi_x = min(xs) - _PAD, max(xs) + _PAD
     lo_y, hi_y = min(ys) - _PAD, max(ys) + _PAD
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     scale = _WIDTH / span
     height = (hi_y - lo_y) * scale
 
-    def sx(p: Point) -> float:
-        return (float(p.x) - lo_x) * scale
+    def sx(v: int) -> float:
+        return (xy[v][0] - lo_x) * scale
 
-    def sy(p: Point) -> float:
-        return (hi_y - float(p.y)) * scale  # flip: SVG y grows downward
+    def sy(v: int) -> float:
+        return (hi_y - xy[v][1]) * scale  # flip: SVG y grows downward
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
            f'height="{height:.0f}" viewBox="0 0 {_WIDTH:.0f} {height:.0f}">']
@@ -49,9 +57,8 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
 
     g = inst.graph
     for u, v in g.edges():
-        a, b = inst.points[u], inst.points[v]
-        out.append(f'<line x1="{sx(a):.2f}" y1="{sy(a):.2f}" '
-                   f'x2="{sx(b):.2f}" y2="{sy(b):.2f}" '
+        out.append(f'<line x1="{sx(u):.2f}" y1="{sy(u):.2f}" '
+                   f'x2="{sx(v):.2f}" y2="{sy(v):.2f}" '
                    f'stroke="#999999" stroke-width="1.2"/>')
 
     if trace is not None:
@@ -60,25 +67,23 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
             if len(ids) < 2:
                 continue
             hd = hull_decomposition([h[i] for i in ids])
-            ring = [pts[ids[i]] for i in hd.boundary]
-            path = " ".join(f"{sx(p):.2f},{sy(p):.2f}" for p in ring)
+            path = " ".join(f"{sx(ids[i]):.2f},{sy(ids[i]):.2f}" for i in hd.boundary)
             out.append(f'<polygon points="{path}" fill="{color}" '
                        f'fill-opacity="0.10" stroke="{color}" '
                        f'stroke-width="1.5" stroke-dasharray="6,3">'
                        f'<title>{name}</title></polygon>')
 
     total = coloring.num_colors if coloring is not None else 1
-    for v, p in enumerate(inst.points):
+    for v in range(inst.n):
         fill = _hue(coloring.assignment[v], total) if coloring is not None else "#4488cc"
-        out.append(f'<circle cx="{sx(p):.2f}" cy="{sy(p):.2f}" r="6" '
+        out.append(f'<circle cx="{sx(v):.2f}" cy="{sy(v):.2f}" r="6" '
                    f'fill="{fill}" stroke="#222222" stroke-width="1"/>')
-        out.append(f'<text x="{sx(p) + 8:.2f}" y="{sy(p) - 8:.2f}" '
+        out.append(f'<text x="{sx(v) + 8:.2f}" y="{sy(v) - 8:.2f}" '
                    f'font-size="11" font-family="monospace" '
                    f'fill="#333333">{v}</text>')
 
     if trace is not None and trace.p_virtual:
-        p = trace.p_point
-        out.append(f'<circle cx="{sx(p):.2f}" cy="{sy(p):.2f}" r="4" '
+        out.append(f'<circle cx="{sx(inst.n):.2f}" cy="{sy(inst.n):.2f}" r="4" '
                    f'fill="none" stroke="#000000" stroke-width="1.5" '
                    f'stroke-dasharray="2,2"><title>p</title></circle>')
 

@@ -228,6 +228,15 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
     ("stats", "graph g -3\n"),
     ("stats", "graph g 0\n"),
     ("stats", "graph g 1_0\n"),
+    ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\n"),
+    ("verify", "cover circulant-8-3\nclique 1: 0\nclique 0: 0\nclique 2: 1\nshared: 0\n"),
+    ("verify", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 1 2\n"),
+    ("coloring", "coloring circulant-8-3 2\n0 0\n2 1\n"),
+    ("coloring", "coloring circulant-8-3 3\n0 0\n1 1\n"),
+    ("stats", "udg u 1\n0\n"),
+    ("stats", "graph g " + "1" * 5000 + "\n"),
+    ("render", "trace circulant-8-3\nmode split\n" + _PIVOT_LINES),
+    ("stats", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
 ], ids=["cover-shared-x", "cover-no-id", "cover-underscore", "cover-shared-plus",
         "cover-two-word-id", "coloring-plus", "coloring-twice", "trace-p-1", "trace-b-x",
         "trace-region-z", "trace-exponent", "trace-no-id", "trace-mode-bogus",
@@ -236,7 +245,10 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
         "trace-region-unknown", "trace-split-one-pivot", "trace-nonedge-with-pivot",
         "trace-nonedge-no-pair", "trace-narrow-with-pair", "cover-blank-first-line",
         "udg-blank-first-line", "graph-edge-out-of-range",
-        "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore"])
+        "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore",
+        "cover-no-shared-line", "cover-clique-1-first", "cover-shared-two-values",
+        "coloring-ids-0-2", "coloring-count-differs", "udg-one-token",
+        "graph-5000-digit-count", "trace-no-p", "stats-unknown-header"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
     bad = tmp_path / "bad.txt"
@@ -262,8 +274,10 @@ def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
               + "region R: 0 8\n"),
     ("trace", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=0 id=0\nnonedge 2 8\n"),
     ("coloring", "coloring other 4\n" + "".join(f"{v} {v % 4}\n" for v in range(8))),
+    ("coloring", "coloring circulant-8-3 2\n0 0\n1 1\n"),
 ], ids=["trace-other-instance", "trace-region-99", "trace-virtual-id-n+1",
-        "trace-region-n-not-virtual", "trace-nonedge-n", "coloring-other-instance"])
+        "trace-region-n-not-virtual", "trace-nonedge-n", "coloring-other-instance",
+        "coloring-other-size"])
 def test_render_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, text):
     inst = _gen(tmp_path)
     bad = tmp_path / "bad.txt"
@@ -274,6 +288,31 @@ def test_render_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, te
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert err.count("\n") == 1
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("case", ["vertex", "trace-p"])
+def test_render_of_a_coordinate_beyond_the_float_range_is_a_parse_error(tmp_path, capsys, case):
+    """The SVG is drawn in floats, and 10**400 has none: render names the
+    point it cannot draw on one line, exits 2 and writes no SVG."""
+    huge = "1" + "0" * 400
+    argv = ["render"]
+    if case == "vertex":
+        inst = tmp_path / "huge.udg"
+        inst.write_text(f"udg huge 2\n0 0\n{huge} 0\n")
+        argv.append(str(inst))
+        named = "vertex 1"
+    else:
+        trace = tmp_path / "huge.trace"
+        trace.write_text(f"trace circulant-8-3\nmode split\np {huge} 0 virtual=1 id=8\n"
+                         + _PIVOT_LINES)
+        argv += [str(_gen(tmp_path)), "--trace", str(trace)]
+        named = "trace p"
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    assert run(argv + ["-o", str(svg)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"parse error: line 1: {named} has a coordinate beyond the float range\n"
     assert not svg.exists()
 
 
@@ -472,11 +511,11 @@ def test_coordinates_are_never_hashed_as_fractions(tmp_path, monkeypatch):
 
 
 def test_each_point_is_converted_once_and_never_compared_as_a_fraction(tmp_path, monkeypatch):
-    """cover converts each point to its homogeneous integers once, plus the
-    disk centre; audit converts each sub-instance's points once, plus one
-    centre per disk-case sub-cover.  No Fraction is then ordered or
-    compared for equality on cover, color or audit; the graph build's
-    Fraction <= is the one comparison left."""
+    """Each command converts each point to its homogeneous integers exactly
+    once, when the instance is built, plus one centre per disk-case cover,
+    top level or audit sub-cover.  No Fraction is then ordered or compared
+    for equality on cover, color or audit; the graph build's Fraction <= is
+    the one comparison left."""
     base = gen_circulant(59, 20)
     order = list(range(base.n))
     random.Random(1).shuffle(order)
@@ -498,23 +537,20 @@ def test_each_point_is_converted_once_and_never_compared_as_a_fraction(tmp_path,
     for module in list(sys.modules.values()):
         if module.__name__.startswith("udgcolor") and vars(module).get("_homogeneous") is to_integers:
             monkeypatch.setattr(module, "_homogeneous", counted)
-    sub_sizes = []
-    sub_instance = matching._sub_instance
-    monkeypatch.setattr(matching, "_sub_instance", lambda inst, vertices: sub_sizes.append(
-        len(vertices)) or sub_instance(inst, vertices))
     disk_cases = []
     disk_case_cover = cover.disk_case_cover
     monkeypatch.setattr(cover, "disk_case_cover", lambda inst, center: disk_cases.append(
         inst.n) or disk_case_cover(inst, center))
-    for name in ("disk", "circulant"):
-        calls = 0
-        assert run(["cover", str(paths[name]), "-o", str(tmp_path / "t.cover")]) == EXIT_OK
-        assert calls <= instances[name].n + 1, (name, calls)
-        calls = 0
-        sub_sizes.clear()
-        disk_cases.clear()
-        assert run(["audit", str(paths[name]), "-o", str(tmp_path / "t.audit")]) == EXIT_OK
-        assert calls <= sum(sub_sizes) + len(disk_cases), (name, calls)
+    for name, inst in instances.items():
+        for command in ("cover", "color", "audit"):
+            calls = 0
+            disk_cases.clear()
+            assert run([command, str(paths[name]), "-o", str(tmp_path / "t.out")]) == EXIT_OK
+            if command == "cover":
+                assert disk_cases == ([] if name == "far" else [inst.n]), name
+            elif command == "color":
+                assert disk_cases == [], name
+            assert calls == inst.n + len(disk_cases), (name, command, calls)
 
     def compared(self, other):
         raise AssertionError("a Fraction was compared")
@@ -547,6 +583,18 @@ def test_bench_table(tmp_path, capsys):
         assert greedy <= 3 * omega - 2
         assert 2 * matching <= 3 * omega
         assert matching == chi
+
+
+def test_bench_marks_an_instance_with_an_independent_triple(tmp_path, capsys):
+    """The matching coloring needs stability two; bench prints '?' in its
+    column for an instance with an independent triple and goes on."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "line.udg").write_text("udg line 3\n0 0\n2 0\n4 0\n")
+    _gen(corpus)
+    assert run(["bench", str(corpus)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["circulant-8-3\t8\t3\t5\t4\t4\t4", "line\t3\t1\t1\t?\t1\t1"]
 
 
 def test_render_svg(tmp_path):

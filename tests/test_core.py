@@ -19,6 +19,11 @@ def test_build_instance_duplicate():
     assert (err.value.i, err.value.j) == (0, 2)
 
 
+def test_build_instance_stores_each_points_triple():
+    inst = build_instance("t", [point("1/2", "1/3"), point(-2, "3/4"), point(0, 0)])
+    assert inst.homogeneous == ((3, 2, 6), (-8, 3, 4), (0, 0, 1))
+
+
 def test_build_instance_empty_ok():
     assert build_instance("t", []).n == 0
 

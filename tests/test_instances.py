@@ -231,6 +231,14 @@ def test_two_cluster_refuses_separations_outside_the_rational_grammar(separation
         gen_two_cluster(5, seed=0, separation=separation)
 
 
+@pytest.mark.parametrize("separation", [0.7, 0.5, 1.0, True, False])
+def test_two_cluster_refuses_float_and_bool_separations(separation):
+    """A float would be taken as its binary value (0.7 as
+    3152519739159347/2**52) and True as 1; neither is a separation."""
+    with pytest.raises(ValueError, match="separation must be an integer or num/den"):
+        gen_two_cluster(5, seed=0, separation=separation)
+
+
 def test_two_cluster_string_separation_is_the_fraction():
     assert gen_two_cluster(9, 2, "3/4") == gen_two_cluster(9, 2, Fraction(3, 4))
     assert gen_two_cluster(9, 2, "1") == gen_two_cluster(9, 2, 1)
