@@ -39,7 +39,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.homogeneous)
 
     @cached_property
     def graph(self) -> AbstractGraph:

@@ -5,25 +5,26 @@ epsilons.  Adjacency thresholds elsewhere in the library reduce to comparing
 squared distances against 1 and 3.
 
 The convex hull, the smallest enclosing disk, the (x, y) order
-(``_lex_order``) and the cover's dispatch tests (``_sq_dist_sign``,
-``_line``) run on per-point homogeneous integers: a point becomes
-(X, Y, W) with W the lcm of its own two denominators (``_homogeneous``), a
-disk (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and squared radius
-R2/UW**2, and every test is a cross-multiplied integer comparison with no
-gcd.  ``hull_decomposition``, ``smallest_enclosing_disk`` and
-``PreparedHull`` take these triples.  ``core.build_instance`` converts each
-point once (``Instance.homogeneous``), the disk case its centre, and
-``point_in_hull`` its Points on entry.  The enclosing disk is
-turned back into Fractions once, so it equals what the same decisions on
-Fractions give.
+(``_lex_order``), orientation and segment crossing, and the cover's dispatch
+tests (``_sq_dist_sign``, ``_line``) run on per-point homogeneous integers:
+a point becomes (X, Y, W) with W the lcm of its own two denominators
+(``_homogeneous``), a disk (UX, UY, UW, R2) with centre (UX/UW, UY/UW) and
+squared radius R2/UW**2, and every test is a cross-multiplied integer
+comparison with no gcd.  ``hull_decomposition``, ``smallest_enclosing_disk``
+and ``PreparedHull`` take these triples.  ``core.build_instance`` converts
+each point once (``Instance.homogeneous``), the disk case its centre, and
+``point_in_hull``, ``orientation`` and ``segments_cross`` their Points on
+entry.  The enclosing disk is turned back into Fractions once, so it equals
+what the same decisions on Fractions give.
 
-The small public predicates (``sq_dist``, ``cross``, ``orientation``,
-``segments_cross``) take and return Fractions, and ``core.instance_graph``
-still builds the unit-distance graph with ``sq_dist``.  The integer build is
-``core._unit_masks`` (``_sq_dist_sign(a, b, 1) <= 0``, inlined, over
-``Instance.homogeneous``); it is tested equal to ``instance_graph`` and so
-far serves only the circulant generator's check, which ``cover``, ``color``
-and ``audit`` never reach.  On integers the build is many times faster, but
+Only ``sq_dist`` and ``cross``, which return a rational value, compute in
+Fractions, and ``core.instance_graph`` still builds the unit-distance graph
+with ``sq_dist``.  The integer build is ``core._unit_masks``
+(``_sq_dist_sign(a, b, 1) <= 0``, inlined, over ``Instance.homogeneous``);
+it and ``instance_graph`` are tested against a Fraction pair loop kept in
+the tests, and so far it serves only the circulant generator's check, which
+``cover``, ``color`` and ``audit`` never reach.  On integers the build is
+many times faster, but
 ``perfbench/run.py`` keeps every pass's artifacts until a run ends (a
 ``disk`` pass: about 254 KB of strings, 229 KB of them the audit text held
 twice, as the ``-o`` file and stdout), so more passes read as more memory.
@@ -112,40 +113,6 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def orientation(a: Point, b: Point, c: Point) -> int:
-    v = cross(a, b, c)
-    if v > 0:
-        return CCW
-    if v < 0:
-        return CW
-    return COLLINEAR
-
-
-def _within_bbox(a: Point, b: Point, q: Point) -> bool:
-    return (min(a.x, b.x) <= q.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= q.y <= max(a.y, b.y))
-
-
-def segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
-    """True iff the closed segments uv and xy share at least one point.
-
-    Endpoint contact and collinear overlap count as crossing.
-    """
-    d1 = orientation(u, v, x)
-    d2 = orientation(u, v, y)
-    d3 = orientation(x, y, u)
-    d4 = orientation(x, y, v)
-    if d1 == COLLINEAR and _within_bbox(u, v, x):
-        return True
-    if d2 == COLLINEAR and _within_bbox(u, v, y):
-        return True
-    if d3 == COLLINEAR and _within_bbox(x, y, u):
-        return True
-    if d4 == COLLINEAR and _within_bbox(x, y, v):
-        return True
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 # A point (X/W, Y/W) as the integers (X, Y, W), with W > 0.
 Homogeneous = tuple[int, int, int]
 
@@ -187,6 +154,30 @@ def _in_box(a: Homogeneous, b: Homogeneous, c: Homogeneous) -> bool:
     cx, cy, cw = c
     return ((cx * aw - ax * cw) * (cx * bw - bx * cw) <= 0
             and (cy * aw - ay * cw) * (cy * bw - by * cw) <= 0)
+
+
+def _orientation(a: Homogeneous, b: Homogeneous, c: Homogeneous) -> int:
+    lx, ly, lw = _line(a, b)
+    side = lx * c[0] + ly * c[1] + lw * c[2]
+    return CCW if side > 0 else CW if side < 0 else COLLINEAR
+
+
+def orientation(a: Point, b: Point, c: Point) -> int:
+    return _orientation(_homogeneous(a), _homogeneous(b), _homogeneous(c))
+
+
+def segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
+    """True iff the closed segments uv and xy share at least one point.
+
+    Endpoint contact and collinear overlap count as crossing.
+    """
+    u, v, x, y = map(_homogeneous, (u, v, x, y))
+    d1, d2 = _orientation(u, v, x), _orientation(u, v, y)
+    d3, d4 = _orientation(x, y, u), _orientation(x, y, v)
+    if (d1 == COLLINEAR and _in_box(u, v, x) or d2 == COLLINEAR and _in_box(u, v, y)
+            or d3 == COLLINEAR and _in_box(x, y, u) or d4 == COLLINEAR and _in_box(x, y, v)):
+        return True
+    return d1 * d2 < 0 and d3 * d4 < 0
 
 
 def _strict_hull(h: Sequence[Homogeneous], order: Sequence[int]) -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +51,8 @@ def gen_circulant(n: int, k: int) -> Instance:
     """
     if n < 3 or k < 2 or k > n:
         raise ValueError(f"circulant requires n >= 3 and 2 <= k <= n, got ({n},{k})")
+    if n > sys.float_info.max:  # the circle is placed in floats
+        raise ValueError(f"circulant requires n within the float range, got a {n.bit_length()}-bit n")
     dmax = n // 2
     if k - 1 >= dmax:
         radius = 0.25  # complete graph: any circle of diameter <= 1 works

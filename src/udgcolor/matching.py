@@ -240,15 +240,6 @@ class Coloring:
         return max(self.assignment) + 1 if self.assignment else 0
 
 
-def _coloring_from_classes(n: int, classes: list[list[int]]) -> Coloring:
-    classes = sorted((sorted(cl) for cl in classes if cl), key=lambda cl: cl[0])
-    assignment = [-1] * n
-    for color, members in enumerate(classes):
-        for v in members:
-            assignment[v] = color
-    return Coloring(tuple(assignment))
-
-
 def color_via_complement_matching(inst: Instance) -> Coloring:
     """Proper coloring with classes of size at most two: matched pairs of the
     complement graph plus singletons.  Uses n - nu(complement) colors."""
@@ -256,12 +247,17 @@ def color_via_complement_matching(inst: Instance) -> Coloring:
     witness = stability_witness(g)
     if witness is not None:
         raise StabilityViolated(witness)
-    h = complement(g)
-    matched = max_matching(h)
-    classes = [[u, v] for u, v in sorted(matched.edges)]
-    covered = {v for e in matched.edges for v in e}
-    classes.extend([v] for v in range(inst.n) if v not in covered)
-    return _coloring_from_classes(inst.n, classes)
+    partner = list(range(inst.n))  # unmatched vertices are their own partner
+    for u, v in max_matching(complement(g)).edges:
+        partner[u], partner[v] = v, u
+    # colors in the order of each class's lowest vertex
+    assignment = [-1] * inst.n
+    colors = 0
+    for v, w in enumerate(partner):
+        if assignment[v] < 0:
+            assignment[v] = assignment[w] = colors
+            colors += 1
+    return Coloring(tuple(assignment))
 
 
 def sweep_greedy_color(inst: Instance) -> Coloring:

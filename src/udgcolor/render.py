@@ -7,6 +7,8 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 from .core import Instance
 from .cover import REGIONS, DiskCaseTrace
 from .errors import ParseError
@@ -25,16 +27,15 @@ def _hue(i: int, total: int) -> str:
 
 def render_svg(inst: Instance, coloring: Coloring | None = None,
                trace: DiskCaseTrace | None = None) -> str:
-    """The SVG text; ParseError names a point it cannot draw in floats."""
-    pts = list(inst.points)
+    """The SVG text; ParseError names a point it cannot draw in floats, or
+    says that the drawing's span is beyond the float range."""
     h = list(inst.homogeneous)
     if trace is not None and trace.p_virtual:
-        pts.append(trace.p_point)  # drawn as vertex n
-        h.append(_homogeneous(trace.p_point))
+        h.append(_homogeneous(trace.p_point))  # drawn as vertex n
     xy = []
-    for v, p in enumerate(pts):
+    for v, (x, y, w) in enumerate(h):
         try:
-            xy.append((float(p.x), float(p.y)))
+            xy.append((x / w, y / w))  # one rounding, as float(Fraction(x, w))
         except OverflowError:
             name = "trace p" if v == inst.n else f"vertex {v}"
             raise ParseError(1, f"{name} has a coordinate beyond the float range") from None
@@ -42,6 +43,8 @@ def render_svg(inst: Instance, coloring: Coloring | None = None,
     lo_x, hi_x = min(xs) - _PAD, max(xs) + _PAD
     lo_y, hi_y = min(ys) - _PAD, max(ys) + _PAD
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    if span == math.inf:
+        raise ParseError(1, "the points span a width beyond the float range")
     scale = _WIDTH / span
     height = (hi_y - lo_y) * scale
 

@@ -15,6 +15,19 @@ def homogeneous(points):
     return [_homogeneous(p) for p in points]
 
 
+def fraction_masks(points):
+    """The unit-distance masks of points by exact Fraction distances, one
+    pair at a time: the reference for every graph build."""
+    masks = [0] * len(points)
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            dx, dy = p.x - points[j].x, p.y - points[j].y
+            if dx * dx + dy * dy <= 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
 def mixed_denominator_points():
     """120 points whose 240 coordinates have distinct 20-bit prime denominators."""
     rng = random.Random(20)

@@ -156,8 +156,9 @@ def test_usage_errors(tmp_path):
     ["--family", "two_cluster", "--n", "10", "--separation", "1/0"],
     ["--family", "two_cluster", "--n", "0"],
     ["--family", "two_cluster", "--n", "-4"],
+    ["--family", "circulant", "--n", "1" + "0" * 400, "--k", "3"],
 ], ids=["cs-k0", "circulant-k0", "separation-2", "separation-abc", "separation-1/0",
-        "two-cluster-n0", "two-cluster-n-4"])
+        "two-cluster-n0", "two-cluster-n-4", "circulant-n-beyond-float"])
 def test_gen_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, params):
     out = tmp_path / "x"
     assert run(["gen", *params, "-o", str(out)]) == EXIT_USAGE
@@ -313,6 +314,20 @@ def test_render_of_a_coordinate_beyond_the_float_range_is_a_parse_error(tmp_path
     assert run(argv + ["-o", str(svg)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == f"parse error: line 1: {named} has a coordinate beyond the float range\n"
+    assert not svg.exists()
+
+
+def test_render_of_a_span_beyond_the_float_range_is_a_parse_error(tmp_path, capsys):
+    """10**308 and -10**308 are floats, but the width between them is not:
+    render says so on one line, exits 2 and writes no SVG."""
+    big = "1" + "0" * 308
+    inst = tmp_path / "wide.udg"
+    inst.write_text(f"udg wide 2\n{big} 0\n-{big} 0\n")
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    assert run(["render", str(inst), "-o", str(svg)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "parse error: line 1: the points span a width beyond the float range\n"
     assert not svg.exists()
 
 

@@ -70,7 +70,7 @@ def reference_hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
         pa, pb = points[a], points[b]
         on_edge = [i for i in range(n)
                    if i not in hull_set and i not in placed
-                   and orientation(pa, pb, points[i]) == COLLINEAR
+                   and reference_orientation(pa, pb, points[i]) == COLLINEAR
                    and _within_bbox(pa, pb, points[i])]
         on_edge.sort(key=lambda i: sq_dist(pa, points[i]))
         placed.update(on_edge)
@@ -193,6 +193,69 @@ def test_segments_cross_shared_endpoint():
 
 def test_segments_cross_collinear_overlap():
     assert segments_cross(point(0, 0), point(2, 0), point(1, 0), point(3, 0))
+
+
+# Fraction reference for orientation and segments_cross: the sign of the
+# Fraction cross product, and the crossing test built from it and the
+# bounding box above.
+
+def reference_orientation(a: Point, b: Point, c: Point) -> int:
+    v = cross(a, b, c)
+    return CCW if v > 0 else CW if v < 0 else COLLINEAR
+
+
+def reference_segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
+    d1, d2 = reference_orientation(u, v, x), reference_orientation(u, v, y)
+    d3, d4 = reference_orientation(x, y, u), reference_orientation(x, y, v)
+    if any(d == COLLINEAR and _within_bbox(a, b, q)
+           for d, a, b, q in ((d1, u, v, x), (d2, u, v, y), (d3, x, y, u), (d4, x, y, v))):
+        return True
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def random_sign_test_points(rng: random.Random) -> list[Point]:
+    """Four points, each on the (1/2)Z**2 grid near the origin (collinear
+    triples, touching segments and shared endpoints) or with two large
+    unrelated denominators below 2**31."""
+    pts = []
+    for _ in range(4):
+        if rng.random() < 0.5:
+            pts.append(Point(Fraction(rng.randrange(-3, 4), 2), Fraction(rng.randrange(-3, 4), 2)))
+        else:
+            dx, dy = rng.randrange(1, 2 ** 31), rng.randrange(1, 2 ** 31)
+            pts.append(Point(Fraction(rng.randrange(-2 * dx, 2 * dx), dx),
+                             Fraction(rng.randrange(-2 * dy, 2 * dy), dy)))
+    return pts
+
+
+def test_orientation_and_segments_cross_match_the_fraction_reference():
+    rng = random.Random(23)
+    seen = {CCW: 0, CW: 0, COLLINEAR: 0, "cross": 0, "touch": 0}
+    for _ in range(10_000):
+        u, v, x, y = random_sign_test_points(rng)
+        o = reference_orientation(u, v, x)
+        assert orientation(u, v, x) == o, (u, v, x)
+        crossing = reference_segments_cross(u, v, x, y)
+        assert segments_cross(u, v, x, y) == crossing, (u, v, x, y)
+        seen[o] += 1
+        if crossing:
+            seen["cross" if o * reference_orientation(u, v, y) < 0 else "touch"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_sign_tests_do_no_fraction_arithmetic(monkeypatch):
+    """orientation and segments_cross answer on each point's integers."""
+    rng = random.Random(24)
+    cases = [random_sign_test_points(rng) for _ in range(300)]
+    expected = [(reference_orientation(u, v, x), reference_segments_cross(u, v, x, y))
+                for u, v, x, y in cases]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+    monkeypatch.setattr(Fraction, "__sub__", refuse)
+    monkeypatch.setattr(Fraction, "__mul__", refuse)
+    assert [(orientation(u, v, x), segments_cross(u, v, x, y))
+            for u, v, x, y in cases] == expected
 
 
 def test_hull_midpoint_on_edge_is_boundary():

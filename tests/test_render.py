@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
+from corpora import mixed_denominator_points
+from udgcolor.core import build_instance
 from udgcolor.cover import cover_three_cliques
 from udgcolor.instances import gen_circulant, gen_two_cluster
-from udgcolor.matching import color_via_complement_matching
+from udgcolor.matching import color_via_complement_matching, sweep_greedy_color
 from udgcolor.render import render_svg
 
 # SHA-256 of render_svg(inst, coloring, trace) with the matching coloring and
@@ -41,3 +43,13 @@ def test_svg_matches_golden_hash(inst):
     svg = render_svg(inst, color_via_complement_matching(inst), trace)
     mode = None if trace is None else trace.mode
     assert (mode, hashlib.sha256(svg.encode()).hexdigest()) == GOLDEN_SVGS[inst.id]
+
+
+def test_svg_of_mixed_denominators_matches_golden_hash():
+    """Coordinates over 240 distinct 20-bit prime denominators, drawn with
+    the sweep-greedy coloring; the hash was recorded while the renderer
+    still converted Fraction coordinates to floats."""
+    inst = build_instance("mixed", mixed_denominator_points())
+    svg = render_svg(inst, sweep_greedy_color(inst))
+    assert (hashlib.sha256(svg.encode()).hexdigest()
+            == "b106c40c19efdd0092cda3cc1c7eadf20a870846a4135ed9108ecf2b3c5af274")

@@ -1,10 +1,12 @@
-"""core._unit_masks, the integer unit-distance kernel, against the Fraction
-graph build core.instance_graph.
+"""The graph builds, core._unit_masks (the integer unit-distance kernel) and
+core.instance_graph, against corpora.fraction_masks, a Fraction pair loop
+kept in the tests.
 
 The kernel compares DX**2 + DY**2 with (Wi*Wj)**2 on each instance's
-homogeneous integers.  It must give the same masks as instance_graph on every
+homogeneous integers.  Both builds must give the reference's masks on every
 corpus below, including pairs at distance exactly 1, where the closed
-threshold decides.
+threshold decides.  The reference stays independent of the library, so the
+test keeps its meaning whichever kernel instance_graph runs.
 """
 
 import itertools
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpora import (acceptance_corpus, circulant_blowups, lattice_disk_instances,
-                     lattice_worlds, mixed_denominator_points)
+from corpora import (acceptance_corpus, circulant_blowups, fraction_masks,
+                     lattice_disk_instances, lattice_worlds, mixed_denominator_points)
 from udgcolor.core import _unit_masks, build_instance, instance_graph
 from udgcolor.geom import Point, sq_dist
 
@@ -25,7 +27,9 @@ UNIT_STEPS = [(a, b) for a in _LEGS for b in _LEGS if a * a + b * b == 1]
 
 
 def assert_kernel_matches(inst):
-    assert _unit_masks(inst.homogeneous) == list(instance_graph(inst).masks), inst.id
+    reference = fraction_masks(inst.points)
+    assert _unit_masks(inst.homogeneous) == reference, inst.id
+    assert list(instance_graph(inst).masks) == reference, inst.id
 
 
 def test_kernel_matches_on_acceptance_corpus():
