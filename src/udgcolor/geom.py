@@ -174,8 +174,8 @@ def segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
     u, v, x, y = map(_homogeneous, (u, v, x, y))
     d1, d2 = _orientation(u, v, x), _orientation(u, v, y)
     d3, d4 = _orientation(x, y, u), _orientation(x, y, v)
-    if (d1 == COLLINEAR and _in_box(u, v, x) or d2 == COLLINEAR and _in_box(u, v, y)
-            or d3 == COLLINEAR and _in_box(x, y, u) or d4 == COLLINEAR and _in_box(x, y, v)):
+    if any(d == COLLINEAR and _in_box(a, b, q)
+           for d, a, b, q in ((d1, u, v, x), (d2, u, v, y), (d3, x, y, u), (d4, x, y, v))):
         return True
     return d1 * d2 < 0 and d3 * d4 < 0
 

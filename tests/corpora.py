@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from udgcolor.core import (AbstractGraph, bits, build_instance, mask_of,
                            stability_witness)
-from udgcolor.geom import Point, _homogeneous
+from udgcolor.geom import CCW, COLLINEAR, CW, Point, _homogeneous, cross
 from udgcolor.instances import circulant_graph, gen_circulant, gen_two_cluster
 
 
@@ -13,6 +13,13 @@ def homogeneous(points):
     """Each point as the integers (X, Y, W) that geom's hull and enclosing
     disk take; an instance has these as Instance.homogeneous."""
     return [_homogeneous(p) for p in points]
+
+
+def reference_orientation(a: Point, b: Point, c: Point) -> int:
+    """The sign of the Fraction cross product: the reference for every
+    orientation test, independent of geom's integer line kernel."""
+    v = cross(a, b, c)
+    return CCW if v > 0 else CW if v < 0 else COLLINEAR
 
 
 def fraction_masks(points):

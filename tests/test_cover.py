@@ -8,7 +8,8 @@ import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
                      circulant_blowups, explicit_centre_cases, homogeneous,
-                     lattice_disk_instances, mixed_denominator_points)
+                     lattice_disk_instances, mixed_denominator_points,
+                     reference_orientation)
 from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, build_instance, instance_graph,
                            interval_closed, is_clique)
@@ -20,7 +21,7 @@ from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
                             trace_to_text)
 from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                              StructureViolation)
-from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, orientation, point,
+from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, point,
                            smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.matching import audit_bound, color_via_complement_matching
@@ -560,7 +561,7 @@ def test_structure_violation_is_hard_error():
 # differential oracle.
 
 def reference_collinear(pts):
-    return all(orientation(pts[0], pts[1], p) == COLLINEAR for p in pts[2:])
+    return all(reference_orientation(pts[0], pts[1], p) == COLLINEAR for p in pts[2:])
 
 
 def reference_far_pair(pts):

@@ -6,7 +6,8 @@ from typing import Iterable, Sequence
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     homogeneous, lattice_worlds, mixed_denominator_points)
+                     homogeneous, lattice_worlds, mixed_denominator_points,
+                     reference_orientation)
 from udgcolor import geom
 from udgcolor.errors import EmptyInput
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
@@ -195,14 +196,9 @@ def test_segments_cross_collinear_overlap():
     assert segments_cross(point(0, 0), point(2, 0), point(1, 0), point(3, 0))
 
 
-# Fraction reference for orientation and segments_cross: the sign of the
-# Fraction cross product, and the crossing test built from it and the
+# Fraction reference for segments_cross: the crossing test built from the
+# sign of the Fraction cross product (corpora.reference_orientation) and the
 # bounding box above.
-
-def reference_orientation(a: Point, b: Point, c: Point) -> int:
-    v = cross(a, b, c)
-    return CCW if v > 0 else CW if v < 0 else COLLINEAR
-
 
 def reference_segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
     d1, d2 = reference_orientation(u, v, x), reference_orientation(u, v, y)
@@ -386,16 +382,16 @@ def _reference_location(p, pts):
     if len(uniq) == 1:
         return BOUNDARY if p in uniq else OUTSIDE
     supporting = [(a, b) for a in uniq for b in uniq
-                  if a != b and all(orientation(a, b, q) != CW for q in uniq)]
-    if any(orientation(a, b, p) == CW for a, b in supporting):
+                  if a != b and all(reference_orientation(a, b, q) != CW for q in uniq)]
+    if any(reference_orientation(a, b, p) == CW for a, b in supporting):
         return OUTSIDE
-    if all(orientation(a, b, q) == COLLINEAR for a, b in supporting for q in uniq):
+    if all(reference_orientation(a, b, q) == COLLINEAR for a, b in supporting for q in uniq):
         # a segment: p is on its line, so only the extent is left to check
         xs = [q.x for q in uniq]
         ys = [q.y for q in uniq]
         inside = min(xs) <= p.x <= max(xs) and min(ys) <= p.y <= max(ys)
         return BOUNDARY if inside else OUTSIDE
-    on_edge = any(orientation(a, b, p) == COLLINEAR for a, b in supporting)
+    on_edge = any(reference_orientation(a, b, p) == COLLINEAR for a, b in supporting)
     return BOUNDARY if on_edge else INTERIOR
 
 
@@ -450,7 +446,7 @@ def test_integer_kernel_matches_reference_on_small_grids():
             continue
         ring = [pts[i] for i in hd.boundary]
         for p, q, r in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]):
-            if p != q != r and orientation(p, q, r) == COLLINEAR:
+            if p != q != r and reference_orientation(p, q, r) == COLLINEAR:
                 if (p.x, p.y) < (r.x, r.y):
                     forward += 1
                 else:
