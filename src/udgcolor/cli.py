@@ -6,6 +6,9 @@ artifact of another instance, 3 precondition violation (an independent
 triple), 4 an alpha/omega oracle limit (stats), an invalid artifact (verify)
 or an internal structure/audit failure.
 
+With -o the artifact goes to that file only, and stdout carries at most one
+summary line (audit: its `result` line).
+
 Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 """
 
@@ -143,6 +146,7 @@ def _cmd_audit(args) -> int:
     text = report.to_text()
     if args.output:
         _write_text(args.output, text)
+        text = text.splitlines(keepends=True)[-1]  # `result PASS` or `result FAIL`
     print(text, end="")
     return EXIT_OK if report.all_pass else EXIT_INTERNAL
 
@@ -205,7 +209,8 @@ def _cmd_bench(args) -> int:
     table = "\n".join(lines) + "\n"
     if args.output:
         _write_text(args.output, table)
-    print(table, end="")
+    else:
+        print(table, end="")
     return EXIT_OK
 
 

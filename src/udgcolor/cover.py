@@ -597,4 +597,8 @@ def trace_from_text(text: str) -> tuple[str, DiskCaseTrace]:
     for kind in wanted:
         if kind not in kinds_read:
             raise ParseError(last, f"a {mode} trace needs a {kind!r} line")
+    for label in SET_LABELS:
+        if mode == "nonedge" and sets[label]:
+            raise ParseError(kinds_read[f"{label}:"],
+                             f"a nonedge trace has an empty {label!r} line")
     return instance_id, DiskCaseTrace(pivots=pivots, sets=sets, **fields)

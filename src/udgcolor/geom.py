@@ -24,18 +24,17 @@ with ``sq_dist``.  The integer build is ``core._unit_masks``
 it and ``instance_graph`` are tested against a Fraction pair loop kept in
 the tests, and so far it serves only the circulant generator's check, which
 ``cover``, ``color`` and ``audit`` never reach.  On integers the build is
-many times faster, but
-``perfbench/run.py`` keeps every pass's artifacts until a run ends (a
-``disk`` pass: about 254 KB of strings, 229 KB of them the audit text held
-twice, as the ``-o`` file and stdout), so more passes read as more memory.
-A 30 s ``disk`` run at seed 1 made 11 passes of the Fraction build and
-peaked at 25.5 MB; a prototype with the integer build, artifacts unchanged,
-made 56 passes and peaked at 37.7 MB (+48 %), and on ``far_pair`` 60 passes
-against 9, 35.5 MB against 24.4 MB (Python 3.11, 2 vCPU Xeon): far beyond
+many times faster, but ``perfbench/run.py`` keeps every pass's artifact
+texts until a run ends (a ``disk`` pass: about 143 KB of strings, with
+``audit -o`` printing only its ``result`` line), so more passes read as
+more memory.  In 30 s runs at seed 1 (Python 3.11, 2 vCPU Xeon), switching
+``instance_graph`` to ``_unit_masks``, artifacts unchanged, took
+``far_pair`` from 12 to 51 passes and its ``peak_rss_mb`` from 24.4 to
+29.5 MB (+21 %), ``disk`` from 12 to 58 passes and 24.7 to 32.1 MB (+30 %),
+and ``circulant`` from 32 to 76 passes and 24.9 to 25.8 MB (+4 %): beyond
 the 5 % bound on ``peak_rss_mb``, by an amount that depends on the host's
-speed.  The build moves, as a switch of ``instance_graph`` to
-``_unit_masks``, once the benchmark keeps only what its metrics need
-(ROADMAP item 1, step A).
+speed.  The build moves, as that switch, once the benchmark keeps only what
+its metrics need (ROADMAP item 1, step A).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime

@@ -87,9 +87,13 @@ def test_verify_rejects_tampered_cover(tmp_path):
 def test_audit_exit_and_output(tmp_path, capsys):
     inst = _gen(tmp_path)
     rpt = tmp_path / "a.txt"
+    capsys.readouterr()
     assert run(["audit", str(inst), "-o", str(rpt)]) == EXIT_OK
+    assert capsys.readouterr().out == "result PASS\n"  # the report goes to the file only
     assert rpt.read_text().rstrip().endswith("result PASS")
-    assert "check" in capsys.readouterr().out
+    assert "check" in rpt.read_text()
+    assert run(["audit", str(inst)]) == EXIT_OK
+    assert capsys.readouterr().out == rpt.read_text()
 
 
 def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypatch):
@@ -103,6 +107,10 @@ def test_audit_with_a_non_clique_A_fails_with_exit_4(tmp_path, capsys, monkeypat
     assert "A 2: 0 2\n" in out
     assert "check A-union stable in complement: lhs=1 rhs=0 FAIL" in out
     assert out.endswith("result FAIL\n")
+    rpt = tmp_path / "a.txt"
+    assert run(["audit", str(inst), "-o", str(rpt)]) == EXIT_INTERNAL
+    assert capsys.readouterr().out == "result FAIL\n"
+    assert rpt.read_text() == out
 
 
 def test_audit_with_a_short_matching_fails_with_exit_4(tmp_path, capsys, monkeypatch):
@@ -220,6 +228,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
     ("render", "trace circulant-8-3\nmode split\np 0 0 virtual=1 id=8\nb 7\nregion R: 8\n"),
     ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\nb 1\n"),
     ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\n"),
+    ("render", "trace circulant-8-3\nmode nonedge\np 0 0 virtual=1 id=8\nnonedge 1 4\n"
+               "region B+: 0 1 2\n"),
     ("render", "trace circulant-8-3\nmode narrow\np 0 0 virtual=1 id=8\n" + _PIVOT_LINES
                + "nonedge 1 2\n"),
     ("verify", "\ncover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
@@ -244,8 +254,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
         "trace-mode-twice", "trace-region-twice", "trace-region-no-colon",
         "trace-region-suffix", "trace-split-no-colon", "trace-pivot-two-values",
         "trace-region-unknown", "trace-split-one-pivot", "trace-nonedge-with-pivot",
-        "trace-nonedge-no-pair", "trace-narrow-with-pair", "cover-blank-first-line",
-        "udg-blank-first-line", "graph-edge-out-of-range",
+        "trace-nonedge-no-pair", "trace-nonedge-with-members", "trace-narrow-with-pair",
+        "cover-blank-first-line", "udg-blank-first-line", "graph-edge-out-of-range",
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore",
         "cover-no-shared-line", "cover-clique-1-first", "cover-shared-two-values",
         "coloring-ids-0-2", "coloring-count-differs", "udg-one-token",
@@ -587,7 +597,11 @@ def test_bench_table(tmp_path, capsys):
         run(["gen", "--family", "circulant", "--n", str(n), "--k", str(k),
              "-o", str(corpus / f"c{n}_{k}.udg")])
     out_file = tmp_path / "bench.tsv"
+    capsys.readouterr()
     assert run(["bench", str(corpus), "-o", str(out_file)]) == EXIT_OK
+    assert capsys.readouterr().out == ""  # with -o the table goes to the file only
+    assert run(["bench", str(corpus)]) == EXIT_OK
+    assert out_file.read_text() == capsys.readouterr().out
     lines = out_file.read_text().splitlines()
     assert lines[0] == "instance\tn\tomega\tgreedy\tmatching\tchi\tbound"
     assert len(lines) == 3
