@@ -110,9 +110,12 @@ class AbstractGraph:
     def induced(self, vertices: Iterable[int]) -> tuple["AbstractGraph", tuple[int, ...]]:
         """Induced subgraph on sorted(vertices); returns it with the
         local-index -> global-index map.  Ids outside 0..n-1 raise
-        InvalidVertex."""
+        InvalidVertex.  The subgraph on every vertex is a new graph over
+        this one's masks, with the identity map: nothing is renumbered."""
         glb = tuple(sorted(set(vertices)))
         _require_vertices(self, glb)
+        if len(glb) == self.n:
+            return AbstractGraph.from_masks(self.masks, id=self.id), glb
         pos = {g: l for l, g in enumerate(glb)}
         chosen = mask_of(glb)
         masks = []

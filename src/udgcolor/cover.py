@@ -5,8 +5,9 @@ sharing a vertex, and derives from any such cover a clique partition in
 which not all parts have the same cardinality.  Dispatch:
 
   * all points on one line          -> collinear_cover
-  * some pair at squared distance   -> far_pair_cover
-    at least 3
+  * some pair at squared distance   -> far_pair_cover (no pair is tested
+    at least 3                         when the bounding box's squared
+                                       diagonal is below 3: there is none)
   * otherwise                       -> disk_case_cover around the exact
                                        smallest-enclosing-disk center
 
@@ -14,8 +15,9 @@ Each point is converted once, by build_instance, to the homogeneous
 integers the instance stores (Instance.homogeneous); the disk case converts
 only the disk centre, once.  Everything geometric reads these integers:
 the dispatch tests (the collinearity test is one dot product with the line
-through the first two points per point, the far-pair scan and the centre
-test compare squared distances against 3 and 1 with geom._sq_dist_sign),
+through the first two points per point, the far-pair scan, behind its
+bounding-box test, and the centre test compare squared distances against 3
+and 1 with geom._sq_dist_sign),
 the enclosing disk (geom.smallest_enclosing_disk), the collinear cover's
 first point (geom._lex_order), and the disk case's hull
 (geom.hull_decomposition) and fan location (geom.PreparedHull).  Only the
@@ -171,7 +173,29 @@ def _collinear(h: Sequence[Homogeneous]) -> bool:
 def _far_pair(g: AbstractGraph, h: Sequence[Homogeneous]) -> tuple[int, int] | None:
     """The first pair (i, j), i < j in row order, at squared distance at
     least 3; None when there is none.  An adjacent pair has squared distance
-    at most 1, so only non-edges are tested."""
+    at most 1, so only non-edges are tested.
+
+    No pair is farther apart than the diagonal of the points' exact bounding
+    box, so when that diagonal is below sqrt(3) the answer is None and the
+    pairs are not scanned.  The box's sides are the least and greatest X/W
+    and Y/W, found by cross-multiplied comparison."""
+    left = right = low = high = h[0]
+    for p in h:
+        x, y, w = p
+        if x * left[2] < left[0] * w:
+            left = p
+        elif x * right[2] > right[0] * w:
+            right = p
+        if y * low[2] < low[1] * w:
+            low = p
+        elif y * high[2] > high[1] * w:
+            high = p
+    wx = left[2] * right[2]
+    wy = low[2] * high[2]
+    dx = (right[0] * left[2] - left[0] * right[2]) * wy
+    dy = (high[1] * low[2] - low[1] * high[2]) * wx
+    if dx * dx + dy * dy < 3 * (wx * wy) ** 2:
+        return None
     full = (1 << len(h)) - 1
     for i, mi in enumerate(g.masks):
         hi = h[i]

@@ -97,6 +97,18 @@ def test_in_range_vertex_ids_still_work():
     assert path.induced([]) == (AbstractGraph(0, []), ())
 
 
+
+@pytest.mark.parametrize("g", [AbstractGraph(0, []), AbstractGraph(3, [(0, 1)]),
+                               circulant_graph(59, 20)], ids=["empty", "edge", "C59,20"])
+def test_induced_on_every_vertex_is_a_new_graph_over_the_same_masks(g):
+    g.id = "parent"
+    n = g.n
+    backwards = list(range(n - 1, -1, -1))
+    for listing in (range(n), backwards, backwards + list(range(n // 2))):
+        sub, glb = g.induced(listing)
+        assert (sub.masks, sub.id, glb) == (g.masks, "parent", tuple(range(n)))
+        assert sub is not g
+
 SQUARE = build_instance("sq", [point(0, 0), point(1, 0), point(1, 1), point(0, 1)])
 
 

@@ -674,13 +674,61 @@ def test_dispatch_predicates_match_reference_on_collinear_sets(dispatched):
     assert {"collinear", "far_pair", "disk"} <= checked
 
 
+@pytest.fixture
+def sq_dist_tests(monkeypatch):
+    """The arguments of every cover._sq_dist_sign call, recorded as it answers."""
+    calls = []
+    sign = cover_module._sq_dist_sign
+    monkeypatch.setattr(cover_module, "_sq_dist_sign",
+                        lambda a, b, t: calls.append((a, b, t)) or sign(a, b, t))
+    return calls
+
+
+OFFSETS = [point(0, 0), point("1/3", "-2/7"),
+           Point(Fraction(1, 2 ** 61 - 1), Fraction(-3, 10 ** 25))]
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("root2, box_is_short",
+                         [(Fraction(14142135, 10 ** 7), True),    # square just below 2
+                          (Fraction(14142136, 10 ** 7), False)],  # square just above 2
+                         ids=["short-box", "long-box"])
+def test_far_pair_box_certificate_on_both_sides_of_sqrt3(offset, root2, box_is_short,
+                                                         sq_dist_tests):
+    # each box is 1 by root2, so its squared diagonal is just below or just
+    # above 3; x^2 + y^2 = 3 has no rational solution, so no pair ties sqrt(3)
+    corners = [point(0, 0), point("1/3", "2/7"), Point(Fraction(1), root2)]
+    # four different points set the box's sides, and every pair is closer
+    # than sqrt(3): the long box must still be scanned to find no far pair
+    spread = [point(0, "1/2"), point(1, "1/3"), point("1/2", 0), Point(Fraction(1, 4), root2),
+              point("3/5", "5/7")]
+    for pts, far in ((corners, None if box_is_short else (0, 2)), (spread, None)):
+        pts = [Point(p.x + offset.x, p.y + offset.y) for p in pts]
+        inst = build_instance("box", pts)
+        sq_dist_tests.clear()
+        assert cover_module._far_pair(inst.graph, inst.homogeneous) == far
+        assert reference_far_pair(pts) == far
+        assert (sq_dist_tests == []) == box_is_short
+
+
+def test_far_pair_tests_no_pair_inside_a_short_box(sq_dist_tests):
+    short = [gen_circulant(59, 20),
+             next(inst for inst in benchmark_toy_instances(1) if inst.id.endswith("-1x4"))]
+    for inst in short:
+        assert cover_module._far_pair(inst.graph, inst.homogeneous) is None, inst.id
+        assert sq_dist_tests == [], inst.id
+        assert reference_far_pair(inst.points) is None, inst.id
+    far = gen_two_cluster(50, 1, 1)
+    assert cover_module._far_pair(far.graph, far.homogeneous) == reference_far_pair(far.points)
+    assert sq_dist_tests
+
+
 ON_CIRCLE = [point("3/5", "4/5"), point(0, 1), point(-1, 0), point("5/13", "-12/13"),
              point("-8/17", "-15/17"), point(1, 0)]
 TINY = Fraction(1, 10 ** 30)
 
 
-@pytest.mark.parametrize("offset", [point(0, 0), point("1/3", "-2/7"),
-                                    Point(Fraction(1, 2 ** 61 - 1), Fraction(-3, 10 ** 25))])
+@pytest.mark.parametrize("offset", OFFSETS)
 def test_centre_test_on_and_just_off_the_unit_circle(offset, dispatched):
     def shifted(pts):
         return [Point(p.x + offset.x, p.y + offset.y) for p in pts]

@@ -120,6 +120,7 @@ def subsets(g, ref, rng):
     cliques often enough to exercise both answers of the clique test."""
     n = g.n
     yield []
+    yield range(n)
     for size in (1, 2, 3, n // 2, n):
         yield rng.sample(range(n), min(size, n))
     for v in rng.sample(range(n), min(n, 4)):

@@ -339,6 +339,16 @@ def test_audit_builds_a_sub_instance_only_for_pieces_of_two_or_more(monkeypatch)
     assert sizes == {"single": 4443, "larger": 286}
 
 
+def test_a_whole_instance_piece_renames_only_its_copy():
+    # H - X of the tight circulant is one odd piece holding every vertex, so
+    # the audit covers a sub-instance on all of them; its /sub id must not
+    # reach the instance's cached graph
+    inst = gen_circulant(59, 20)
+    ge = gallai_edmonds(complement(inst.graph))
+    assert [p for p in (ge.B, *ge.odd_components) if p] == [frozenset(range(59))]
+    assert audit_bound(inst).all_pass
+    assert inst.graph.id == inst.id
+
 def _reference_partition(inst, vertices):
     """The partition every piece took before clique pieces kept their own:
     cover the sub-instance through _dispatch and disjointify the cover."""
