@@ -235,6 +235,10 @@ def _cmd_render(args) -> int:
         named = max(trace.vertices)
         if named > top:
             raise ParseError(1, f"trace names vertex {named}, outside 0..{top}")
+        if trace.p_virtual and (trace.p_id != inst.n or trace.p_point in inst.points):
+            raise ParseError(1, f"a virtual trace p must be vertex {inst.n}, at no instance point")
+        if not trace.p_virtual and inst.points[trace.p_id] != trace.p_point:
+            raise ParseError(1, f"trace p is not at instance vertex {trace.p_id}")
     _write_text(args.output, render_svg(inst, coloring, trace))
     return EXIT_OK
 

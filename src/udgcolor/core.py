@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DuplicatePoint, InvalidVertex
+from .errors import DuplicatePoint, InvalidVertex, StabilityViolated
 from .geom import Homogeneous, Point, _homogeneous, sq_dist
 
 
@@ -210,6 +210,14 @@ def stability_witness(g: AbstractGraph) -> tuple[int, int, int] | None:
             if rest:
                 return (i, j, j + (rest & -rest).bit_length())
     return None
+
+
+def require_stability(g: AbstractGraph) -> None:
+    """The stability gate of cover, color and audit: StabilityViolated with
+    stability_witness's triple when g has an independent triple."""
+    witness = stability_witness(g)
+    if witness is not None:
+        raise StabilityViolated(witness)
 
 
 def _is_clique_mask(g: AbstractGraph, chosen: int) -> bool:

@@ -54,9 +54,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (AbstractGraph, Instance, _boundary_position, _is_clique_mask,
-                   bits, interval_closed, is_clique, mask_of, stability_witness)
-from .errors import (EmptyInstance, InvalidVertex, ParseError,
-                     StabilityViolated, StructureViolation)
+                   bits, mask_of, require_stability)
+from .errors import EmptyInstance, InvalidVertex, ParseError, StructureViolation
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _lex_order,
                    _line, _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
@@ -135,9 +134,7 @@ def cover_three_cliques(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | No
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    witness = stability_witness(inst.graph)
-    if witness is not None:
-        raise StabilityViolated(witness)
+    require_stability(inst.graph)
     return _dispatch(inst)
 
 
@@ -267,50 +264,29 @@ def hollow_pivot(boundary: Sequence[int], g: AbstractGraph, v: int) -> tuple[int
     """Pivot pair (v-, v+) such that [v-,v], [v,v+] and the rest of the
     circular boundary order are all cliques.
 
-    Greedy construction: extend the clockwise clique prefix from v until the
-    first vertex y+ breaks it (v+ is its predecessor), symmetrically y-/v-
-    counterclockwise, with the shortcut v- = y+ when y- already lies inside
-    [v,v+].  On a complete boundary the successor/predecessor pair is
-    returned directly.  disk_case_cover does not use this pair: it needs the
-    one with the smallest remainder, which _pivot_pair finds.
+    It reads the same clique arc lengths as _pivot_pair, on the boundary
+    rotated to start at v: v+ ends the longest clockwise clique arc from v
+    (J vertices) and v- the longest counterclockwise one (S steps), except
+    that v- is the vertex after v+ when that arc reaches into [v,v+]
+    (S >= m - J), which leaves the rest empty.  Both arcs are then cliques,
+    and the rest is one exactly when the arc length at its first vertex
+    spans it.  On a complete boundary the successor/predecessor pair is
+    returned directly.  disk_case_cover does not use this pair: it needs
+    the one with the smallest remainder, which _pivot_pair finds.
     """
-    m = len(boundary)
     pos = _boundary_position(boundary, v)
-
-    if all(g.adjacent(boundary[a], boundary[b]) for a in range(m) for b in range(a + 1, m)):
-        return boundary[(pos + 1) % m], boundary[(pos - 1) % m]
-
-    prefix = [v]
-    idx = pos
-    while True:
-        nxt = boundary[(idx + 1) % m]
-        if any(not g.adjacent(nxt, w) for w in prefix):
-            y_plus = nxt
-            break
-        prefix.append(nxt)
-        idx += 1
-    v_plus = prefix[-1]
-
-    suffix = [v]
-    idx = pos
-    while True:
-        prv = boundary[(idx - 1) % m]
-        if any(not g.adjacent(prv, w) for w in suffix):
-            y_minus = prv
-            break
-        suffix.append(prv)
-        idx -= 1
-
-    v_minus = y_plus if y_minus in prefix else suffix[-1]
-
-    middle = [w for w in boundary if w not in set(interval_closed(boundary, v_minus, v_plus))]
-    for part in (interval_closed(boundary, v_minus, v),
-                 interval_closed(boundary, v, v_plus), middle):
-        if not is_clique(g, part):
-            raise StructureViolation(
-                f"hollow pivot produced a non-clique around vertex {v}; "
-                f"only possible when stability exceeds 2")
-    return v_minus, v_plus
+    rot = [*boundary[pos:], *boundary[:pos]]
+    m = len(rot)
+    arc = _clique_arc_lengths(rot, g)
+    cw = arc[0]  # [v,v+] = rot[:cw]
+    if cw == m:
+        return rot[1 % m], rot[-1]
+    k = max(cw, m - _ccw_steps(arc))  # [v-,v] = rot[k:] + [v], within the ccw arc
+    if arc[cw] < k - cw:  # the rest, rot[cw:k], is no clique arc
+        raise StructureViolation(
+            f"hollow pivot produced a non-clique around vertex {v}; "
+            f"only possible when stability exceeds 2")
+    return rot[k % m], rot[cw - 1]
 
 
 def _split_triangle(g: AbstractGraph, zone: frozenset[int], own_mask: int,
@@ -353,6 +329,15 @@ def _clique_arc_lengths(seq: Sequence[int], g: AbstractGraph) -> list[int]:
     return lengths
 
 
+def _ccw_steps(arc: Sequence[int]) -> int:
+    """The steps S of the longest counterclockwise clique arc from rot[0],
+    read off arc = _clique_arc_lengths(rot, g); at most len(arc) - 1."""
+    steps = 0
+    while steps < len(arc) - 1 and arc[-1 - steps] >= steps + 2:
+        steps += 1
+    return steps
+
+
 def _pivot_pair(arc: Sequence[int]) -> tuple[int, int] | None:
     """Offsets (j, s) of the pivot pair b+ = rot[j], b- = rot[-s % m] around
     b = rot[0], read off arc = _clique_arc_lengths(rot, g) alone: the pair
@@ -370,9 +355,7 @@ def _pivot_pair(arc: Sequence[int]) -> tuple[int, int] | None:
     first smallest remainder never needs the b- offset to break a tie.
     """
     m = len(arc)
-    longest_ccw = 0
-    while longest_ccw < m - 1 and arc[m - 1 - longest_ccw] >= longest_ccw + 2:
-        longest_ccw += 1
+    longest_ccw = _ccw_steps(arc)
     best = None
     for j in range(arc[0]):
         s = min(longest_ccw, m - 1 - j)

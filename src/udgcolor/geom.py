@@ -23,18 +23,9 @@ with ``sq_dist``.  The integer build is ``core._unit_masks``
 (``_sq_dist_sign(a, b, 1) <= 0``, inlined, over ``Instance.homogeneous``);
 it and ``instance_graph`` are tested against a Fraction pair loop kept in
 the tests, and so far it serves only the circulant generator's check, which
-``cover``, ``color`` and ``audit`` never reach.  On integers the build is
-many times faster, but ``perfbench/run.py`` keeps every pass's artifact
-texts until a run ends (a ``disk`` pass: about 143 KB of strings, with
-``audit -o`` printing only its ``result`` line), so more passes read as
-more memory.  In 30 s runs at seed 1 (Python 3.11, 2 vCPU Xeon), switching
-``instance_graph`` to ``_unit_masks``, artifacts unchanged, took
-``far_pair`` from 12 to 51 passes and its ``peak_rss_mb`` from 24.4 to
-29.5 MB (+21 %), ``disk`` from 12 to 58 passes and 24.7 to 32.1 MB (+30 %),
-and ``circulant`` from 32 to 76 passes and 24.9 to 25.8 MB (+4 %): beyond
-the 5 % bound on ``peak_rss_mb``, by an amount that depends on the host's
-speed.  The build moves, as that switch, once the benchmark keeps only what
-its metrics need (ROADMAP item 1, step A).
+``cover``, ``color`` and ``audit`` never reach.  The build moves to it once
+the benchmark stops keeping every pass's artifacts, under which a faster
+build reads as more memory (ROADMAP items 1 and 2).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime

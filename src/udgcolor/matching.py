@@ -20,9 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import (AbstractGraph, Instance, _is_clique_mask, bits, complement,
-                   mask_of, stability_witness)
+                   mask_of, require_stability)
 from .cover import _dispatch, partition_from_cover
-from .errors import AuditFailure, ParseError, StabilityViolated
+from .errors import AuditFailure, ParseError
 from .geom import _lex_order
 from .instances import parse_int, read_records
 
@@ -244,9 +244,7 @@ def color_via_complement_matching(inst: Instance) -> Coloring:
     """Proper coloring with classes of size at most two: matched pairs of the
     complement graph plus singletons.  Uses n - nu(complement) colors."""
     g = inst.graph
-    witness = stability_witness(g)
-    if witness is not None:
-        raise StabilityViolated(witness)
+    require_stability(g)
     partner = list(range(inst.n))  # unmatched vertices are their own partner
     for u, v in max_matching(complement(g)).edges:
         partner[u], partner[v] = v, u
@@ -381,9 +379,7 @@ def audit_bound(inst: Instance) -> AuditReport:
     the other pieces are covered, on a sub-instance, skipping the gate.
     """
     g = inst.graph
-    witness = stability_witness(g)
-    if witness is not None:
-        raise StabilityViolated(witness)
+    require_stability(g)
     h = complement(g)
     ge = gallai_edmonds(h)
     odd = ge.odd_components

@@ -302,6 +302,33 @@ def test_render_rejects_artifacts_of_another_instance(tmp_path, capsys, kind, te
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("case", ["virtual-id-not-n", "virtual-at-vertex-0",
+                                  "vertex-0-elsewhere", "vertex-0-at-its-point"])
+def test_render_rejects_a_trace_p_that_contradicts_the_instance(tmp_path, capsys, case):
+    """virtual=1 makes p the extra vertex n, at no instance point;
+    virtual=0 makes it instance vertex id, at that vertex's point.  A p line
+    that contradicts the instance exits 2 on one line and writes no SVG."""
+    inst = _gen(tmp_path)
+    x, y = inst.read_text().splitlines()[1].split()  # vertex 0 of C(8,3)
+    virtual = "a virtual trace p must be vertex 8, at no instance point"
+    p_line, message = {
+        "virtual-id-not-n": ("p 0 0 virtual=1 id=2", virtual),
+        "virtual-at-vertex-0": (f"p {x} {y} virtual=1 id=8", virtual),
+        "vertex-0-elsewhere": ("p 0 0 virtual=0 id=0", "trace p is not at instance vertex 0"),
+        "vertex-0-at-its-point": (f"p {x} {y} virtual=0 id=0", None)}[case]
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"trace circulant-8-3\nmode split\n{p_line}\n" + _PIVOT_LINES)
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    code = run(["render", str(inst), "-o", str(svg), "--trace", str(trace)])
+    if message is None:
+        assert code == EXIT_OK and svg.exists()
+    else:
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: line 1: {message}\n"
+        assert not svg.exists()
+
+
 @pytest.mark.parametrize("case", ["vertex", "trace-p"])
 def test_render_of_a_coordinate_beyond_the_float_range_is_a_parse_error(tmp_path, capsys, case):
     """The SVG is drawn in floats, and 10**400 has none: render names the

@@ -10,9 +10,10 @@ from corpora import (acceptance_corpus, benchmark_toy_instances,
                      circulant_blowups, explicit_centre_cases, homogeneous,
                      lattice_disk_instances, mixed_denominator_points,
                      reference_orientation)
+from udgcolor import core as core_module
 from udgcolor import cover as cover_module
-from udgcolor.core import (AbstractGraph, build_instance, instance_graph,
-                           interval_closed, is_clique)
+from udgcolor.core import (AbstractGraph, _boundary_position, build_instance,
+                           instance_graph, interval_closed, is_clique)
 from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
                             collinear_cover, cover_from_text,
                             cover_three_cliques, cover_to_text,
@@ -20,7 +21,7 @@ from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
                             partition_from_cover, trace_from_text,
                             trace_to_text)
 from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
-                             StructureViolation)
+                             StructureViolation, UdgError)
 from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, point,
                            smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
@@ -159,6 +160,99 @@ def test_hollow_pivot_conclusion_holds_on_random_boundaries():
                     if w not in set(interval_closed(order, v_minus, v_plus))]
             assert is_clique(g, left) and is_clique(g, right) and is_clique(g, rest)
         done += 1
+
+
+def _reference_hollow_pivot(boundary, g, v):
+    """hollow_pivot as a greedy walk, before it read clique arc lengths: an
+    all-pairs completeness test, the clique prefix and suffix walks from v,
+    and the three arcs checked with interval_closed and is_clique."""
+    m = len(boundary)
+    pos = _boundary_position(boundary, v)
+
+    if all(g.adjacent(boundary[a], boundary[b]) for a in range(m) for b in range(a + 1, m)):
+        return boundary[(pos + 1) % m], boundary[(pos - 1) % m]
+
+    prefix = [v]
+    idx = pos
+    while True:
+        nxt = boundary[(idx + 1) % m]
+        if any(not g.adjacent(nxt, w) for w in prefix):
+            y_plus = nxt
+            break
+        prefix.append(nxt)
+        idx += 1
+    v_plus = prefix[-1]
+
+    suffix = [v]
+    idx = pos
+    while True:
+        prv = boundary[(idx - 1) % m]
+        if any(not g.adjacent(prv, w) for w in suffix):
+            y_minus = prv
+            break
+        suffix.append(prv)
+        idx -= 1
+
+    v_minus = y_plus if y_minus in prefix else suffix[-1]
+
+    middle = [w for w in boundary if w not in set(interval_closed(boundary, v_minus, v_plus))]
+    for part in (interval_closed(boundary, v_minus, v),
+                 interval_closed(boundary, v, v_plus), middle):
+        if not is_clique(g, part):
+            raise StructureViolation(
+                f"hollow pivot produced a non-clique around vertex {v}; "
+                f"only possible when stability exceeds 2")
+    return v_minus, v_plus
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the UdgError it raises."""
+    try:
+        return fn(*args)
+    except UdgError as exc:
+        return type(exc), str(exc)
+
+
+def _hollow_pivot_outcomes(order, g, vertices):
+    """Check hollow_pivot against the greedy walk at each vertex given; the
+    count of each outcome: a pair, or the error raised."""
+    seen = Counter()
+    for v in vertices:
+        expected = _outcome(_reference_hollow_pivot, order, g, v)
+        assert _outcome(hollow_pivot, order, g, v) == expected, (order, g.masks, v)
+        seen[expected[0] if isinstance(expected[0], type) else "pair"] += 1
+    return seen
+
+
+def test_hollow_pivot_matches_greedy_walk_on_random_boundaries():
+    rng = random.Random(26)
+    seen = Counter()
+    for trial in range(1500):
+        n = 1 + rng.randrange(10)
+        density = rng.choice((0.3, 0.6, 0.8, 0.9, 1.0))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = AbstractGraph(n, edges)
+        order = rng.sample(range(n), 1 + rng.randrange(n))
+        # every boundary vertex, and vertex n, which no boundary holds
+        seen += _hollow_pivot_outcomes(order if trial % 2 else tuple(order), g, [*order, n])
+    assert set(seen) == {"pair", InvalidVertex, StructureViolation}
+
+
+def test_hollow_pivot_matches_greedy_walk_on_hull_boundaries():
+    instances = [gen_two_cluster(n, seed=seed, separation=sep)
+                 for n in (4, 9, 16, 30) for seed in range(4) for sep in ("1/2", "3/4", "1")]
+    for n in range(3, 40):
+        for k in range(2, n // 2 + 2):
+            try:
+                instances.append(gen_circulant(n, k))
+            except UdgError:  # not realizable on a circle at this precision
+                pass
+    seen = Counter()
+    for inst in instances:
+        hd = hull_decomposition(inst.homogeneous)
+        if not hd.is_collinear:
+            seen += _hollow_pivot_outcomes(hd.boundary, inst.graph, hd.boundary)
+    assert set(seen) == {"pair", StructureViolation}
 
 
 def _reference_pivot_pair(order, g, b):
@@ -379,8 +473,10 @@ def test_disk_case_calls_no_boundary_order_helper(monkeypatch):
 
     expected = texts()
     assert any(text is not None and text.startswith("trace circulant") for text in expected)
-    for name in ("interval_closed", "is_clique", "hollow_pivot"):
-        monkeypatch.setattr(cover_module, name, refuse)
+    # cover imports neither core helper, so they are refused where they live
+    for name in ("interval_closed", "is_clique"):
+        monkeypatch.setattr(core_module, name, refuse)
+    monkeypatch.setattr(cover_module, "hollow_pivot", refuse)
     assert texts() == expected
 
 
