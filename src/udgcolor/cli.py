@@ -8,15 +8,12 @@ or an internal structure/audit failure.
 
 With -o the artifact goes to that file only, and stdout carries at most one
 summary line (audit: its `result` line).
-
-Oracle limits can be overridden with UDG_CHROMA_LIMITS="<alpha_omega>,<chroma>".
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,12 +23,12 @@ from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_fr
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
 from .instances import (_graph_edges, gen_circulant, gen_cs, gen_two_cluster,
-                        instance_from_text, parse_int, parse_scalar, read_instance,
+                        instance_from_text, parse_scalar, read_instance,
                         write_graph, write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
-from .oracles import (DEFAULT_LIMITS, OracleLimits, _require_alpha_omega, brute_chi,
+from .oracles import (DEFAULT_LIMITS, _require_alpha_omega, brute_chi,
                       brute_omega, brute_stats, verify_cover, verify_coloring)
 from .render import render_svg
 
@@ -51,23 +48,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _limits_from_env() -> OracleLimits:
-    raw = os.environ.get("UDG_CHROMA_LIMITS")
-    if not raw:
-        return DEFAULT_LIMITS
-    try:
-        ao, ch = (parse_int(tok, 1) for tok in raw.split(","))
-    except (ValueError, ParseError):  # ValueError: not two values
-        raise _UsageError(f"UDG_CHROMA_LIMITS must be two digit strings "
-                          f"'<alpha_omega>,<chroma>', got {raw!r}") from None
-    return OracleLimits(alpha_omega_max=ao, chroma_max=ch)
-
-
 def _write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, newline="\n")
 
 
-def _load_any_graph(path: str, limits: OracleLimits) -> AbstractGraph:
+def _load_any_graph(path: str) -> AbstractGraph:
     """Instance or abstract graph file, sniffed by the header keyword.  Its
     vertex count, which sizes the graph, is held to the alpha/omega limit
     after the file is parsed and before the graph is built."""
@@ -75,11 +60,11 @@ def _load_any_graph(path: str, limits: OracleLimits) -> AbstractGraph:
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "udg":
         inst = instance_from_text(text)
-        _require_alpha_omega(inst.n, limits)
+        _require_alpha_omega(inst.n, DEFAULT_LIMITS)
         return inst.graph
     if head == "graph":
         graph_id, n, edges = _graph_edges(text)
-        _require_alpha_omega(n, limits)
+        _require_alpha_omega(n, DEFAULT_LIMITS)
         return AbstractGraph(n, edges, id=graph_id)
     raise ParseError(1, f"unknown artifact header {head!r} in {path}")
 
@@ -130,8 +115,7 @@ def _cmd_color(args) -> int:
     coloring = color_via_complement_matching(inst)
     if args.output:
         _write_text(args.output, coloring_to_text(coloring, inst.id))
-    limits = _limits_from_env()
-    if inst.n <= limits.alpha_omega_max:
+    if inst.n <= DEFAULT_LIMITS.alpha_omega_max:
         omega = brute_omega(inst.graph)
         bound = (3 * omega) // 2
         print(f"colors={coloring.num_colors} omega={omega} bound={bound}")
@@ -172,8 +156,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    limits = _limits_from_env()
-    stats = brute_stats(_load_any_graph(args.input, limits), limits)
+    stats = brute_stats(_load_any_graph(args.input))
     chi = "?" if stats.chi is None else stats.chi
     ccn = "?" if stats.clique_cover_number is None else stats.clique_cover_number
     print(f"alpha={stats.alpha} omega={stats.omega} chi={chi} "
@@ -182,7 +165,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    limits = _limits_from_env()
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise NotADirectoryError(f"corpus {args.corpus!r} is not a directory")
@@ -195,8 +177,8 @@ def _cmd_bench(args) -> int:
             matching = color_via_complement_matching(inst).num_colors
         except StabilityViolated:
             matching = None
-        omega = brute_omega(g) if inst.n <= limits.alpha_omega_max else None
-        chi = brute_chi(g) if inst.n <= limits.chroma_max else None
+        omega = brute_omega(g) if inst.n <= DEFAULT_LIMITS.alpha_omega_max else None
+        chi = brute_chi(g) if inst.n <= DEFAULT_LIMITS.chroma_max else None
         bound = (3 * omega) // 2 if omega is not None else None
         rows.append((inst.id, inst.n, omega, greedy, matching, chi, bound))
 

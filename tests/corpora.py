@@ -1,5 +1,6 @@
 """Seeded instance corpora shared by the differential tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -175,18 +176,24 @@ def explicit_centre_cases(count=200, seed=15):
             yield inst, Point(cx, cy)
 
 
+def blowup_graph(n, k, sizes):
+    """The abstract blow-up of C(n, k) with vertex v a clique of sizes[v]
+    vertices, numbered cluster by cluster: two vertices are adjacent exactly
+    when they share a cluster or their clusters are circulant-adjacent."""
+    ring = circulant_graph(n, k)
+    cluster = [v for v in range(n) for _ in range(sizes[v])]
+    return AbstractGraph(len(cluster), [
+        (a, b) for a in range(len(cluster)) for b in range(a + 1, len(cluster))
+        if cluster[a] == cluster[b] or ring.adjacent(cluster[a], cluster[b])])
+
+
 def _blowup(base, k, sizes):
     """base = C(n, k) with vertex v replaced by sizes[v] points at x-offsets
     j/10^15, checked exactly against the abstract blow-up."""
-    ring = circulant_graph(base.n, k)
-    cluster = [v for v in range(base.n) for _ in range(sizes[v])]
     inst = build_instance(f"blowup-{base.n}-{k}-{''.join(map(str, sizes))}",
                           [Point(base.points[v].x + Fraction(j, 10 ** 15), base.points[v].y)
                            for v in range(base.n) for j in range(sizes[v])])
-    expected = AbstractGraph(len(cluster), [
-        (a, b) for a in range(len(cluster)) for b in range(a + 1, len(cluster))
-        if cluster[a] == cluster[b] or ring.adjacent(cluster[a], cluster[b])])
-    assert inst.graph == expected, inst.id
+    assert inst.graph == blowup_graph(base.n, k, sizes), inst.id
     assert stability_witness(inst.graph) is None, inst.id
     return inst
 
@@ -207,3 +214,29 @@ def circulant_blowups(seed=16):
                 while len(set(sizes)) == 1:
                     sizes = [rng.randint(1, t) for _ in range(base.n)]
                 yield _blowup(base, k, sizes)
+
+
+def perturbed_blowups(seed=17):
+    """(instance, sizes) pairs: C(3k-1, k) from gen_circulant with vertex v
+    blown up into sizes[v] points, sizes[v] seeded in 1..4, at distinct
+    seeded offsets within r of the circulant point, ten instances for each
+    k = 2..9 (n = 11..79).  r = 1/ceil(1/r0) <= r0, where r0 is one eighth
+    of the pair margin min |d^2 - 1| over the circulant's point pairs, so no
+    pair crosses the unit distance: fraction_masks of the points is checked
+    to equal the abstract blow-up.  The offsets are multiples of r/64 in
+    both axes."""
+    rng = random.Random(seed)
+    grid = [(a, b) for a in range(-64, 65) for b in range(-64, 65) if a * a + b * b <= 64 * 64]
+    for k in range(2, 10):
+        base = gen_circulant(3 * k - 1, k)
+        pts = base.points
+        margin = min(abs((p.x - q.x) ** 2 + (p.y - q.y) ** 2 - 1)
+                     for i, p in enumerate(pts) for q in pts[i + 1:])
+        step = Fraction(1, 64 * math.ceil(8 / margin))  # r / 64
+        for i in range(10):
+            sizes = [rng.randint(1, 4) for _ in range(base.n)]
+            points = [Point(pts[v].x + a * step, pts[v].y + b * step)
+                      for v in range(base.n) for a, b in rng.sample(grid, sizes[v])]
+            inst = build_instance(f"perturbed-{base.n}-{k}-{i}", points)
+            assert fraction_masks(points) == list(blowup_graph(base.n, k, sizes).masks), inst.id
+            yield inst, sizes

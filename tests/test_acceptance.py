@@ -30,7 +30,6 @@ CIRCULANT_KS = (2, 3, 4, 5, 6)
 TWO_CLUSTER_COUNT = 200
 SEPARATIONS = ("1", "3/4", "1/2", "1/4")
 DEFAULT_AO_LIMIT = 30          # the stock alpha/omega oracle limit
-RAISED_LIMITS = OracleLimits(alpha_omega_max=48)
 
 
 def _passline(num: int, name: str, detail: str) -> None:

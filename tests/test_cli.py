@@ -29,13 +29,26 @@ def test_gen_and_color_prints_bound(tmp_path, capsys):
     assert "bound=4" in out
 
 
-def test_color_omega_question_mark_when_limited(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("UDG_CHROMA_LIMITS", "6,6")
-    inst = _gen(tmp_path)
+def test_color_omega_question_mark_when_limited(tmp_path, capsys):
+    # n = 35 is above the alpha/omega oracle limit of 30
+    inst = _gen(tmp_path, "c35.udg", ("circulant", "35", "12"))
     assert run(["color", str(inst)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "omega=?" in out
     assert "bound" not in out
+
+
+@pytest.mark.parametrize("value", ["6,6", "a,b"])
+def test_cli_reads_no_environment(tmp_path, capsys, monkeypatch, value):
+    """The oracle limits are fixed: no environment variable lowers them or
+    makes a run fail."""
+    inst = _gen(tmp_path)
+    monkeypatch.setenv("UDG_CHROMA_LIMITS", value)
+    capsys.readouterr()
+    assert run(["color", str(inst)]) == EXIT_OK
+    assert capsys.readouterr().out == "colors=4 omega=3 bound=4\n"
+    assert run(["stats", str(inst)]) == EXIT_OK
+    assert capsys.readouterr().out == "alpha=2 omega=3 chi=4 clique_cover_number=3\n"
 
 
 def test_cover_writes_and_verifies(tmp_path):
@@ -143,7 +156,6 @@ def test_stats_instance_and_graph(tmp_path, capsys):
 @pytest.mark.parametrize("count", ["31", "1000000000000000000000000000000"])
 def test_stats_refuses_a_graph_above_the_limit_before_building_it(tmp_path, capsys,
                                                                   monkeypatch, count):
-    monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
     gfile = tmp_path / "big.graph"
     gfile.write_text(f"graph g {count}\n0 1\n")
     monkeypatch.setattr(core.AbstractGraph, "__init__", None)  # any build fails
@@ -420,17 +432,6 @@ def test_consecutive_runs_share_no_state(tmp_path, capsys):
     assert out.startswith("alpha=2 omega=3 chi=4")
 
 
-@pytest.mark.parametrize("limits", ["1_0,+5", "-1,-1", "5", "a,b"])
-def test_bad_chroma_limits_are_a_usage_error(tmp_path, capsys, monkeypatch, limits):
-    inst = _gen(tmp_path)
-    monkeypatch.setenv("UDG_CHROMA_LIMITS", limits)
-    capsys.readouterr()
-    assert run(["stats", str(inst)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: UDG_CHROMA_LIMITS ")
-    assert err.count("\n") == 1
-
-
 def test_bench_corpus_must_be_a_directory(tmp_path, capsys):
     inst = _gen(tmp_path)
     for corpus in (tmp_path / "missing", inst):
@@ -451,7 +452,6 @@ def test_one_graph_build_per_run(tmp_path, monkeypatch, command, separation):
     one cover check per `cover` run: its constructor's."""
     # n = 30 is within the default brute-omega limit, so `color` and `bench`
     # also compute omega from the graph
-    monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     inst = corpus / "t.udg"

@@ -9,7 +9,7 @@ import pytest
 from corpora import (acceptance_corpus, benchmark_toy_instances,
                      circulant_blowups, explicit_centre_cases, homogeneous,
                      lattice_disk_instances, mixed_denominator_points,
-                     reference_orientation)
+                     perturbed_blowups, reference_orientation)
 from udgcolor import core as core_module
 from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, _boundary_position, build_instance,
@@ -26,7 +26,8 @@ from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, point,
                            smallest_enclosing_disk, sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.matching import audit_bound, color_via_complement_matching
-from udgcolor.oracles import brute_chi, brute_cover_exists, verify_cover
+from udgcolor.oracles import (brute_chi, brute_cover_exists, brute_omega,
+                              verify_coloring, verify_cover)
 
 
 def _check(inst, cover):
@@ -448,6 +449,35 @@ def test_brute_oracles_agree_on_lattice_corpus_and_blowups():
         assert audit.all_pass, inst.id
         assert 2 * colors <= 3 * len(audit.clique), inst.id
     assert brute > 400
+
+
+def test_perturbed_blowups_reach_chi_above_omega_off_the_circulant_points():
+    """Blow-ups of C(3k-1, k) with every point moved off the exact circulant
+    points: each passes the cover and coloring checks and the audit, colors
+    within 3/2 omega, and at least 50 of them have chi > omega.  omega is the
+    largest total cluster size over k consecutive circulant vertices; the
+    coloring is optimal since it is n minus a maximum complement matching,
+    and brute_chi confirms it where n <= 14."""
+    tight = brute = 0
+    for inst, sizes in perturbed_blowups():
+        n, k = len(sizes), (len(sizes) + 1) // 3
+        assert not set(inst.points) & set(gen_circulant(n, k).points), inst.id
+        g = inst.graph
+        omega = max(sum(sizes[(s + j) % n] for j in range(k)) for s in range(n))
+        if inst.n <= 30:
+            assert brute_omega(g) == omega, inst.id
+        cover, _ = cover_three_cliques(inst)
+        assert verify_cover(g, cover) is None, inst.id
+        coloring = color_via_complement_matching(inst)
+        assert verify_coloring(g, coloring, max_class_size=2) is None, inst.id
+        assert audit_bound(inst).all_pass, inst.id
+        assert 2 * coloring.num_colors <= 3 * omega, inst.id
+        if inst.n <= 14:
+            assert coloring.num_colors == brute_chi(g), inst.id
+            brute += 1
+        tight += coloring.num_colors > omega
+    assert tight >= 50
+    assert brute >= 5
 
 
 def test_doubled_c5_is_below_the_three_halves_bound():

@@ -25,7 +25,6 @@ def test_command_line_block_prints_what_its_comments_say(tmp_path, monkeypatch, 
     is the line's whole stdout, `prints nothing` means none, and the comment
     on `stats` is its output line."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UDG_CHROMA_LIMITS", raising=False)
     (tmp_path / "corpus_dir").mkdir()
     assert run(["gen", "--family", "circulant", "--n", "8", "--k", "3",
                 "-o", "corpus_dir/c8_3.udg"]) == EXIT_OK
