@@ -35,7 +35,8 @@ lengths alone give the pivot pair, and the three clique arcs are slices of
 the boundary.  The plane is then fanned from the center into the regions
 B+, B-, R, T+ and T-, each non-empty region's hull is built once, and each
 vertex is located against the prepared hull edges by exact integer sign
-tests; one helper splits both triangles T+ and T-.
+tests, a vertex on a region's boundary arc only against the hulls ahead of
+that region; one helper splits both triangles T+ and T-.
 
 The disk case's labels are one table (REGIONS, PIVOTS, SET_LABELS), read by
 disk_case_cover, the trace text writer and reader, and render.  Its trace,
@@ -395,8 +396,10 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     the narrow mode, where the middle arc is).  p joins every non-empty
     region and b both B regions; every other vertex goes to the first region
     whose prepared hull does not leave it OUTSIDE (O(n * h) exact integer
-    sign tests for h hull edges in all).  In the split mode _split_triangle
-    then divides T+ and T- by completeness to their B region or to R.
+    sign tests for h hull edges in all); a vertex on a region's arc is a
+    point of its hull, so only the hulls ahead of that region are tried.
+    In the split mode _split_triangle then divides T+ and T- by
+    completeness to their B region or to R.
     """
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
@@ -451,10 +454,14 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     assigned = {name: {p_id} if ids else set() for name, ids in regions.items()}
     assigned["B+"].add(b)
     assigned["B-"].add(b)
+    # an arc vertex is a point of its first region's hull, so only the hulls ahead need a test
+    own = {w: t for t in reversed(range(len(hulls))) for w in regions[hulls[t][0]]}
     for w in range(len(h)):
         if w == b or w == p_id:
             continue
-        name = next((name for name, hull in hulls if hull.locate(h[w]) != OUTSIDE), None)
+        t = own.get(w)
+        name = next((name for name, hull in hulls[:t] if hull.locate(h[w]) != OUTSIDE),
+                    None if t is None else hulls[t][0])
         if name is None:
             raise StructureViolation(f"vertex {w} escaped every fan region")
         assigned[name].add(w)

@@ -18,14 +18,17 @@ entry.  The enclosing disk is turned back into Fractions once, so it equals
 what the same decisions on Fractions give.
 
 Only ``sq_dist`` and ``cross``, which return a rational value, compute in
-Fractions, and ``core.instance_graph`` still builds the unit-distance graph
-with ``sq_dist``.  The integer build is ``core._unit_masks``
-(``_sq_dist_sign(a, b, 1) <= 0``, inlined, over ``Instance.homogeneous``);
-it and ``instance_graph`` are tested against a Fraction pair loop kept in
-the tests, and so far it serves only the circulant generator's check, which
-``cover``, ``color`` and ``audit`` never reach.  The build moves to it once
-the benchmark stops keeping every pass's artifacts, under which a faster
-build reads as more memory (ROADMAP items 1 and 2).
+Fractions.  ``core.instance_graph`` still builds the unit-distance graph
+with ``sq_dist``.  Nothing in the package calls ``cross``: it is kept only
+for ``tests/corpora.py`` ``reference_orientation`` and the benchmark's call
+counter, and leaves in ROADMAP item 2's deletion step.  The integer build
+is ``core._unit_masks`` (``_sq_dist_sign(a, b, 1) <= 0``, inlined, over
+``Instance.homogeneous``); it and ``instance_graph`` are tested against a
+Fraction pair loop kept in the tests, and so far it serves only the
+circulant generator's check, which ``cover``, ``color`` and ``audit`` never
+reach.  The build moves to it once the benchmark stops keeping every pass's
+artifacts, under which a faster build reads as more memory (ROADMAP items 1
+and 2).
 
 There is deliberately no global lcm.  A common denominator grows with the
 number of distinct denominators: for 120 points with distinct 20-bit prime
@@ -348,38 +351,37 @@ def _sed_two_boundary(pts: Sequence[Homogeneous], p: Homogeneous,
     The incremental construction calls this only when p and q lie on the
     boundary of the smallest disk D containing pts.  A point outside the
     diameter disk of pq lies in D, so on the side of pq that holds D's
-    centre (D's part on the far side lies inside the diameter disk), and
-    sees pq under an acute angle, so its circumcentre with p and q is on
-    that side too.  The candidates therefore all lie on one side, and the
-    answer is the one farthest from pq.
+    centre (D's part on the far side lies inside the diameter disk).  The
+    candidates thus lie on one side, and the answer passes through the one
+    whose circumcentre with p and q is farthest from pq.
 
-    Coordinates are taken relative to p: q - p = (bx, by)/bw and
-    r - p = (cx, cy)/cw.  The circumcentre of p, q, r is then p + (nx, ny)/den
-    and cross(p, q, centre) = g/(bw*den) with g = bx*ny - by*nx, so the
-    distances from pq compare by |g1*den2| against |g2*den1|.
+    Up to a positive factor, a = p - r and b = q - r give dot = a.b, which
+    is |r - m|**2 - |pq|**2/4 for the midpoint m of pq, so dot <= 0 is the
+    closed diameter-disk test, and cr = |a x b|, 0 for a collinear r.  Any
+    other r sees pq under an acute angle t, and its circumcentre lies on
+    its side, |pq|*cot(t)/2 from m: the farthest has the largest
+    cot(t) = dot/cr, compared cross-multiplied (the first of equals wins).
+    Only its circumcentre is computed, as p + (nx, ny)/den from
+    q - p = (bx, by)/bw and r - p = (cx, cy)/cw.
     """
-    circ = _diameter_disk(p, q)
     px, py, pw = p
     qx, qy, qw = q
-    bx, by, bw = qx * pw - px * qw, qy * pw - py * qw, pw * qw
-    bb = bx * bx + by * by
-    best: tuple[int, int, int, int] | None = None  # (g, nx, ny, den)
+    best: tuple[int, int, Homogeneous] | None = None  # (dot, cr, r)
     for r in pts:
-        if _contains(circ, r):
-            continue
         rx, ry, rw = r
-        cx, cy, cw = rx * pw - px * rw, ry * pw - py * rw, pw * rw
-        side = bx * cy - by * cx  # cross(p, q, r) * bw * cw
-        if side == 0:
-            continue
-        cc = cx * cx + cy * cy
-        nx = bb * cy * cw - cc * by * bw
-        ny = cc * bx * bw - bb * cx * cw
-        den = 2 * side * bw * cw
-        g = bx * ny - by * nx
-        if best is None or abs(g * best[3]) > abs(best[0] * den):
-            best = (g, nx, ny, den)
+        ax, ay = px * rw - rx * pw, py * rw - ry * pw
+        bx, by = qx * rw - rx * qw, qy * rw - ry * qw
+        dot = ax * bx + ay * by
+        cr = abs(ax * by - ay * bx)
+        if dot > 0 and cr and (best is None or dot * best[1] > best[0] * cr):
+            best = (dot, cr, r)
     if best is None:
-        return circ
-    _, nx, ny, den = best
+        return _diameter_disk(p, q)
+    rx, ry, rw = best[2]
+    bx, by, bw = qx * pw - px * qw, qy * pw - py * qw, pw * qw
+    cx, cy, cw = rx * pw - px * rw, ry * pw - py * rw, pw * rw
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    nx = bb * cy * cw - cc * by * bw
+    ny = cc * bx * bw - bb * cx * cw
+    den = 2 * (bx * cy - by * cx) * bw * cw
     return px * den + nx * pw, py * den + ny * pw, pw * den, (nx * nx + ny * ny) * pw * pw

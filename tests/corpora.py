@@ -66,12 +66,29 @@ def benchmark_toy_instances(seed):
         separations = ("7/10", "1/2", "1/4") if workload == "disk" else (1,)
         for i, n in enumerate((10, 14, 18)):
             yield gen_two_cluster(n, rng.randrange(2 ** 31), separations[i % len(separations)])
+    for base, points in _shuffled_circulants(seed, (4, 5, 6), 1):
+        yield build_instance(f"{base.id}-shuffled", points)
+
+
+def benchmark_circulants(seed):
+    """The benchmark's full-size circulant instances (perfbench/run.py
+    make_instances for the circulant workload): four shuffles each of
+    C(3k-1, k) for k = 12, 16 and 20, rebuilt here so the tests do not
+    import the benchmark."""
+    for i, (base, points) in enumerate(_shuffled_circulants(seed, (12, 16, 20), 4)):
+        yield build_instance(f"{base.id}-shuffled-{seed}-{i}", points)
+
+
+def _shuffled_circulants(seed, ks, copies):
+    """(C(3k-1, k), its points in a seeded order) for each k, copies times,
+    in the benchmark's order of random draws."""
     rng = random.Random(f"circulant:{seed}")
-    for k in (4, 5, 6):
+    for k in ks:
         base = gen_circulant(3 * k - 1, k)
-        order = list(range(base.n))
-        rng.shuffle(order)
-        yield build_instance(f"{base.id}-shuffled", [base.points[v] for v in order])
+        for _ in range(copies):
+            order = list(range(base.n))
+            rng.shuffle(order)
+            yield base, [base.points[v] for v in order]
 
 
 def lattice_disk_instances(count=400, seed=14):

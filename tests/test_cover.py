@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -8,13 +9,14 @@ import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances,
                      circulant_blowups, explicit_centre_cases, homogeneous,
-                     lattice_disk_instances, mixed_denominator_points,
-                     perturbed_blowups, reference_orientation)
+                     lattice_disk_instances, lattice_worlds,
+                     mixed_denominator_points, perturbed_blowups,
+                     reference_orientation)
 from udgcolor import core as core_module
 from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, _boundary_position, build_instance,
                            instance_graph, interval_closed, is_clique)
-from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
+from udgcolor.cover import (REGIONS, CliqueCover, _clique_arc_lengths, _pivot_pair,
                             collinear_cover, cover_from_text,
                             cover_three_cliques, cover_to_text,
                             disk_case_cover, far_pair_cover, hollow_pivot,
@@ -22,8 +24,9 @@ from udgcolor.cover import (CliqueCover, _clique_arc_lengths, _pivot_pair,
                             trace_to_text)
 from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                              StructureViolation, UdgError)
-from udgcolor.geom import (COLLINEAR, Point, hull_decomposition, point,
-                           smallest_enclosing_disk, sq_dist)
+from udgcolor.geom import (COLLINEAR, OUTSIDE, Point, PreparedHull,
+                           hull_decomposition, point, smallest_enclosing_disk,
+                           sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.matching import audit_bound, color_via_complement_matching
 from udgcolor.oracles import (brute_chi, brute_cover_exists, brute_omega,
@@ -366,19 +369,18 @@ def _reference_nonedge_pair(g, boundary):
     return None
 
 
+@functools.cache
 def _disk_cases():
     """(instance, center, trace) for every disk case of the acceptance
     corpus, the benchmark toys and the lattice corpus, and for every
-    explicit-centre case."""
+    explicit-centre case; built once for the tests that read it."""
     instances = itertools.chain(acceptance_corpus(),
                                 *(benchmark_toy_instances(seed) for seed in (1, 3, 7919)),
                                 lattice_disk_instances())
-    for inst in instances:
-        _, trace = cover_three_cliques(inst)
-        if trace is not None:
-            yield inst, smallest_enclosing_disk(inst.homogeneous).center, trace
-    for inst, center in explicit_centre_cases():
-        yield inst, center, disk_case_cover(inst, center)[1]
+    traced = itertools.chain(((inst, cover_three_cliques(inst)[1]) for inst in instances),
+                             ((inst, disk_case_cover(inst, center)[1])
+                              for inst, center in explicit_centre_cases()))
+    return tuple((inst, trace.p_point, trace) for inst, trace in traced if trace is not None)
 
 
 def test_nonedge_mode_matches_the_consecutive_pair_reference():
@@ -392,6 +394,75 @@ def test_nonedge_mode_matches_the_consecutive_pair_reference():
             assert all(_pivot_vertices(order, g, b) is not None for b in order), inst.id
         modes[trace.mode] += 1
     assert set(modes) == {"nonedge", "narrow", "split"}, modes
+
+
+def _reference_regions(inst, trace):
+    """The five region sets by the loop disk_case_cover ran before an arc
+    vertex skipped its own region's hull: the arcs are read off the trace's
+    pivots, and every vertex but p and b goes to the first region, in
+    REGIONS order, whose prepared hull does not leave it OUTSIDE."""
+    h = homogeneous(list(inst.points) + ([trace.p_point] if trace.p_virtual else []))
+    order = hull_decomposition(h).boundary
+    p, piv = trace.p_id, trace.pivots
+    start = 1 if order[0] == p else 0
+    rot = order[start:] + order[:start]
+    b, m = rot[0], len(rot)
+    assert b == piv["b"], inst.id
+    j, s = rot.index(piv["b+"]), (m - rot.index(piv["b-"])) % m
+    middle = rot[j + 1:m - s]
+    regions = dict(zip(REGIONS, (rot[:j + 1], rot[m - s:] + rot[:1], middle,
+                                 (piv["b+"], piv["r+"]), (piv["r-"], piv["b-"]) if middle else ())))
+    hulls = [(name, PreparedHull([h[w] for w in ids] + [h[p]]))
+             for name, ids in regions.items() if ids]
+    assigned = {name: {p} if ids else set() for name, ids in regions.items()}
+    assigned["B+"].add(b)
+    assigned["B-"].add(b)
+    for w in range(len(h)):
+        if w != b and w != p:
+            assigned[next(name for name, hull in hulls if hull.locate(h[w]) != OUTSIDE)].add(w)
+    return {name: frozenset(ws) for name, ws in assigned.items()}
+
+
+def test_fan_regions_match_the_exhaustive_loop():
+    """Every disk-case trace of _disk_cases(), the lattice worlds and both
+    blow-up corpora has the exhaustive loop's region sets."""
+    instances = itertools.chain(*lattice_worlds().values(), circulant_blowups(),
+                                (inst for inst, _ in perturbed_blowups()))
+    traced = itertools.chain(((inst, trace) for inst, _, trace in _disk_cases()),
+                             ((inst, cover_three_cliques(inst)[1]) for inst in instances))
+    modes = Counter()
+    for inst, trace in traced:
+        if trace is None:
+            continue
+        modes[trace.mode] += 1
+        if trace.mode != "nonedge":
+            assert ({name: trace.sets[f"region {name}"] for name in REGIONS}
+                    == _reference_regions(inst, trace)), inst.id
+    assert modes["narrow"] > 50 and modes["split"] > 100, modes
+
+
+def test_fan_locates_no_vertex_against_the_hull_of_its_own_arc(monkeypatch):
+    """A shuffled C(35, 12) has every vertex on the hull boundary, so on an
+    arc; none is located against a hull that it is a point of."""
+    base = gen_circulant(35, 12)
+    order = list(range(base.n))
+    random.Random(35).shuffle(order)
+    inst = build_instance("circulant-35-12-shuffled", [base.points[v] for v in order])
+    located = []
+
+    class Recording(PreparedHull):
+        def __init__(self, points):
+            self.points = list(points)
+            super().__init__(self.points)
+
+        def locate(self, c):
+            located.append((self.points, c))
+            return super().locate(c)
+
+    monkeypatch.setattr(cover_module, "PreparedHull", Recording)
+    _, trace = cover_three_cliques(inst)
+    assert trace.mode == "split"
+    assert located and all(c not in points for points, c in located)
 
 
 # SHA-256 over the cover, trace and audit texts of lattice_disk_instances()

@@ -5,9 +5,10 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from corpora import (acceptance_corpus, benchmark_toy_instances,
-                     homogeneous, lattice_worlds, mixed_denominator_points,
-                     reference_orientation)
+from corpora import (acceptance_corpus, benchmark_circulants,
+                     benchmark_toy_instances, circulant_blowups, homogeneous,
+                     lattice_worlds, mixed_denominator_points,
+                     perturbed_blowups, reference_orientation)
 from udgcolor import geom
 from udgcolor.errors import EmptyInput
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
@@ -110,8 +111,9 @@ def _circum_disk(a: Point, b: Point, c: Point) -> Disk | None:
 def reference_smallest_enclosing_disk(points: Sequence[Point]) -> Disk:
     """Unique minimal closed disk containing all points, exactly.
 
-    Move-to-front incremental construction; the insertion order is a seeded
-    permutation so results and running time are reproducible.
+    Incremental construction over one seeded permutation of the points
+    (no point is moved to the front), so results and running time are
+    reproducible.
     """
     if not points:
         raise EmptyInput("enclosing disk of an empty point set")
@@ -544,6 +546,18 @@ def test_integer_kernel_matches_reference_on_acceptance_corpus():
 def test_integer_kernel_matches_reference_on_benchmark_toy_instances(seed):
     for inst in benchmark_toy_instances(seed):
         _assert_matches_reference(inst.points)
+
+
+@pytest.mark.parametrize("corpus", [
+    lambda: benchmark_circulants(1), lambda: benchmark_circulants(7919), circulant_blowups,
+    lambda: (inst for inst, _ in perturbed_blowups())],
+    ids=["benchmark-1", "benchmark-7919", "blowups", "perturbed"])
+def test_enclosing_disk_matches_reference_at_benchmark_size(corpus):
+    """The full-size benchmark circulants (n up to 59) and both blow-up
+    corpora, whose points all lie on or near one circle."""
+    for inst in corpus():
+        assert (smallest_enclosing_disk(inst.homogeneous)
+                == reference_smallest_enclosing_disk(inst.points)), inst.id
 
 
 def _reference_lex_order(pts, idxs, reverse=False):
