@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import AbstractGraph
+from .core import AbstractGraph, Instance
 from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_from_text, trace_to_text
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
@@ -143,12 +143,10 @@ def _cmd_verify(args) -> int:
     # an artifact of another instance is the only line
     verdicts = []  # (kind, path, violation or None)
     if args.cover:
-        instance_id, cover = cover_from_text(Path(args.cover).read_text())
-        _require_instance("cover", instance_id, inst)
+        cover = _read_artifact("cover", args.cover, cover_from_text, inst)
         verdicts.append(("cover", args.cover, verify_cover(inst.graph, cover)))
     if args.coloring:
-        instance_id, coloring = coloring_from_text(Path(args.coloring).read_text())
-        _require_instance("coloring", instance_id, inst)
+        coloring = _read_artifact("coloring", args.coloring, coloring_from_text, inst)
         verdicts.append(("coloring", args.coloring, verify_coloring(inst.graph, coloring)))
     for kind, path, bad in verdicts:
         print(f"{kind} {path}: {'ok' if bad is None else bad.message}")
@@ -196,23 +194,25 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _require_instance(kind: str, instance_id: str, inst) -> None:
+def _read_artifact(kind: str, path: str, parse, inst: Instance):
+    """The artifact parse(text) reads from the file at path; ParseError when
+    it names another instance than inst."""
+    instance_id, artifact = parse(Path(path).read_text())
     if instance_id != inst.id:
         raise ParseError(1, f"{kind} names instance {instance_id!r}, expected {inst.id!r}")
+    return artifact
 
 
 def _cmd_render(args) -> int:
     inst = read_instance(args.input)
     coloring = None
     if args.coloring:
-        instance_id, coloring = coloring_from_text(Path(args.coloring).read_text())
-        _require_instance("coloring", instance_id, inst)
+        coloring = _read_artifact("coloring", args.coloring, coloring_from_text, inst)
         if len(coloring.assignment) != inst.n:
             raise ParseError(1, "coloring does not match instance size")
     trace = None
     if args.trace:
-        instance_id, trace = trace_from_text(Path(args.trace).read_text())
-        _require_instance("trace", instance_id, inst)
+        trace = _read_artifact("trace", args.trace, trace_from_text, inst)
         top = inst.n if trace.p_virtual else inst.n - 1  # the virtual p is vertex n
         named = max(trace.vertices)
         if named > top:

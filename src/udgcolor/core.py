@@ -18,6 +18,10 @@ neighbours in index order and their results do not depend on set
 iteration order; the lists live for that call only.  neighbors() decodes a
 fresh frozenset on every call and is meant for tests, oracles and one-off
 lookups.
+
+The cover step's two results, CliqueCover and CliquePartition, live here
+too, below both the engine that builds them (cover) and the verifier that
+checks them (oracles.verify_cover).
 """
 
 from __future__ import annotations
@@ -136,6 +140,25 @@ class AbstractGraph:
 
     def __repr__(self) -> str:
         return f"AbstractGraph(n={self.n}, m={sum(m.bit_count() for m in self.masks) // 2})"
+
+
+@dataclass(frozen=True)
+class CliqueCover:
+    """Three cliques whose union is V; two of them contain shared_vertex.
+
+    The parts may overlap.  shared_vertex is None only for covers produced
+    by the brute-force existence oracle without the shared requirement.
+    """
+
+    cliques: tuple[frozenset[int], frozenset[int], frozenset[int]]
+    shared_vertex: int | None
+
+
+@dataclass(frozen=True)
+class CliquePartition:
+    """Three disjoint cliques covering V, not all of the same cardinality."""
+
+    parts: tuple[frozenset[int], frozenset[int], frozenset[int]]
 
 
 # bin() digits as the bytes 0 and 1, for itertools.compress

@@ -54,32 +54,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (AbstractGraph, Instance, _boundary_position, _is_clique_mask,
-                   bits, mask_of, require_stability)
+from .core import (AbstractGraph, CliqueCover, CliquePartition, Instance, _boundary_position,
+                   _is_clique_mask, bits, mask_of, require_stability)
 from .errors import EmptyInstance, InvalidVertex, ParseError, StructureViolation
 from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _lex_order,
                    _line, _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
 from .oracles import verify_cover
-
-
-@dataclass(frozen=True)
-class CliqueCover:
-    """Three cliques whose union is V; two of them contain shared_vertex.
-
-    The parts may overlap.  shared_vertex is None only for covers produced
-    by the brute-force existence oracle without the shared requirement.
-    """
-
-    cliques: tuple[frozenset[int], frozenset[int], frozenset[int]]
-    shared_vertex: int | None
-
-
-@dataclass(frozen=True)
-class CliquePartition:
-    """Three disjoint cliques covering V, not all of the same cardinality."""
-
-    parts: tuple[frozenset[int], frozenset[int], frozenset[int]]
 
 
 # The fan regions around p in location priority order, the boundary pivots,

@@ -75,24 +75,13 @@ def gen_circulant(n: int, k: int) -> Instance:
     inst = build_instance(f"circulant-{n}-{k}", points)
 
     realized = AbstractGraph.from_masks(_unit_masks(inst.homogeneous), id=inst.id)
-    differ = _first_difference(realized, circulant_graph(n, k))
-    if differ is not None:
-        i, j = differ
+    intended = circulant_graph(n, k)
+    if realized != intended:
+        i, j = min(set(realized.edges()) ^ set(intended.edges()))  # first in row order
         raise SnapFailure(
             f"rounded placement of C_{n}^{k} changes adjacency of ({i},{j})")
     vars(inst)["graph"] = realized  # the value the cached property would compute
     return inst
-
-
-def _first_difference(g: AbstractGraph, h: AbstractGraph) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j in row order, adjacent in exactly one of
-    two graphs on the same vertices; None when they are equal.  Adjacency is
-    symmetric, so row i needs only its bits above i."""
-    for i, (a, b) in enumerate(zip(g.masks, h.masks)):
-        above = (a ^ b) >> i + 1
-        if above:
-            return i, i + (above & -above).bit_length()
-    return None
 
 
 def gen_cs(k: int) -> AbstractGraph:

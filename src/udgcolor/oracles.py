@@ -3,7 +3,9 @@
 Everything here is an independent check path: exact stability, clique number,
 chromatic number and clique-cover searches, plus verifiers for the artifacts
 the constructive modules emit.  None of it shares code with the engines it
-validates.
+validates: from core it imports the graph and its complement, and the cover
+types CliqueCover and CliquePartition, which sit there, below cover, so that
+verify_cover can name them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AbstractGraph, complement
+from .core import AbstractGraph, CliqueCover, CliquePartition, complement
 from .errors import LimitExceeded
 
 
@@ -170,23 +172,17 @@ def brute_stats(g: AbstractGraph, limits: OracleLimits = DEFAULT_LIMITS) -> Grap
 # artifact verifiers
 
 
-def verify_cover(g: AbstractGraph, cover) -> Violation | None:
-    """Check every invariant of a CliqueCover or CliquePartition.
+def verify_cover(g: AbstractGraph, cover: CliqueCover | CliquePartition) -> Violation | None:
+    """Check every invariant of a CliqueCover or a CliquePartition.
 
     Returns None when valid, otherwise the first violation found with a
-    witness.  Accepts any object with a ``cliques``+``shared_vertex`` shape
-    (cover) or a ``parts`` shape (partition).
+    witness.  Both must be three cliques covering V; a CliqueCover's
+    shared_vertex, when set, must lie in two of them, and a
+    CliquePartition's parts must be disjoint and not all of one size.
     """
-    if hasattr(cover, "parts"):
-        parts = tuple(cover.parts)
-        shared = None
-        disjoint_required = True
-        distinct_sizes_required = True
-    else:
-        parts = tuple(cover.cliques)
-        shared = cover.shared_vertex
-        disjoint_required = False
-        distinct_sizes_required = False
+    partition = isinstance(cover, CliquePartition)
+    parts = tuple(cover.parts if partition else cover.cliques)
+    shared = None if partition else cover.shared_vertex
 
     if len(parts) != 3:
         return Violation("arity", (len(parts),), f"expected 3 parts, got {len(parts)}")
@@ -210,7 +206,7 @@ def verify_cover(g: AbstractGraph, cover) -> Violation | None:
         missing = min(everything - union)
         return Violation("coverage", (missing,), f"vertex {missing} is uncovered")
 
-    if disjoint_required:
+    if partition:
         for i in range(3):
             for j in range(i + 1, 3):
                 both = set(parts[i]) & set(parts[j])
@@ -218,10 +214,8 @@ def verify_cover(g: AbstractGraph, cover) -> Violation | None:
                     w = min(both)
                     return Violation("overlap", (i, j, w),
                                      f"parts {i} and {j} share vertex {w}")
-
-    if distinct_sizes_required and g.n > 0:
         sizes = [len(p) for p in parts]
-        if len(set(sizes)) == 1:
+        if g.n > 0 and len(set(sizes)) == 1:
             return Violation("equal-sizes", tuple(sizes),
                              "all three parts have the same cardinality")
 
@@ -346,11 +340,9 @@ def _three_clique_partitions(g: AbstractGraph):
     yield from place(0)
 
 
-def brute_cover_exists(g: AbstractGraph, shared: bool):
+def brute_cover_exists(g: AbstractGraph, shared: bool) -> CliqueCover | None:
     """Exhaustive search for three cliques covering V; optionally two of them
-    must share a vertex.  Returns a CliqueCover-shaped witness or None."""
-    from .cover import CliqueCover  # local import: oracle stays engine-independent
-
+    must share a vertex.  Returns a CliqueCover witness or None."""
     if g.n > 14:
         raise LimitExceeded(f"n={g.n} exceeds cover-search limit 14")
     if g.n == 0:

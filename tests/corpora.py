@@ -1,8 +1,10 @@
 """Seeded instance corpora shared by the differential tests."""
 
+import functools
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from udgcolor.core import (AbstractGraph, bits, build_instance, mask_of,
                            stability_witness)
@@ -91,22 +93,25 @@ def _shuffled_circulants(seed, ks, copies):
             yield base, [base.points[v] for v in order]
 
 
+@functools.cache
 def lattice_disk_instances(count=400, seed=14):
     """Stability-two instances on the lattice (1/q)Z^2 inside the closed unit
     disk around the origin: q in 2..6 and 4 to 14 points, rejection-sampled.
-    They reach the disk case's nonedge, narrow and split modes."""
+    They reach the disk case's nonedge, narrow and split modes.  Built once
+    per session; each instance carries its graph, so a test that counts graph
+    builds makes its own instances."""
     rng = random.Random(seed)
-    made = 0
-    while made < count:
+    made = []
+    while len(made) < count:
         q = rng.randrange(2, 7)
         cells = [(x, y) for x in range(-q, q + 1) for y in range(-q, q + 1)
                  if x * x + y * y <= q * q]
         chosen = rng.sample(cells, min(rng.randrange(4, 15), len(cells)))
-        inst = build_instance(f"lattice-{made}-q{q}",
+        inst = build_instance(f"lattice-{len(made)}-q{q}",
                               [Point(Fraction(x, q), Fraction(y, q)) for x, y in chosen])
         if stability_witness(inst.graph) is None:
-            made += 1
-            yield inst
+            made.append(inst)
+    return tuple(made)
 
 
 # the 8 symmetries of the square lattice, (a, b, c, d): (x, y) -> (ax + by, cx + dy)
@@ -161,13 +166,15 @@ def lattice_world(name, q, cells):
                              [Point(Fraction(x, q), Fraction(y, q)) for x, y in image])
 
 
+@functools.cache
 def lattice_worlds():
     """The two exhaustive worlds of the tests: (1/2)Z^2 inside the closed unit
-    disk (13 points) and (1/2)Z^2 inside [0,2]x[0,1] (15 points)."""
+    disk (13 points) and (1/2)Z^2 inside [0,2]x[0,1] (15 points).  Built once
+    per session, like lattice_disk_instances, as a read-only mapping."""
     disk = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if x * x + y * y <= 4]
     strip = [(x, y) for x in range(5) for y in range(3)]
-    return {"disk": list(lattice_world("disk", 2, disk)),
-            "strip": list(lattice_world("strip", 2, strip))}
+    return MappingProxyType({"disk": tuple(lattice_world("disk", 2, disk)),
+                             "strip": tuple(lattice_world("strip", 2, strip))})
 
 
 def explicit_centre_cases(count=200, seed=15):
@@ -233,6 +240,7 @@ def circulant_blowups(seed=16):
                 yield _blowup(base, k, sizes)
 
 
+@functools.cache
 def perturbed_blowups(seed=17):
     """(instance, sizes) pairs: C(3k-1, k) from gen_circulant with vertex v
     blown up into sizes[v] points, sizes[v] seeded in 1..4, at distinct
@@ -241,8 +249,9 @@ def perturbed_blowups(seed=17):
     of the pair margin min |d^2 - 1| over the circulant's point pairs, so no
     pair crosses the unit distance: fraction_masks of the points is checked
     to equal the abstract blow-up.  The offsets are multiples of r/64 in
-    both axes."""
+    both axes.  Built once per session, like lattice_disk_instances."""
     rng = random.Random(seed)
+    made = []
     grid = [(a, b) for a in range(-64, 65) for b in range(-64, 65) if a * a + b * b <= 64 * 64]
     for k in range(2, 10):
         base = gen_circulant(3 * k - 1, k)
@@ -256,4 +265,5 @@ def perturbed_blowups(seed=17):
                       for v in range(base.n) for a, b in rng.sample(grid, sizes[v])]
             inst = build_instance(f"perturbed-{base.n}-{k}-{i}", points)
             assert fraction_masks(points) == list(blowup_graph(base.n, k, sizes).masks), inst.id
-            yield inst, sizes
+            made.append((inst, tuple(sizes)))
+    return tuple(made)

@@ -17,14 +17,14 @@ from udgcolor import cover as cover_module
 from udgcolor.core import (AbstractGraph, _boundary_position, build_instance,
                            instance_graph, interval_closed, is_clique)
 from udgcolor.cover import (REGIONS, CliqueCover, _clique_arc_lengths, _pivot_pair,
-                            collinear_cover, cover_from_text,
+                            _with_universal, collinear_cover, cover_from_text,
                             cover_three_cliques, cover_to_text,
                             disk_case_cover, far_pair_cover, hollow_pivot,
                             partition_from_cover, trace_from_text,
                             trace_to_text)
 from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                              StructureViolation, UdgError)
-from udgcolor.geom import (COLLINEAR, OUTSIDE, Point, PreparedHull,
+from udgcolor.geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, _homogeneous,
                            hull_decomposition, point, smallest_enclosing_disk,
                            sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
@@ -327,23 +327,21 @@ def test_pivot_scan_matches_enumeration_on_random_boundaries():
 
 def _disk_case_boundary(inst, center=None):
     """The augmented graph and boundary order disk_case_cover works on, around
-    center (default: the smallest enclosing disk's, as the dispatch picks)."""
+    center (default: the smallest enclosing disk's, as the dispatch picks).
+    Every point lies within unit distance of the center, so the center is a
+    universal vertex: the instance graph plus vertex n joined to everything,
+    unless the center is an instance point."""
     if center is None:
         center = smallest_enclosing_disk(inst.homogeneous).center
-    pts = list(inst.points)
-    if center not in pts:
-        pts.append(center)
-    aug = build_instance(inst.id, pts)
-    return instance_graph(aug), hull_decomposition(aug.homogeneous).boundary
+    if center in inst.points:
+        return inst.graph, hull_decomposition(inst.homogeneous).boundary
+    return (_with_universal(inst.graph),
+            hull_decomposition((*inst.homogeneous, _homogeneous(center))).boundary)
 
 
 def test_pivot_scan_matches_enumeration_on_acceptance_disk_cases():
-    instances = [gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6)]
-    separations = ("1", "3/4", "1/2", "1/4")
-    instances += [gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
-                  for i in range(200)]
     checked = 0
-    for inst in instances:
+    for inst in acceptance_corpus():
         _, trace = cover_three_cliques(inst)
         if trace is None:
             continue

@@ -18,12 +18,12 @@ from itertools import chain
 import pytest
 
 from corpora import (acceptance_corpus, benchmark_toy_instances, circulant_blowups,
-                     lattice_disk_instances, mixed_denominator_points)
+                     fraction_masks, lattice_disk_instances, mixed_denominator_points)
 from udgcolor.core import (AbstractGraph, build_instance, complement,
                            instance_graph, is_clique, stability_witness)
 from udgcolor.cover import _with_universal
 from udgcolor.errors import InvalidVertex
-from udgcolor.geom import Point, sq_dist
+from udgcolor.geom import Point
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.oracles import max_independent_set
 
@@ -67,10 +67,10 @@ class ReferenceGraph:
 
 
 def reference_instance_graph(inst):
-    edges = [(i, j)
-             for i in range(inst.n)
-             for j in range(i + 1, inst.n)
-             if sq_dist(inst.points[i], inst.points[j]) <= 1]
+    """The unit-distance graph from corpora.fraction_masks, a Fraction pair
+    loop that shares no code with the engine's build."""
+    masks = fraction_masks(inst.points)
+    edges = [(i, j) for i in range(inst.n) for j in range(i + 1, inst.n) if masks[i] >> j & 1]
     return ReferenceGraph(inst.n, edges, id=inst.id)
 
 

@@ -1,7 +1,10 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package imports at
+module level only, with no cycle.
 
 No linter ships with the project, and a deleted function easily leaves its
-import behind.  __init__.py is skipped: its imports are the re-exports.
+import behind.  __init__.py is skipped: its imports are the re-exports.  An
+import inside a function is how an import cycle hides, so the package has
+none, and its modules' top-level relative imports form an acyclic graph.
 """
 
 import ast
@@ -47,3 +50,65 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "udgcolor").glob("*.py"))
+
+
+def function_level_imports(source: str) -> list[str]:
+    """Each import statement inside a function body, as `line N: f`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"line {node.lineno}: {fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_package_imports_only_at_module_level():
+    assert function_level_imports("import a\ndef f():\n    def g():\n        import b\n") == [
+        "line 4: f", "line 4: g"]
+    found = {p.name: function_level_imports(p.read_text()) for p in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def relative_imports(source: str) -> set[str]:
+    """The sibling modules a module's top-level `from . import` and
+    `from .m import` statements name."""
+    named = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            named |= {node.module} if node.module else {a.name for a in node.names}
+    return named
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """Some cycle of graph as its nodes, first one repeated at the end; []
+    when there is none.  A depth-first search: a cycle is an edge back to a
+    node on the current path."""
+    done: set[str] = set()
+
+    def visit(path):
+        for nxt in sorted(graph.get(path[-1], ())):
+            if nxt in path:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in done:
+                cycle = visit(path + [nxt])
+                if cycle:
+                    return cycle
+        done.add(path[-1])
+        return []
+
+    for node in sorted(graph):
+        cycle = [] if node in done else visit([node])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_modules_import_no_cycle():
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}}) == []
+    graph = {p.stem: relative_imports(p.read_text()) for p in PACKAGE}
+    assert graph["cover"] >= {"core", "oracles"}
+    assert import_cycle(graph) == []

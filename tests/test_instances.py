@@ -10,8 +10,7 @@ from udgcolor.errors import (DuplicatePoint, EmptyInstance, ParseError,
                              SnapFailure)
 from udgcolor import geom, instances
 from udgcolor.geom import point
-from udgcolor.instances import (_first_difference, circulant_graph,
-                                gen_circulant, gen_cs,
+from udgcolor.instances import (circulant_graph, gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
                                 graph_to_text, instance_from_text,
                                 instance_to_text, parse_scalar, read_graph,
@@ -35,28 +34,6 @@ def test_circulant_realizes_abstract_adjacency(n, k):
     intended = circulant_graph(n, k)
     assert inst.graph == fresh == intended
     assert inst.graph.id == fresh.id == intended.id
-
-
-def _pairwise_first_difference(g, h):
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.adjacent(i, j) != h.adjacent(i, j):
-                return i, j
-    return None
-
-
-def test_first_difference_matches_the_pairwise_loop():
-    rng = random.Random(5)
-    for n in range(1, 30):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        g = AbstractGraph(n, edges)
-        assert _first_difference(g, g) is None
-        for _ in range(3):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            toggled = set(rng.sample(pairs, min(len(pairs), rng.randrange(1, 4))))
-            h = AbstractGraph(n, set(edges) ^ toggled)
-            assert _first_difference(g, h) == _pairwise_first_difference(g, h)
-            assert _first_difference(h, g) == _pairwise_first_difference(h, g)
 
 
 def test_circulant_snap_failure_names_the_first_changed_pair(monkeypatch):
