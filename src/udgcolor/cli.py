@@ -57,7 +57,7 @@ def _load_any_graph(path: str) -> AbstractGraph:
     vertex count, which sizes the graph, is held to the alpha/omega limit
     after the file is parsed and before the graph is built."""
     text = Path(path).read_text()
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     if head == "udg":
         inst = instance_from_text(text)
         _require_alpha_omega(inst.n, DEFAULT_LIMITS)

@@ -14,8 +14,9 @@ comparison with no gcd.  ``hull_decomposition``, ``smallest_enclosing_disk``
 and ``PreparedHull`` take these triples.  ``core.build_instance`` converts
 each point once (``Instance.homogeneous``), the disk case its centre, and
 ``point_in_hull``, ``orientation`` and ``segments_cross`` their Points on
-entry.  The enclosing disk is turned back into Fractions once, so it equals
-what the same decisions on Fractions give.
+entry.  The enclosing disk moves every point that enlarges it to the front
+of its seeded order; the minimal disk is unique and turned back into
+Fractions once, normalised, so the moves change the work, not the result.
 
 Only ``sq_dist`` and ``cross``, which return a rational value, compute in
 Fractions.  ``core.instance_graph`` still builds the unit-distance graph
@@ -317,31 +318,28 @@ def smallest_enclosing_disk(h: Sequence[Homogeneous]) -> Disk:
     """Unique minimal closed disk containing the points with homogeneous
     triples h, exactly.
 
-    Incremental construction on homogeneous integers; the insertion order
-    is a seeded permutation so results and running time are reproducible.
+    Welzl's incremental construction in a seeded order, with move-to-front:
+    a point that enlarges the disk, at either level, moves to the front of
+    the one list.  That changes the work, not the result: the minimal disk
+    is unique, and its Fractions are normalised.
     """
     if not h:
         raise EmptyInput("enclosing disk of an empty point set")
     pts = list(h)
     random.Random(_SED_SHUFFLE_SEED).shuffle(pts)
-    d: IntDisk | None = None
-    for i, p in enumerate(pts):
-        if d is None or not _contains(d, p):
-            d = _sed_one_boundary(pts[: i + 1], p)
-    assert d is not None
+    d = (*pts[0], 0)
+    # the scans run over copies; a move reorders only the prefix scanned
+    for i, p in enumerate(pts[1:], 1):
+        if _contains(d, p):
+            continue
+        d = (*p, 0)
+        for j, q in enumerate(pts[:i]):
+            if not _contains(d, q):
+                d = _diameter_disk(p, q) if d[3] == 0 else _sed_two_boundary(pts[: j + 1], p, q)
+                pts.insert(0, pts.pop(j))
+        pts.insert(0, pts.pop(i))
     ux, uy, uw, r2 = d
     return Disk(Point(Fraction(ux, uw), Fraction(uy, uw)), Fraction(r2, uw * uw))
-
-
-def _sed_one_boundary(pts: Sequence[Homogeneous], p: Homogeneous) -> IntDisk:
-    d = (*p, 0)
-    for i, q in enumerate(pts):
-        if not _contains(d, q):
-            if d[3] == 0:
-                d = _diameter_disk(p, q)
-            else:
-                d = _sed_two_boundary(pts[: i + 1], p, q)
-    return d
 
 
 def _sed_two_boundary(pts: Sequence[Homogeneous], p: Homogeneous,

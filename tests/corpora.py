@@ -52,12 +52,15 @@ def mixed_denominator_points():
             for i in range(120)]
 
 
+@functools.cache
 def acceptance_corpus():
-    """The instances of tests/test_acceptance.py's corpus."""
-    yield from (gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6))
+    """The instances of tests/test_acceptance.py's corpus.  Built once per
+    session, like lattice_disk_instances, so a test that counts graph
+    builds makes its own instances."""
     separations = ("1", "3/4", "1/2", "1/4")
-    for i in range(200):
-        yield gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
+    return (*(gen_circulant(3 * k - 1, k) for k in (2, 3, 4, 5, 6)),
+            *(gen_two_cluster(4 + i % 37, seed=i, separation=separations[i % 4])
+              for i in range(200)))
 
 
 def benchmark_toy_instances(seed):

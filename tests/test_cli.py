@@ -260,6 +260,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
     ("stats", "graph g " + "1" * 5000 + "\n"),
     ("render", "trace circulant-8-3\nmode split\n" + _PIVOT_LINES),
     ("stats", "cover circulant-8-3\nclique 0: 0\nclique 1: 0\nclique 2: 1\nshared: 0\n"),
+    ("stats", ""),
+    ("stats", " \n\t\n"),
 ], ids=["cover-shared-x", "cover-no-id", "cover-underscore", "cover-shared-plus",
         "cover-two-word-id", "coloring-plus", "coloring-twice", "trace-p-1", "trace-b-x",
         "trace-region-z", "trace-exponent", "trace-no-id", "trace-mode-bogus",
@@ -271,7 +273,8 @@ _PIVOT_LINES = "b 0\nb+ 1\nb- 7\nr+ 3\nr- 5\n"
         "graph-self-loop", "graph-negative-n", "graph-empty", "graph-underscore",
         "cover-no-shared-line", "cover-clique-1-first", "cover-shared-two-values",
         "coloring-ids-0-2", "coloring-count-differs", "udg-one-token",
-        "graph-5000-digit-count", "trace-no-p", "stats-unknown-header"])
+        "graph-5000-digit-count", "trace-no-p", "stats-unknown-header",
+        "stats-empty", "stats-whitespace-only"])
 def test_malformed_artifact_is_a_parse_error(tmp_path, capsys, command, text):
     inst = _gen(tmp_path)
     bad = tmp_path / "bad.txt"

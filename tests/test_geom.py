@@ -113,7 +113,8 @@ def reference_smallest_enclosing_disk(points: Sequence[Point]) -> Disk:
 
     Incremental construction over one seeded permutation of the points
     (no point is moved to the front), so results and running time are
-    reproducible.
+    reproducible.  The library moves every point that enlarges the disk to
+    the front, so comparing the two compares two insertion strategies.
     """
     if not points:
         raise EmptyInput("enclosing disk of an empty point set")
@@ -554,10 +555,55 @@ def test_integer_kernel_matches_reference_on_benchmark_toy_instances(seed):
     ids=["benchmark-1", "benchmark-7919", "blowups", "perturbed"])
 def test_enclosing_disk_matches_reference_at_benchmark_size(corpus):
     """The full-size benchmark circulants (n up to 59) and both blow-up
-    corpora, whose points all lie on or near one circle."""
+    corpora, whose points all lie on or near one circle, in their own order
+    and reversed: the disk depends neither on the insertion strategy nor on
+    the input order."""
     for inst in corpus():
-        assert (smallest_enclosing_disk(inst.homogeneous)
-                == reference_smallest_enclosing_disk(inst.points)), inst.id
+        expected = reference_smallest_enclosing_disk(inst.points)
+        assert smallest_enclosing_disk(inst.homogeneous) == expected, inst.id
+        assert smallest_enclosing_disk(inst.homogeneous[::-1]) == expected, inst.id
+        assert reference_smallest_enclosing_disk(inst.points[::-1]) == expected, inst.id
+
+
+@pytest.mark.parametrize("scale,shift", [(1, (0, 0)), (Fraction(1, 7), (Fraction(2, 3), -1))],
+                         ids=["integer", "rational"])
+@pytest.mark.parametrize("with_centre", [False, True], ids=["circle", "circle-and-centre"])
+def test_enclosing_disk_of_cocircular_lattice_points(scale, shift, with_centre):
+    """The twelve lattice points on x^2 + y^2 = 25, scaled and shifted: many
+    support triples give the one disk, which every order of the points and
+    both insertion strategies reach."""
+    centre = Point(Fraction(shift[0]), Fraction(shift[1]))
+    pts = [Point(centre.x + x * scale, centre.y + y * scale) for x, y in CIRCLE_25]
+    if with_centre:
+        pts.append(centre)
+    expected = Disk(centre, 25 * Fraction(scale) ** 2)
+    rng = random.Random(25)
+    orders = [pts, pts[::-1]] + [rng.sample(pts, len(pts)) for _ in range(20)]
+    for order in orders:
+        assert smallest_enclosing_disk(homogeneous(order)) == expected, order
+        assert reference_smallest_enclosing_disk(order) == expected, order
+
+
+def test_enclosing_disk_two_boundary_work_on_benchmark_circulants(monkeypatch):
+    """On the twelve seed-1 benchmark circulants the disk takes at most 178
+    two-boundary steps testing 568 candidates in all (386 and 2,741 with no
+    point moved to the front).  The order is seeded, so the counts repeat
+    exactly."""
+    two_boundary = geom._sed_two_boundary
+    steps = candidates = 0
+
+    def counted(pts, p, q):
+        nonlocal steps, candidates
+        steps += 1
+        candidates += len(pts)
+        return two_boundary(pts, p, q)
+
+    monkeypatch.setattr(geom, "_sed_two_boundary", counted)
+    instances = list(benchmark_circulants(1))
+    assert len(instances) == 12
+    for inst in instances:
+        smallest_enclosing_disk(inst.homogeneous)
+    assert steps <= 178 and candidates <= 568, (steps, candidates)
 
 
 def _reference_lex_order(pts, idxs, reverse=False):
