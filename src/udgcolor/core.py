@@ -11,13 +11,12 @@ A graph's only adjacency is one int per vertex (AbstractGraph.masks): bit j
 of masks[i] is set exactly when i ~ j.  A 110-vertex graph is then about
 5 KB instead of the half megabyte one frozenset per vertex took, and the
 graph layers (stability gate, complement, clique test, induced subgraph,
-matching, Gallai-Edmonds, the cover constructions) work on whole rows with
-int operations.  Code that walks neighbours decodes a mask with bits() at
-most once per vertex per call, into an ascending list, so searches visit
-neighbours in index order and their results do not depend on set
-iteration order; the lists live for that call only.  neighbors() decodes a
-fresh frozenset on every call and is meant for tests, oracles and one-off
-lookups.
+matching, Gallai-Edmonds, the cover constructions, and the oracles with
+decoding of their own) work on whole rows with int operations.  Code that
+walks neighbours decodes a mask with bits() at most once per vertex per
+call, into an ascending list, so searches visit neighbours in index order
+and their results do not depend on set iteration order; the lists live for
+that call only.  adjacent() is the one-bit query.
 
 The cover step's two results, CliqueCover and CliquePartition, live here
 too, below both the engine that builds them (cover) and the verifier that
@@ -98,12 +97,6 @@ class AbstractGraph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return self.masks[i] >> j & 1 == 1
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(bits(self.masks[i]))
-
-    def degree(self, i: int) -> int:
-        return self.masks[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once as (u, v) with u < v, in ascending order."""

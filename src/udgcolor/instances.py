@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,10 @@ from .core import AbstractGraph, Instance, _unit_masks, build_instance
 from .errors import EmptyInstance, NotRealizable, ParseError, SnapFailure
 from .geom import Homogeneous, Point, _homogeneous
 
+# The largest vertex count a generator builds, for every family: the
+# circulant's exact adjacency check is quadratic in time and in memory, and
+# nothing else bounds a requested size.
+GEN_MAX_N = 4000
 _CIRC_DENOM = 10 ** 12
 _CLUSTER_DENOM = 10 ** 9
 # keep sampled points strictly inside the radius-1/2 disks so that snapping
@@ -51,8 +54,8 @@ def gen_circulant(n: int, k: int) -> Instance:
     """
     if n < 3 or k < 2 or k > n:
         raise ValueError(f"circulant requires n >= 3 and 2 <= k <= n, got ({n},{k})")
-    if n > sys.float_info.max:  # the circle is placed in floats
-        raise ValueError(f"circulant requires n within the float range, got a {n.bit_length()}-bit n")
+    if n > GEN_MAX_N:
+        raise ValueError(f"circulant requires n <= {GEN_MAX_N}")
     dmax = n // 2
     if k - 1 >= dmax:
         radius = 0.25  # complete graph: any circle of diameter <= 1 works
@@ -93,6 +96,8 @@ def gen_cs(k: int) -> AbstractGraph:
     """
     if k < 1:
         raise ValueError(f"cs gadget requires k >= 1, got {k}")
+    if 4 * k > GEN_MAX_N:
+        raise ValueError(f"cs gadget requires 4k <= {GEN_MAX_N}")
 
     def a(i): return i
     def b(i): return k + i
@@ -124,6 +129,8 @@ def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> 
     bools, decimals and exponents included, raises ValueError."""
     if n < 1:
         raise ValueError(f"two_cluster requires n >= 1, got {n}")
+    if n > GEN_MAX_N:
+        raise ValueError(f"two_cluster requires n <= {GEN_MAX_N}")
     try:
         sep = parse_scalar(str(separation), 1)
     except ParseError:

@@ -6,12 +6,20 @@ the constructive modules emit.  None of it shares code with the engines it
 validates: from core it imports the graph and its complement, and the cover
 types CliqueCover and CliquePartition, which sit there, below cover, so that
 verify_cover can name them.
+
+Every search and verifier reads the graph's adjacency masks
+(AbstractGraph.masks) with int operations, and decodes a mask with its own
+lowest-bit loop, _members.  One enumerator, _colorings, walks the colorings
+with at most k colors: k_coloring takes its first, check_nbhprop asks it for
+a 2-coloring of the complement of each common neighbourhood, and
+brute_cover_exists walks the 3-colorings of the complement, which are the
+partitions of V into at most three cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import AbstractGraph, CliqueCover, CliquePartition, complement
 from .errors import LimitExceeded
@@ -47,63 +55,65 @@ class Violation:
     message: str
 
 
-def _greedy_independent(adj: Sequence[frozenset[int]], candidates: set[int]) -> list[int]:
-    chosen: list[int] = []
-    cand = set(candidates)
-    while cand:
-        v = min(cand, key=lambda u: (len(adj[u] & cand), u))
-        chosen.append(v)
-        cand -= adj[v]
-        cand.discard(v)
-    return chosen
+def _lowest(mask: int) -> int:
+    """The lowest set bit of a positive mask: its least vertex."""
+    return (mask & -mask).bit_length() - 1
 
 
-def _matching_upper_bound(adj: Sequence[frozenset[int]], cand: set[int]) -> int:
-    """alpha(G[cand]) <= |cand| - m for any matching of size m inside cand."""
-    seen: set[int] = set()
-    m = 0
-    for v in sorted(cand):
-        if v in seen:
-            continue
-        for u in adj[v]:
-            if u in cand and u not in seen and u != v:
-                seen.add(v)
-                seen.add(u)
-                m += 1
-                break
-    return len(cand) - m
+def _members(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        out.append(_lowest(mask))
+        mask &= mask - 1
+    return out
 
 
 def max_independent_set(g: AbstractGraph) -> frozenset[int]:
-    """Exact maximum stable set via branch and bound with a matching bound."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    best = _greedy_independent(adj, set(range(g.n)))
+    """Exact maximum stable set via branch and bound with a matching bound.
 
-    def search(current: list[int], cand: set[int]) -> None:
+    The search starts from a greedy set (least candidate degree first) and
+    branches on a candidate of largest candidate degree.  A branch is cut
+    when its size plus |cand| - m, for a greedy matching of size m inside
+    cand, cannot beat the best set so far."""
+    masks = g.masks
+
+    def bound(cand: int) -> int:
+        m = 0
+        free = cand
+        while free:
+            v = _lowest(free)
+            free ^= 1 << v
+            mate = masks[v] & free
+            if mate:
+                free ^= mate & -mate
+                m += 1
+        return cand.bit_count() - m
+
+    best = []
+    cand = (1 << g.n) - 1
+    while cand:
+        v = min(_members(cand), key=lambda u: ((masks[u] & cand).bit_count(), u))
+        best.append(v)
+        cand &= ~(masks[v] | 1 << v)
+
+    def search(current: list[int], cand: int) -> None:
         nonlocal best
         if not cand:
             if len(current) > len(best):
                 best = list(current)
             return
-        if len(current) + _matching_upper_bound(adj, cand) <= len(best):
+        if len(current) + bound(cand) <= len(best):
             return
-        pivot = max(cand, key=lambda v: (len(adj[v] & cand), -v))
-        if not adj[pivot] & cand:
-            # isolated in the candidate subgraph: always take it
-            current.append(pivot)
-            cand.discard(pivot)
-            search(current, cand)
-            cand.add(pivot)
-            current.pop()
-            return
+        pivot = max(_members(cand), key=lambda v: ((masks[v] & cand).bit_count(), -v))
+        rest = cand & ~(1 << pivot)
         current.append(pivot)
-        search(current, cand - adj[pivot] - {pivot})
+        search(current, rest & ~masks[pivot])
         current.pop()
-        cand.discard(pivot)
-        search(current, cand)
-        cand.add(pivot)
+        if masks[pivot] & cand:  # an isolated pivot is always taken, not skipped
+            search(current, rest)
 
-    search([], set(range(g.n)))
+    search([], (1 << g.n) - 1)
     return frozenset(best)
 
 
@@ -111,33 +121,39 @@ def brute_omega(g: AbstractGraph) -> int:
     return len(max_independent_set(complement(g)))
 
 
-def k_coloring(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
-    """Some proper k-coloring, or None.  Vertices are tried in descending
-    degree order with first-use symmetry breaking."""
-    if g.n == 0:
-        return ()
-    if k <= 0:
-        return None
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _colorings(g: AbstractGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every proper coloring with at most k colors, once up to renaming the
+    colors, depth first.  Vertices are colored in descending degree order,
+    and a vertex takes either a color already used or the next unused one."""
+    masks = g.masks
+    order = sorted(range(g.n), key=lambda v: (-masks[v].bit_count(), v))
     colors = [-1] * g.n
+    classes: list[int] = []  # classes[c]: the mask of the vertices colored c
 
-    def assign(idx: int, used: int) -> bool:
+    def assign(idx: int) -> Iterator[tuple[int, ...]]:
         if idx == g.n:
-            return True
+            yield tuple(colors)
+            return
         v = order[idx]
-        banned = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
-        for c in range(min(used + 1, k)):
-            if c in banned:
-                continue
-            colors[v] = c
-            if assign(idx + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
+        bit = 1 << v
+        for c in range(len(classes)):
+            if not masks[v] & classes[c]:
+                classes[c] |= bit
+                colors[v] = c
+                yield from assign(idx + 1)
+                classes[c] ^= bit
+        if len(classes) < k:
+            colors[v] = len(classes)
+            classes.append(bit)
+            yield from assign(idx + 1)
+            classes.pop()
 
-    if not assign(0, 0):
-        return None
-    return tuple(colors)
+    return assign(0)
+
+
+def k_coloring(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
+    """The first proper k-coloring _colorings finds, or None."""
+    return next(_colorings(g, k), None)
 
 
 def brute_chi(g: AbstractGraph) -> int:
@@ -187,31 +203,33 @@ def verify_cover(g: AbstractGraph, cover: CliqueCover | CliquePartition) -> Viol
     if len(parts) != 3:
         return Violation("arity", (len(parts),), f"expected 3 parts, got {len(parts)}")
 
-    everything = set(range(g.n))
-    union: set[int] = set()
+    masks = g.masks
+    part_masks = []
     for idx, part in enumerate(parts):
+        chosen = 0
         for v in part:
-            if v not in everything:
+            if not 0 <= v < g.n:
                 return Violation("range", (idx, v), f"vertex {v} out of range in part {idx}")
-        members = sorted(part)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not g.adjacent(members[a], members[b]):
-                    return Violation(
-                        "not-a-clique", (idx, members[a], members[b]),
-                        f"part {idx} contains non-adjacent pair ({members[a]},{members[b]})")
-        union |= set(part)
+            chosen |= 1 << v
+        for a in _members(chosen):
+            strangers = chosen & ~masks[a] & -(2 << a)  # non-neighbours above a
+            if strangers:
+                b = _lowest(strangers)
+                return Violation("not-a-clique", (idx, a, b),
+                                 f"part {idx} contains non-adjacent pair ({a},{b})")
+        part_masks.append(chosen)
 
-    if union != everything:
-        missing = min(everything - union)
+    uncovered = (1 << g.n) - 1 & ~(part_masks[0] | part_masks[1] | part_masks[2])
+    if uncovered:
+        missing = _lowest(uncovered)
         return Violation("coverage", (missing,), f"vertex {missing} is uncovered")
 
     if partition:
         for i in range(3):
             for j in range(i + 1, 3):
-                both = set(parts[i]) & set(parts[j])
+                both = part_masks[i] & part_masks[j]
                 if both:
-                    w = min(both)
+                    w = _lowest(both)
                     return Violation("overlap", (i, j, w),
                                      f"parts {i} and {j} share vertex {w}")
         sizes = [len(p) for p in parts]
@@ -256,60 +274,38 @@ def verify_coloring(g: AbstractGraph, coloring, max_class_size: int | None = Non
 # abstract property checkers
 
 
-def _is_bipartite(g: AbstractGraph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def check_nbhprop(g: AbstractGraph) -> tuple[bool, tuple[int, int] | None]:
     """For every non-adjacent pair, the common neighborhood must induce a
     co-bipartite graph (complement 2-colorable)."""
+    masks = g.masks
+    full = (1 << g.n) - 1
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adjacent(u, v):
+        for v in _members(full & ~masks[u] & -(2 << u)):  # non-neighbours above u
+            common = masks[u] & masks[v]
+            if common.bit_count() < 3:
                 continue
-            common = g.neighbors(u) & g.neighbors(v)
-            if len(common) < 3:
-                continue
-            sub, _ = g.induced(common)
-            if not _is_bipartite(complement(sub)):
+            sub, _ = g.induced(_members(common))
+            if k_coloring(complement(sub), 2) is None:
                 return False, (u, v)
     return True, None
 
 
-def _has_independent_of_size(g: AbstractGraph, vertices: list[int], k: int) -> bool:
+def _has_stable_set(masks: Sequence[int], cand: int, k: int) -> bool:
+    """Whether the vertex mask cand holds k pairwise non-adjacent vertices:
+    its lowest vertex is taken, or it is not."""
     if k == 0:
         return True
-    if len(vertices) < k:
+    if cand.bit_count() < k:
         return False
-    v = vertices[0]
-    rest = vertices[1:]
-    nv = g.neighbors(v)
-    if _has_independent_of_size(g, [u for u in rest if u not in nv], k - 1):
-        return True
-    return _has_independent_of_size(g, rest, k)
+    v = _lowest(cand)
+    rest = cand ^ 1 << v
+    return _has_stable_set(masks, rest & ~masks[v], k - 1) or _has_stable_set(masks, rest, k)
 
 
 def check_k16_free(g: AbstractGraph) -> tuple[bool, int | None]:
     """No vertex may have six pairwise non-adjacent neighbors."""
-    for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
-        if len(nbrs) < 6:
-            continue
-        if _has_independent_of_size(g, nbrs, 6):
+    for v, nbrs in enumerate(g.masks):
+        if _has_stable_set(g.masks, nbrs, 6):
             return False, v
     return True, None
 
@@ -318,48 +314,34 @@ def check_k16_free(g: AbstractGraph) -> tuple[bool, int | None]:
 # cover existence ground truth
 
 
-def _three_clique_partitions(g: AbstractGraph):
-    """Yield partitions of V into at most three cliques (canonical order)."""
-    parts: list[list[int]] = []
-
-    def place(v: int):
-        if v == g.n:
-            yield [list(p) for p in parts]
-            return
-        nv = g.neighbors(v)
-        for part in parts:
-            if all(w in nv for w in part):
-                part.append(v)
-                yield from place(v + 1)
-                part.pop()
-        if len(parts) < 3:
-            parts.append([v])
-            yield from place(v + 1)
-            parts.pop()
-
-    yield from place(0)
-
-
 def brute_cover_exists(g: AbstractGraph, shared: bool) -> CliqueCover | None:
     """Exhaustive search for three cliques covering V; optionally two of them
-    must share a vertex.  Returns a CliqueCover witness or None."""
+    must share a vertex.  Returns a CliqueCover witness or None.
+
+    The partitions of V into at most three cliques are the colorings of the
+    complement with at most three colors.  A partition gives a cover with a
+    shared vertex when some vertex of one part is adjacent to every vertex
+    of another, which then takes it in as well."""
     if g.n > 14:
         raise LimitExceeded(f"n={g.n} exceeds cover-search limit 14")
-    if g.n == 0:
-        empty = frozenset()
-        return CliqueCover((empty, empty, empty), None)
+    masks = g.masks
+    full = (1 << g.n) - 1
 
-    for raw in _three_clique_partitions(g):
-        parts = [frozenset(p) for p in raw] + [frozenset()] * (3 - len(raw))
-        if not shared:
-            return CliqueCover((parts[0], parts[1], parts[2]), None)
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                for v in sorted(parts[i]):
-                    target = parts[j] | {v}
-                    if all(g.adjacent(v, w) for w in parts[j]):
-                        ordered = [parts[i], target] + [parts[t] for t in range(3) if t not in (i, j)]
-                        return CliqueCover((ordered[0], ordered[1], ordered[2]), v)
+    def cover(parts, v: int | None) -> CliqueCover:
+        return CliqueCover(tuple(frozenset(_members(p)) for p in parts), v)
+
+    for coloring in _colorings(complement(g), 3):
+        parts = [0, 0, 0]
+        for v, c in enumerate(coloring):
+            parts[c] |= 1 << v
+        if not shared or g.n == 0:  # the empty graph has no vertex to share
+            return cover(parts, None)
+        for j in range(3):
+            common = full  # the vertices adjacent to all of part j
+            for w in _members(parts[j]):
+                common &= masks[w]
+            for i in range(3):
+                if i != j and parts[i] & common:
+                    v = _lowest(parts[i] & common)
+                    return cover((parts[i], parts[j] | 1 << v, parts[3 - i - j]), v)
     return None

@@ -10,7 +10,7 @@ from udgcolor import core, cover, geom, matching, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 from udgcolor.core import build_instance
-from udgcolor.instances import gen_circulant, gen_two_cluster, write_instance
+from udgcolor.instances import GEN_MAX_N, gen_circulant, gen_two_cluster, write_instance
 
 
 def _gen(tmp_path, name="c8.udg", family=("circulant", "8", "3")) -> Path:
@@ -177,8 +177,12 @@ def test_usage_errors(tmp_path):
     ["--family", "two_cluster", "--n", "0"],
     ["--family", "two_cluster", "--n", "-4"],
     ["--family", "circulant", "--n", "1" + "0" * 400, "--k", "3"],
+    ["--family", "circulant", "--n", str(GEN_MAX_N + 1), "--k", "3"],
+    ["--family", "cs", "--k", str(GEN_MAX_N // 4 + 1)],
+    ["--family", "two_cluster", "--n", str(GEN_MAX_N + 1)],
 ], ids=["cs-k0", "circulant-k0", "separation-2", "separation-abc", "separation-1/0",
-        "two-cluster-n0", "two-cluster-n-4", "circulant-n-beyond-float"])
+        "two-cluster-n0", "two-cluster-n-4", "circulant-n-beyond-float",
+        "circulant-above-max", "cs-above-max", "two-cluster-above-max"])
 def test_gen_out_of_range_parameter_is_a_usage_error(tmp_path, capsys, params):
     out = tmp_path / "x"
     assert run(["gen", *params, "-o", str(out)]) == EXIT_USAGE

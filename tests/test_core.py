@@ -156,6 +156,6 @@ def test_interval_identity_partition():
 def test_instance_graph_symmetric_irreflexive():
     g = instance_graph(SQUARE)
     for i in range(g.n):
-        assert i not in g.neighbors(i)
-        for j in g.neighbors(i):
-            assert i in g.neighbors(j)
+        assert not g.masks[i] >> i & 1
+        for j in range(g.n):
+            assert g.masks[i] >> j & 1 == g.masks[j] >> i & 1

@@ -112,3 +112,35 @@ def test_package_modules_import_no_cycle():
     graph = {p.stem: relative_imports(p.read_text()) for p in PACKAGE}
     assert graph["cover"] >= {"core", "oracles"}
     assert import_cycle(graph) == []
+
+
+def package_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name imported from the package, relatively or
+    as `udgcolor.<module>`, anywhere in source; `import udgcolor...` as
+    (module, "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "udgcolor":
+                continue
+            if node.level == 0:
+                module = module.partition(".")[2]
+            found |= {(module or alias.name, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(a.name.partition(".")[2] or a.name, "*") for a in node.names
+                      if a.name.split(".")[0] == "udgcolor"}
+    return found
+
+
+def test_oracles_import_only_the_graph_the_cover_types_and_the_errors():
+    """The oracles are the independent check path: from the package they
+    take the graph, its complement and the two cover types, and errors."""
+    assert package_imports("from .core import a\nfrom . import cover\n"
+                           "from udgcolor.geom import b\nimport udgcolor.matching\n"
+                           "import os\nfrom os import path\n") == {
+        ("core", "a"), ("cover", "cover"), ("geom", "b"), ("matching", "*")}
+    found = package_imports((ROOT / "src" / "udgcolor" / "oracles.py").read_text())
+    assert {name for module, name in found if module == "core"} == {
+        "AbstractGraph", "CliqueCover", "CliquePartition", "complement"}
+    assert {module for module, _ in found} == {"core", "errors"}

@@ -10,7 +10,7 @@ from udgcolor.errors import (DuplicatePoint, EmptyInstance, ParseError,
                              SnapFailure)
 from udgcolor import geom, instances
 from udgcolor.geom import point
-from udgcolor.instances import (circulant_graph, gen_circulant, gen_cs,
+from udgcolor.instances import (GEN_MAX_N, circulant_graph, gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
                                 graph_to_text, instance_from_text,
                                 instance_to_text, parse_scalar, read_graph,
@@ -118,6 +118,24 @@ def test_circulant_parameter_validation():
         gen_circulant(5, 1)
     with pytest.raises(ValueError):
         gen_circulant(5, 6)
+
+
+def test_generators_refuse_more_than_gen_max_n_vertices_before_building(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(instances, "build_instance", built)
+    monkeypatch.setattr(instances, "AbstractGraph", built)
+    above = [lambda: gen_circulant(GEN_MAX_N + 1, 3), lambda: gen_cs(GEN_MAX_N // 4 + 1),
+             lambda: gen_two_cluster(GEN_MAX_N + 1, seed=0)]
+    for make in above:
+        with pytest.raises(ValueError, match=f"<= {GEN_MAX_N}$"):
+            make()
+    # at the bound the generators go on to build (the cs gadget's edge list
+    # at k = 1000 is too slow for tier-1, so it is not run)
+    for make in (lambda: gen_circulant(GEN_MAX_N, 3), lambda: gen_two_cluster(GEN_MAX_N, seed=0)):
+        with pytest.raises(AssertionError, match="built"):
+            make()
 
 
 def test_cs_k1_edges():

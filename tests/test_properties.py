@@ -102,7 +102,7 @@ def test_triangle_containment_forces_adjacency():
         g = instance_graph(inst)
         pts = inst.points
         for v in range(inst.n):
-            nbrs = sorted(g.neighbors(v))
+            nbrs = [u for u in range(inst.n) if g.adjacent(v, u)]
             for u, w in combinations(nbrs, 2):
                 hull = [pts[u], pts[v], pts[w]]
                 for x in range(inst.n):
@@ -125,7 +125,8 @@ def test_far_pairs_have_clique_common_neighborhood():
             for v in range(u + 1, inst.n):
                 if sq_dist(pts[u], pts[v]) >= 3:
                     hits += 1
-                    assert is_clique(g, g.neighbors(u) & g.neighbors(v))
+                    assert is_clique(g, [w for w in range(inst.n)
+                                         if g.adjacent(u, w) and g.adjacent(v, w)])
     assert hits > 100
 
 
@@ -239,6 +240,6 @@ def test_matching_coloring_optimal_and_within_bound():
         h = complement(g)
         # complement of a stability-two graph has no triangle
         for i in range(h.n):
-            for j in sorted(h.neighbors(i)):
-                if j > i:
-                    assert not (h.neighbors(i) & h.neighbors(j) - {i, j})
+            for j in range(i + 1, h.n):
+                if h.adjacent(i, j):
+                    assert not h.masks[i] & h.masks[j]
