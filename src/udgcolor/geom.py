@@ -17,6 +17,9 @@ each point once (``Instance.homogeneous``), the disk case its centre, and
 entry.  The enclosing disk moves every point that enlarges it to the front
 of its seeded order; the minimal disk is unique and turned back into
 Fractions once, normalised, so the moves change the work, not the result.
+The hull is one O(n log n) monotone chain that keeps the points on its
+edges (``_hull_chain``): ``hull_decomposition`` reads its boundary walk and
+``PreparedHull`` its edges.
 
 Only ``sq_dist`` and ``cross``, which return a rational value, compute in
 Fractions.  ``core.instance_graph`` still builds the unit-distance graph
@@ -46,6 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput
@@ -174,45 +178,53 @@ def segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-def _strict_hull(h: Sequence[Homogeneous], order: Sequence[int]) -> list[int]:
-    """Extreme points only, in counterclockwise order (y up), from the
-    lexicographically sorted index order."""
-
-    def build(idxs: Iterable[int]) -> list[int]:
-        chain: list[int] = []
-        for i in idxs:
-            cx, cy, cw = h[i]
-            while len(chain) >= 2:
-                lx, ly, lw = _line(h[chain[-2]], h[chain[-1]])
-                if lx * cx + ly * cy + lw * cw > 0:
-                    break
-                chain.pop()
-            chain.append(i)
-        return chain
-
-    lower = build(order)
-    upper = build(reversed(order))
-    return lower[:-1] + upper[:-1]
-
-
-def _lex_order(h: Sequence[Homogeneous], idxs: Iterable[int] | None = None,
-               reverse: bool = False) -> list[int]:
-    """The indices idxs (all of h by default) in exact (x, y) order, descending
-    with reverse; tied points keep their order in idxs."""
+def _lex_order(h: Sequence[Homogeneous]) -> list[int]:
+    """The indices of h in exact (x, y) order; equal points keep their
+    index order."""
     def compare(i: int, j: int) -> int:
         (xi, yi, wi), (xj, yj, wj) = h[i], h[j]
         return xi * wj - xj * wi or yi * wj - yj * wi  # cross-multiplied: every W > 0
-    return sorted(range(len(h)) if idxs is None else idxs, key=cmp_to_key(compare), reverse=reverse)
+    return sorted(range(len(h)), key=cmp_to_key(compare))
+
+
+def _hull_chain(h: Sequence[Homogeneous], order: Sequence[int]) -> list[list[int]]:
+    """The hull boundary of the points with triples h, from their (x, y)
+    order, as runs of equal points, counterclockwise (y up) from order[0]
+    with the points on its edges; empty when the points are collinear.
+
+    Andrew's monotone chain, forward for the lower chain and backward for
+    the upper one, pops only on a strict right turn, so edge points stay.
+    """
+    lx, ly, lw = _line(h[order[0]], h[order[-1]])
+    if all(lx * x + ly * y + lw * w == 0 for x, y, w in h):
+        return []
+    runs = [list(run) for _, run in groupby(order, key=h.__getitem__)]
+
+    def chain(seq: Iterable[list[int]]) -> list[list[int]]:
+        out: list[list[int]] = []
+        for run in seq:
+            while len(out) >= 2 and _orientation(h[out[-2][0]], h[out[-1][0]], h[run[0]]) == CW:
+                out.pop()
+            out.append(run)
+        return out
+
+    lower, upper = chain(runs), chain(reversed(runs))
+    for a, b, c in zip(upper, upper[1:], upper[2:]):  # at an upper corner the least index goes last
+        if _orientation(h[a[0]], h[b[0]], h[c[0]]) == CCW:
+            b.append(b.pop(0))
+    return lower[:-1] + upper[:-1]
 
 
 def hull_decomposition(h: Sequence[Homogeneous]) -> HullDecomposition:
     """Boundary walk (edge-collinear points included) and interior split of
-    the points with homogeneous triples h.
+    the points with homogeneous triples h, from one monotone chain
+    (``_hull_chain``).
 
-    The walk starts at the lexicographically smallest point, the first
-    vertex of the strict hull; the direction is fixed so that for the unit
-    square with an edge midpoint the boundary reads
-    (0,0),(1,0),(2,0),(2,2),(0,2).
+    The walk starts at the lexicographically smallest point; the direction
+    is fixed so that for the unit square with an edge midpoint the boundary
+    reads (0,0),(1,0),(2,0),(2,2),(0,2).  Equal points stand together in
+    ascending index order, except at a corner of the upper chain, where the
+    least index comes last.
     """
     n = len(h)
     if n == 0:
@@ -221,33 +233,18 @@ def hull_decomposition(h: Sequence[Homogeneous]) -> HullDecomposition:
         return HullDecomposition((0,), frozenset(), False)
 
     order = _lex_order(h)
-    hull = _strict_hull(h, order)
-    if len(hull) <= 2:
+    runs = _hull_chain(h, order)
+    if not runs:
         return HullDecomposition(tuple(order), frozenset(), True)
-
-    hull_set = set(hull)
-    rest = [i for i in order if i not in hull_set]  # lex order is monotone along an edge
-    boundary: list[int] = []
-    m = len(hull)
-    for t in range(m):
-        a, b = hull[t], hull[(t + 1) % m]
-        boundary.append(a)
-        # every point lies in the hull, so one on an edge's line is on the edge
-        lx, ly, lw = _line(h[a], h[b])
-        on_edge = [i for i in rest if lx * h[i][0] + ly * h[i][1] + lw * h[i][2] == 0]
-        if on_edge:
-            # from a to b, which may run down the (x, y) order; ties stay ascending
-            boundary.extend(_lex_order(h, on_edge, reverse=_lex_order(h, (a, b))[0] == b))
-            placed = set(on_edge)
-            rest = [i for i in rest if i not in placed]
-    return HullDecomposition(tuple(boundary), frozenset(rest), False)
+    boundary = tuple(i for run in runs for i in run)
+    return HullDecomposition(boundary, frozenset(range(n)).difference(boundary), False)
 
 
 class PreparedHull:
     """Closed convex hull of a set of homogeneous triples, built once for
     repeated exact location of triples.
 
-    Each counterclockwise hull edge a->b is stored as its homogeneous line
+    Each counterclockwise chain edge a->b is stored as its homogeneous line
     (see ``_line``), so locating a point costs three integer products per
     edge and no rational normalization.  A hull that degenerates to a
     segment, or to a single point (a segment from the point to itself),
@@ -261,14 +258,13 @@ class PreparedHull:
         if not h:
             raise EmptyInput("hull of an empty point set")
         order = _lex_order(h)
-        hull = _strict_hull(h, order)
+        hull = [h[i] for (i,) in _hull_chain(h, order)]
         self._segment: tuple[Homogeneous, Homogeneous] | None = None
-        if len(hull) <= 2:
+        if not hull:
             self._segment = (h[order[0]], h[order[-1]])
             self._edges = [_line(*self._segment)]
             return
-        m = len(hull)
-        self._edges = [_line(h[hull[t]], h[hull[(t + 1) % m]]) for t in range(m)]
+        self._edges = [_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])]
 
     def locate(self, c: Homogeneous) -> str:
         """INTERIOR, BOUNDARY or OUTSIDE for the closed hull."""

@@ -34,10 +34,17 @@ _CLUSTER_MARGIN = 1e-6
 
 
 def circulant_graph(n: int, k: int) -> AbstractGraph:
-    """Abstract circulant: i ~ j iff circular index distance <= k-1."""
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if min(j - i, n - (j - i)) <= k - 1]
-    return AbstractGraph(n, edges, id=f"circulant-{n}-{k}")
+    """Abstract circulant: i ~ j iff circular index distance <= k-1.
+
+    Row i is a band of 2k-1 bits rotated to centre on i, minus i; the band
+    covers all n bits, and the graph is complete, when 2k-1 >= n."""
+    full = (1 << n) - 1
+    band = full if 2 * k - 1 >= n else (1 << max(2 * k - 1, 0)) - 1
+    rows = []
+    for i in range(n):
+        r = band << (i - k + 1) % n
+        rows.append((r | r >> n) & full & ~(1 << i))
+    return AbstractGraph.from_masks(rows, id=f"circulant-{n}-{k}")
 
 
 def _snap(value: float, denom: int) -> Fraction:
@@ -99,24 +106,16 @@ def gen_cs(k: int) -> AbstractGraph:
     if 4 * k > GEN_MAX_N:
         raise ValueError(f"cs gadget requires 4k <= {GEN_MAX_N}")
 
-    def a(i): return i
-    def b(i): return k + i
-    def c(i): return 2 * k + i
-    def d(i): return 3 * k + i
-
-    edges: list[tuple[int, int]] = []
-    for block in (a, b, c, d):
-        edges.extend((block(i), block(j)) for i in range(k) for j in range(i + 1, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                edges.append((a(i), b(j)))
-                edges.append((a(i), d(j)))
-                edges.append((b(i), c(j)))
-                edges.append((c(i), d(j)))
-        edges.append((a(i), c(i)))
-        edges.append((b(i), d(i)))
-    return AbstractGraph(4 * k, edges, id=f"cs-{k}")
+    # vertex i of a block: its own block and the two neighbouring blocks
+    # minus their vertex i, and vertex i of the opposite block
+    full = (1 << k) - 1
+    rows = []
+    for block in range(4):
+        for i in range(k):
+            others = full & ~(1 << i)
+            rows.append(others << block * k | others << (block + 1) % 4 * k
+                        | others << (block + 3) % 4 * k | 1 << i << (block + 2) % 4 * k)
+    return AbstractGraph.from_masks(rows, id=f"cs-{k}")
 
 
 def gen_two_cluster(n: int, seed: int, separation: int | str | Fraction = 1) -> Instance:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,57 @@ def test_generators_refuse_more_than_gen_max_n_vertices_before_building(monkeypa
     for make in (lambda: gen_circulant(GEN_MAX_N, 3), lambda: gen_two_cluster(GEN_MAX_N, seed=0)):
         with pytest.raises(AssertionError, match="built"):
             make()
+
+
+def reference_circulant_graph(n, k):
+    """The abstract circulant from its quadratic edge list, as the generator
+    built it before it built mask rows."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if min(j - i, n - (j - i)) <= k - 1]
+    return AbstractGraph(n, edges, id=f"circulant-{n}-{k}")
+
+
+def reference_cs(k):
+    """The cs gadget from its quadratic edge list, likewise."""
+    def a(i): return i
+    def b(i): return k + i
+    def c(i): return 2 * k + i
+    def d(i): return 3 * k + i
+
+    edges = []
+    for block in (a, b, c, d):
+        edges.extend((block(i), block(j)) for i in range(k) for j in range(i + 1, k))
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                edges += [(a(i), b(j)), (a(i), d(j)), (b(i), c(j)), (c(i), d(j))]
+        edges += [(a(i), c(i)), (b(i), d(i))]
+    return AbstractGraph(4 * k, edges, id=f"cs-{k}")
+
+
+def test_generators_match_their_edge_lists():
+    for n in range(3, 40):
+        for k in range(n + 2):
+            g = circulant_graph(n, k)
+            assert g == reference_circulant_graph(n, k) and g.id == f"circulant-{n}-{k}", (n, k)
+    for k in range(1, 13):
+        g = gen_cs(k)
+        assert g == reference_cs(k) and g.id == f"cs-{k}", k
+
+
+@pytest.mark.parametrize("make", [lambda: gen_cs(200), lambda: circulant_graph(1000, 334)],
+                         ids=["cs-200", "circulant-1000-334"])
+def test_generators_build_rows_without_an_edge_list(make):
+    """The graphs hold about 0.1 MB of masks; their edge lists (about 240,000
+    and 333,000 pairs) would take tens of MB."""
+    tracemalloc.start()
+    try:
+        g = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(m.bit_count() for m in g.masks) > 400_000
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_cs_k1_edges():
