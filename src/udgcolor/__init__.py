@@ -16,9 +16,8 @@ from .instances import (circulant_graph, gen_circulant, gen_cs,
 from .matching import (AuditReport, Coloring, GallaiEdmonds, Matching,
                        audit_bound, color_via_complement_matching,
                        gallai_edmonds, max_matching, sweep_greedy_color)
-from .oracles import (DEFAULT_LIMITS, GraphStats, OracleLimits,
-                      brute_cover_exists, brute_stats, check_k16_free,
-                      check_nbhprop, max_independent_set, verify_cover,
-                      verify_coloring)
+from .oracles import (GraphStats, brute_cover_exists, brute_stats,
+                      check_k16_free, check_nbhprop, max_independent_set,
+                      verify_cover, verify_coloring)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,8 +28,9 @@ from .instances import (_graph_edges, gen_circulant, gen_cs, gen_two_cluster,
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
-from .oracles import (DEFAULT_LIMITS, _require_alpha_omega, brute_chi,
-                      brute_omega, brute_stats, verify_cover, verify_coloring)
+from .oracles import (ALPHA_OMEGA_MAX, CHROMA_MAX, _require_alpha_omega,
+                      brute_chi, brute_omega, brute_stats, verify_cover,
+                      verify_coloring)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -60,11 +61,11 @@ def _load_any_graph(path: str) -> AbstractGraph:
     head = (text.split(None, 1) or [""])[0]
     if head == "udg":
         inst = instance_from_text(text)
-        _require_alpha_omega(inst.n, DEFAULT_LIMITS)
+        _require_alpha_omega(inst.n)
         return inst.graph
     if head == "graph":
         graph_id, n, edges = _graph_edges(text)
-        _require_alpha_omega(n, DEFAULT_LIMITS)
+        _require_alpha_omega(n)
         return AbstractGraph(n, edges, id=graph_id)
     raise ParseError(1, f"unknown artifact header {head!r} in {path}")
 
@@ -110,17 +111,19 @@ def _cmd_cover(args) -> int:
     return EXIT_OK
 
 
+def _omega(inst: Instance) -> int | None:
+    """The clique number, or None (printed `?`) above the alpha/omega limit."""
+    return brute_omega(inst.graph) if inst.n <= ALPHA_OMEGA_MAX else None
+
+
 def _cmd_color(args) -> int:
     inst = read_instance(args.input)
     coloring = color_via_complement_matching(inst)
     if args.output:
         _write_text(args.output, coloring_to_text(coloring, inst.id))
-    if inst.n <= DEFAULT_LIMITS.alpha_omega_max:
-        omega = brute_omega(inst.graph)
-        bound = (3 * omega) // 2
-        print(f"colors={coloring.num_colors} omega={omega} bound={bound}")
-    else:
-        print(f"colors={coloring.num_colors} omega=?")
+    omega = _omega(inst)
+    shown = "?" if omega is None else f"{omega} bound={(3 * omega) // 2}"
+    print(f"colors={coloring.num_colors} omega={shown}")
     return EXIT_OK
 
 
@@ -169,14 +172,13 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in sorted(corpus.glob("*.udg")):
         inst = read_instance(path)
-        g = inst.graph
         greedy = sweep_greedy_color(inst).num_colors
         try:
             matching = color_via_complement_matching(inst).num_colors
         except StabilityViolated:
             matching = None
-        omega = brute_omega(g) if inst.n <= DEFAULT_LIMITS.alpha_omega_max else None
-        chi = brute_chi(g) if inst.n <= DEFAULT_LIMITS.chroma_max else None
+        omega = _omega(inst)
+        chi = brute_chi(inst.graph) if inst.n <= CHROMA_MAX else None
         bound = (3 * omega) // 2 if omega is not None else None
         rows.append((inst.id, inst.n, omega, greedy, matching, chi, bound))
 

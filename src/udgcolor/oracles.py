@@ -13,7 +13,9 @@ lowest-bit loop, _members.  One enumerator, _colorings, walks the colorings
 with at most k colors: k_coloring takes its first, check_nbhprop asks it for
 a 2-coloring of the complement of each common neighbourhood, and
 brute_cover_exists walks the 3-colorings of the complement, which are the
-partitions of V into at most three cliques.
+partitions of V into at most three cliques.  Three constants bound the
+searches, in vertices: ALPHA_OMEGA_MAX brute_stats' alpha and omega,
+CHROMA_MAX its chi and clique cover number, COVER_SEARCH_MAX brute_cover_exists.
 """
 
 from __future__ import annotations
@@ -24,14 +26,9 @@ from typing import Iterator, Sequence
 from .core import AbstractGraph, CliqueCover, CliquePartition, complement
 from .errors import LimitExceeded
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    alpha_omega_max: int = 30
-    chroma_max: int = 16
-
-
-DEFAULT_LIMITS = OracleLimits()
+ALPHA_OMEGA_MAX = 30
+CHROMA_MAX = 16
+COVER_SEARCH_MAX = 14
 
 
 @dataclass(frozen=True)
@@ -170,16 +167,16 @@ def brute_clique_cover_number(g: AbstractGraph) -> int:
     return brute_chi(complement(g))
 
 
-def _require_alpha_omega(n: int, limits: OracleLimits) -> None:
-    if n > limits.alpha_omega_max:
-        raise LimitExceeded(f"n={n} exceeds alpha/omega limit {limits.alpha_omega_max}")
+def _require_alpha_omega(n: int) -> None:
+    if n > ALPHA_OMEGA_MAX:
+        raise LimitExceeded(f"n={n} exceeds alpha/omega limit {ALPHA_OMEGA_MAX}")
 
 
-def brute_stats(g: AbstractGraph, limits: OracleLimits = DEFAULT_LIMITS) -> GraphStats:
-    _require_alpha_omega(g.n, limits)
+def brute_stats(g: AbstractGraph) -> GraphStats:
+    _require_alpha_omega(g.n)
     alpha = len(max_independent_set(g))
     omega = brute_omega(g)
-    if g.n > limits.chroma_max:
+    if g.n > CHROMA_MAX:
         return GraphStats(alpha, omega, None, None)
     return GraphStats(alpha, omega, brute_chi(g), brute_clique_cover_number(g))
 
@@ -322,8 +319,8 @@ def brute_cover_exists(g: AbstractGraph, shared: bool) -> CliqueCover | None:
     complement with at most three colors.  A partition gives a cover with a
     shared vertex when some vertex of one part is adjacent to every vertex
     of another, which then takes it in as well."""
-    if g.n > 14:
-        raise LimitExceeded(f"n={g.n} exceeds cover-search limit 14")
+    if g.n > COVER_SEARCH_MAX:
+        raise LimitExceeded(f"n={g.n} exceeds cover-search limit {COVER_SEARCH_MAX}")
     masks = g.masks
     full = (1 << g.n) - 1
 

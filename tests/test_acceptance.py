@@ -21,15 +21,15 @@ from udgcolor.geom import (OUTSIDE, Point, point_in_hull, segments_cross,
 from udgcolor.instances import gen_circulant, gen_cs, gen_two_cluster
 from udgcolor.matching import (audit_bound, color_via_complement_matching,
                                sweep_greedy_color)
-from udgcolor.oracles import (OracleLimits, brute_chi,
+from udgcolor.oracles import (ALPHA_OMEGA_MAX, brute_chi,
                               brute_clique_cover_number, brute_cover_exists,
                               brute_omega, brute_stats, check_k16_free,
-                              check_nbhprop, verify_cover, verify_coloring)
+                              check_nbhprop, max_independent_set,
+                              verify_cover, verify_coloring)
 
 CIRCULANT_KS = (2, 3, 4, 5, 6)
 TWO_CLUSTER_COUNT = 200
 SEPARATIONS = ("1", "3/4", "1/2", "1/4")
-DEFAULT_AO_LIMIT = 30          # the stock alpha/omega oracle limit
 
 
 def _passline(num: int, name: str, detail: str) -> None:
@@ -86,7 +86,7 @@ def test_criterion_2_coloring_bound(corpus_data, audits):
     for entry in corpus_data.values():
         inst = entry["inst"]
         colors = entry["coloring"].num_colors
-        if inst.n <= DEFAULT_AO_LIMIT:
+        if inst.n <= ALPHA_OMEGA_MAX:
             omega = entry["omega"]
         else:
             # oracle limit binds: use the audit's clique A plus the
@@ -175,13 +175,14 @@ def test_criterion_7_cs_gadget():
     assert 2 * stats.chi == 3 * stats.omega  # exactly on the boundary at k=3
 
     cs4 = gen_cs(4)
-    stats4 = brute_stats(cs4, OracleLimits(chroma_max=15))  # chi search skipped
-    assert stats4.alpha == 2
-    assert stats4.omega == 5
-    assert stats4.chi is None
+    # alpha and omega alone: brute_stats would also search chi at n = 16
+    alpha4 = len(max_independent_set(cs4))
+    omega4 = brute_omega(cs4)
+    assert alpha4 == 2
+    assert omega4 == 5
     assert check_nbhprop(cs4) == (True, None)
     # with the known chi = 2k the excess over (3/2)omega is strict at k=4
-    assert 2 * (2 * 4) > 3 * stats4.omega
+    assert 2 * (2 * 4) > 3 * omega4
     _passline(7, "CS gadget",
               "CS_3: alpha=2 omega=4 chi=6 nbhprop ok (2chi=3omega); "
               "CS_4: alpha=2 omega=5 nbhprop ok, strict excess by the formula")

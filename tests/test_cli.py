@@ -153,6 +153,16 @@ def test_stats_instance_and_graph(tmp_path, capsys):
     assert "alpha=2 omega=4 chi=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, chi_and_ccn", [(16, "chi=16 clique_cover_number=1"),
+                                             (17, "chi=? clique_cover_number=?")])
+def test_stats_searches_chi_up_to_the_chromatic_limit(tmp_path, capsys, n, chi_and_ccn):
+    gfile = tmp_path / f"k{n}.graph"
+    gfile.write_text(f"graph k{n} {n}\n"
+                     + "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n)))
+    assert run(["stats", str(gfile)]) == EXIT_OK
+    assert capsys.readouterr().out == f"alpha=1 omega={n} {chi_and_ccn}\n"
+
+
 @pytest.mark.parametrize("count", ["31", "1000000000000000000000000000000"])
 def test_stats_refuses_a_graph_above_the_limit_before_building_it(tmp_path, capsys,
                                                                   monkeypatch, count):
@@ -646,6 +656,19 @@ def test_bench_table(tmp_path, capsys):
         assert greedy <= 3 * omega - 2
         assert 2 * matching <= 3 * omega
         assert matching == chi
+
+
+def test_bench_searches_chi_up_to_the_chromatic_limit(tmp_path, capsys):
+    """16 and 17 points within distance 1 of each other: complete graphs on
+    either side of the chromatic limit of 16."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for n in (16, 17):
+        (corpus / f"k{n}.udg").write_text(
+            f"udg k{n} {n}\n" + "".join(f"{i}/20 0\n" for i in range(n)))
+    assert run(["bench", str(corpus)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["k16\t16\t16\t16\t16\t16\t24", "k17\t17\t17\t17\t17\t?\t25"]
 
 
 def test_bench_marks_an_instance_with_an_independent_triple(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """No module imports a name it never uses, and the package imports at
-module level only, with no cycle.
+module level only, with no cycle, from itself and the standard library only.
 
 No linter ships with the project, and a deleted function easily leaves its
 import behind.  __init__.py is skipped: its imports are the re-exports.  An
@@ -8,6 +8,7 @@ none, and its modules' top-level relative imports form an acyclic graph.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,31 @@ def test_package_imports_only_at_module_level():
     assert function_level_imports("import a\ndef f():\n    def g():\n        import b\n") == [
         "line 4: f", "line 4: g"]
     found = {p.name: function_level_imports(p.read_text()) for p in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Each top-level module an import statement names that is neither
+    relative nor in the standard library, as `line N: module`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_runtime_is_stdlib_only():
+    assert non_stdlib_imports("from __future__ import annotations\nimport os.path, numpy\n"
+                              "from . import core\nfrom .geom import Point\n"
+                              "from fractions import Fraction\nfrom scipy.linalg import qr\n") == [
+        "line 2: numpy", "line 6: scipy.linalg"]
+    found = {p.name: non_stdlib_imports(p.read_text()) for p in PACKAGE}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

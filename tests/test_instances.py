@@ -126,15 +126,15 @@ def test_generators_refuse_more_than_gen_max_n_vertices_before_building(monkeypa
         raise AssertionError("built")
 
     monkeypatch.setattr(instances, "build_instance", built)
-    monkeypatch.setattr(instances, "AbstractGraph", built)
+    monkeypatch.setattr(instances.AbstractGraph, "from_masks", built)
     above = [lambda: gen_circulant(GEN_MAX_N + 1, 3), lambda: gen_cs(GEN_MAX_N // 4 + 1),
              lambda: gen_two_cluster(GEN_MAX_N + 1, seed=0)]
     for make in above:
         with pytest.raises(ValueError, match=f"<= {GEN_MAX_N}$"):
             make()
-    # at the bound the generators go on to build (the cs gadget's edge list
-    # at k = 1000 is too slow for tier-1, so it is not run)
-    for make in (lambda: gen_circulant(GEN_MAX_N, 3), lambda: gen_two_cluster(GEN_MAX_N, seed=0)):
+    # at the bound the generators go on to build
+    for make in (lambda: gen_circulant(GEN_MAX_N, 3), lambda: gen_cs(GEN_MAX_N // 4),
+                 lambda: gen_two_cluster(GEN_MAX_N, seed=0)):
         with pytest.raises(AssertionError, match="built"):
             make()
 

@@ -8,7 +8,7 @@ from udgcolor.cover import CliqueCover, CliquePartition
 from udgcolor.errors import LimitExceeded
 from udgcolor.instances import circulant_graph, gen_cs
 from udgcolor.matching import Coloring
-from udgcolor.oracles import (OracleLimits, brute_chi, brute_clique_cover_number,
+from udgcolor.oracles import (brute_chi, brute_clique_cover_number,
                               brute_cover_exists, brute_omega, brute_stats,
                               check_k16_free, check_nbhprop, max_independent_set,
                               verify_cover, verify_coloring)
@@ -47,11 +47,11 @@ def test_stats_internal_orderings():
 
 
 def test_brute_stats_limit():
-    with pytest.raises(LimitExceeded):
-        brute_stats(_complete(8), OracleLimits(alpha_omega_max=7))
-    stats = brute_stats(_complete(8), OracleLimits(chroma_max=7))
-    assert stats.omega == 8
-    assert stats.chi is None
+    with pytest.raises(LimitExceeded, match="^n=31 exceeds alpha/omega limit 30$"):
+        brute_stats(_complete(31))
+    stats = brute_stats(_complete(17))  # above the chromatic limit of 16
+    assert (stats.alpha, stats.omega) == (1, 17)
+    assert stats.chi is None and stats.clique_cover_number is None
 
 
 def test_verify_cover_accepts_valid():
@@ -139,7 +139,7 @@ def test_brute_cover_exists_triangle():
 
 
 def test_brute_cover_limit():
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded, match="^n=15 exceeds cover-search limit 14$"):
         brute_cover_exists(_complete(15), shared=False)
 
 
