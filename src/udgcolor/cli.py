@@ -22,9 +22,9 @@ from .core import AbstractGraph, Instance
 from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_from_text, trace_to_text
 from .errors import (AuditFailure, DuplicatePoint, ParseError,
                      StabilityViolated, StructureViolation, UdgError)
-from .instances import (_graph_edges, gen_circulant, gen_cs, gen_two_cluster,
+from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
                         instance_from_text, parse_scalar, read_instance,
-                        write_graph, write_instance)
+                        read_records, write_graph, write_instance)
 from .matching import (audit_bound, color_via_complement_matching,
                        coloring_from_text, coloring_to_text,
                        sweep_greedy_color)
@@ -54,20 +54,17 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _load_any_graph(path: str) -> AbstractGraph:
-    """Instance or abstract graph file, sniffed by the header keyword.  Its
-    vertex count, which sizes the graph, is held to the alpha/omega limit
-    after the file is parsed and before the graph is built."""
-    text = Path(path).read_text()
-    head = (text.split(None, 1) or [""])[0]
-    if head == "udg":
-        inst = instance_from_text(text)
-        _require_alpha_omega(inst.n)
-        return inst.graph
-    if head == "graph":
-        graph_id, n, edges = _graph_edges(text)
-        _require_alpha_omega(n)
-        return AbstractGraph(n, edges, id=graph_id)
-    raise ParseError(1, f"unknown artifact header {head!r} in {path}")
+    """Instance or abstract graph file, sniffed by the header keyword.  The
+    vertex count its header declares, which sizes the graph, is held to the
+    alpha/omega limit before the rest of the file is read."""
+    with open(path) as f:
+        first = f.readline()
+        head = (first.split(None, 1) or [""])[0]
+        if head not in ("udg", "graph"):
+            raise ParseError(1, f"unknown artifact header {head!r} in {path}")
+        _require_alpha_omega(read_records(first, head, 1)[1])
+        text = first + f.read()
+    return instance_from_text(text).graph if head == "udg" else graph_from_text(text)
 
 
 def _separation(raw: str) -> Fraction:

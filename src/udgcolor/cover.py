@@ -24,9 +24,12 @@ first point (geom._lex_order), and the disk case's hull
 graph build (core.instance_graph) still takes Fraction distances; see the
 geom module docstring for why it waits.
 
-Every branch reads the graph the instance builds once and caches
-(Instance.graph); the disk case adds the disk center to it as a universal
-vertex instead of rebuilding the graph from coordinates (each old mask
+_dispatch and the three constructors take a graph and the homogeneous
+triples of its points, the only parts of an instance they read:
+cover_three_cliques passes the graph the instance builds once and caches
+(Instance.graph), and the audit passes the subgraph a piece induces with
+that piece's triples.  The disk case adds the disk center to the graph as a
+universal vertex instead of rebuilding it from coordinates (each old mask
 gains the center's bit, the center gets the full mask).  The disk case
 scans its hull boundary of m vertices once for clique arc lengths (O(m)
 adjacency-mask tests): an arc of length one is a non-adjacent consecutive
@@ -117,12 +120,14 @@ def cover_three_cliques(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | No
     if inst.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
     require_stability(inst.graph)
-    return _dispatch(inst)
+    return _dispatch(inst.graph, inst.homogeneous)
 
 
-def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
-    g = inst.graph
-    n = inst.n
+def _dispatch(g: AbstractGraph,
+              h: tuple[Homogeneous, ...]) -> tuple[CliqueCover, DiskCaseTrace | None]:
+    """The cover of the graph g of the points with triples h, by the first
+    branch that applies; g is not empty and has stability at most two."""
+    n = g.n
     everything = frozenset(range(n))
 
     if _is_clique_mask(g, (1 << n) - 1):
@@ -131,16 +136,15 @@ def _dispatch(inst: Instance) -> tuple[CliqueCover, DiskCaseTrace | None]:
         # the single pair is non-adjacent here
         return CliqueCover((frozenset({0}), frozenset({0}), frozenset({1})), 0), None
 
-    h = inst.homogeneous
     if _collinear(h):
-        return collinear_cover(inst), None
+        return collinear_cover(g, h), None
     far = _far_pair(g, h)
     if far is not None:
-        return far_pair_cover(inst, *far), None
+        return far_pair_cover(g, h, *far), None
 
     # all pairs are closer than sqrt(3), so by Jung's theorem the radius is
     # below 1; disk_case_cover checks that every point lies in the disk
-    return disk_case_cover(inst, smallest_enclosing_disk(h).center)
+    return disk_case_cover(g, h, smallest_enclosing_disk(h).center)
 
 
 def _collinear(h: Sequence[Homogeneous]) -> bool:
@@ -207,7 +211,7 @@ def _pair_cover(g: AbstractGraph, u: int, v: int, where: str) -> CliqueCover:
     return cover
 
 
-def far_pair_cover(inst: Instance, u: int, v: int) -> CliqueCover:
+def far_pair_cover(g: AbstractGraph, h: Sequence[Homogeneous], u: int, v: int) -> CliqueCover:
     """Cover built from a pair at squared distance >= 3.
 
     The pair construction holds for any non-adjacent pair once stability is
@@ -215,13 +219,12 @@ def far_pair_cover(inst: Instance, u: int, v: int) -> CliqueCover:
     B = (N(u) & N(v)) + u a clique, because the common neighborhood of a far
     pair is one.
     """
-    h = inst.homogeneous
     if _sq_dist_sign(h[u], h[v], 3) < 0:
         raise InvalidVertex(f"pair ({u},{v}) is not a far pair")
-    return _pair_cover(inst.graph, u, v, "far_pair_cover")
+    return _pair_cover(g, u, v, "far_pair_cover")
 
 
-def collinear_cover(inst: Instance) -> CliqueCover:
+def collinear_cover(g: AbstractGraph, h: Sequence[Homogeneous]) -> CliqueCover:
     """Cover for instances whose points all lie on one line.
 
     Sorted along the line: A is everything within unit distance of the first
@@ -229,13 +232,12 @@ def collinear_cover(inst: Instance) -> CliqueCover:
     first point would complete an independent triple), C the first point
     alone.
     """
-    if inst.n == 0:
+    if g.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g = inst.graph
-    first = _lex_order(inst.homogeneous)[0]
+    first = _lex_order(h)[0]
     closed = g.masks[first] | 1 << first
     a = frozenset(bits(closed))
-    b = frozenset(bits((1 << inst.n) - 1 & ~closed))
+    b = frozenset(bits((1 << g.n) - 1 & ~closed))
     c = frozenset({first})
     cover = CliqueCover((a, b, c), first)
     _require_cover(g, cover, "collinear_cover")
@@ -357,35 +359,34 @@ def _with_universal(g: AbstractGraph) -> AbstractGraph:
     return AbstractGraph.from_masks([m | 1 << n for m in g.masks] + [(1 << n) - 1], id=g.id)
 
 
-def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
+def disk_case_cover(g: AbstractGraph, h: tuple[Homogeneous, ...],
+                    center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
 
-    The center joins the instance as a universal vertex p (an existing
+    g is the unit-distance graph of the points whose homogeneous triples are
+    h, a tuple.  The center joins them as a universal vertex p (an existing
     vertex is reused when the center coincides with one); every vertex lying
     within unit distance of the center is what makes p universal, so the
-    augmented graph is the instance graph (inst.graph) plus p joined to
-    everything.  The center is converted to homogeneous integers once; the
-    hull and the fan read inst.homogeneous plus that triple.  The boundary
-    of m vertices, rotated to start at b (its first vertex other than p), is
-    scanned once for clique arc lengths (O(m) adjacency-mask tests).  An arc
-    of length one marks consecutive non-adjacent boundary vertices u, v: the
-    whole instance lies on one side of the line uv and _pair_cover on the
-    instance graph is the cover.  Otherwise the lengths give the pivot pair
-    (_pivot_pair), whose arcs [b-,b], [b,b+] and minimal middle arc R are
-    slices of the rotated boundary.  One table fans the plane from p into
-    B+, B-, R, T+ and T-, in location priority order (R and T- are empty in
-    the narrow mode, where the middle arc is).  p joins every non-empty
-    region and b both B regions; every other vertex goes to the first region
-    whose prepared hull does not leave it OUTSIDE (O(n * h) exact integer
-    sign tests for h hull edges in all); a vertex on a region's arc is a
-    point of its hull, so only the hulls ahead of that region are tried.
-    In the split mode _split_triangle then divides T+ and T- by
-    completeness to their B region or to R.
+    augmented graph is g plus p joined to everything.  The center is
+    converted to homogeneous integers once; the hull and the fan read h plus
+    that triple.  The boundary of m vertices, rotated to start at b (its
+    first vertex other than p), is scanned once for clique arc lengths (O(m)
+    adjacency-mask tests).  An arc of length one marks consecutive
+    non-adjacent boundary vertices u, v: every point lies on one side of the
+    line uv and _pair_cover on g is the cover.  Otherwise the lengths give
+    the pivot pair (_pivot_pair), whose arcs [b-,b], [b,b+] and minimal
+    middle arc R are slices of the rotated boundary.  One table fans the
+    plane from p into B+, B-, R, T+ and T-, in location priority order (R
+    and T- are empty in the narrow mode, where the middle arc is).  p joins
+    every non-empty region and b both B regions; every other vertex goes to
+    the first region whose prepared hull does not leave it OUTSIDE (O(n * e)
+    exact integer sign tests for e hull edges in all); a vertex on a
+    region's arc is a point of its hull, so only the hulls ahead of that
+    region are tried.  In the split mode _split_triangle then divides T+ and
+    T- by completeness to their B region or to R.
     """
-    if inst.n == 0:
+    if g.n == 0:
         raise EmptyInstance("cannot cover an empty instance")
-    g0 = inst.graph
-    h = inst.homogeneous
     c = _homogeneous(center)
     outside = _outside_unit_disk(c, h)
     if outside is not None:
@@ -393,8 +394,8 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
             f"vertex {outside} lies outside the unit disk around the given center")
 
     virtual = c not in h  # equal points have equal triples
-    p_id = inst.n if virtual else h.index(c)
-    g = _with_universal(g0) if virtual else g0
+    p_id = g.n if virtual else h.index(c)
+    gp = _with_universal(g) if virtual else g  # g plus p
     h = h + (c,) if virtual else h
 
     hd = hull_decomposition(h)
@@ -404,7 +405,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     start = 1 if hd.boundary[0] == p_id else 0
     rot = hd.boundary[start:] + hd.boundary[:start]
     b, m = rot[0], len(rot)
-    arc = _clique_arc_lengths(rot, g)
+    arc = _clique_arc_lengths(rot, gp)
 
     # consecutive boundary vertices must be adjacent, else the one-sided case
     gap = next((t for t in range(m) if arc[t] == 1), None)
@@ -412,7 +413,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
         u, w = rot[gap], rot[(gap + 1) % m]
         trace = DiskCaseTrace("nonedge", center, virtual, p_id, {}, (u, w),
                               dict.fromkeys(SET_LABELS, frozenset()))
-        return _pair_cover(g0, u, w, "nonedge cover"), trace
+        return _pair_cover(g, u, w, "nonedge cover"), trace
 
     pivot = _pivot_pair(arc)
     if pivot is None:
@@ -451,8 +452,8 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     if middle:
         mode = "split"
         r_mask = mask_of(region["R"])
-        plus = _split_triangle(g, region["T+"], mask_of(region["B+"]), r_mask)
-        minus = _split_triangle(g, region["T-"], mask_of(region["B-"]), r_mask)
+        plus = _split_triangle(gp, region["T+"], mask_of(region["B+"]), r_mask)
+        minus = _split_triangle(gp, region["T-"], mask_of(region["B-"]), r_mask)
         parts = (region["B+"] | plus[0] | minus[2],
                  region["B-"] | minus[0] | plus[2],
                  region["R"] | plus[1] | minus[1])
@@ -467,7 +468,7 @@ def disk_case_cover(inst: Instance, center: Point) -> tuple[CliqueCover, DiskCas
     trace = DiskCaseTrace(mode, center, virtual, p_id,
                           dict(zip(PIVOTS, (b, b_plus, b_minus, r_plus, r_minus))), None,
                           dict(zip(SET_LABELS, (*region.values(), *plus, *minus))))
-    _require_cover(g0, cover, "disk_case_cover")
+    _require_cover(g, cover, "disk_case_cover")
     return cover, trace
 
 

@@ -257,17 +257,8 @@ def read_instance(path: str | Path) -> Instance:
     return instance_from_text(Path(path).read_text())
 
 
-def graph_to_text(g: AbstractGraph) -> str:
-    if g.n == 0:
-        raise EmptyInstance("a graph file needs at least one vertex")
-    lines = [f"graph {g.id or 'anon'} {g.n}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
-
-
-def _graph_edges(text: str) -> tuple[str, int, list[tuple[int, int]]]:
-    """The id, vertex count and edges of a graph file, else ParseError."""
+def graph_from_text(text: str) -> AbstractGraph:
+    """The graph of a graph file's text, else ParseError."""
     graph_id, n, records = read_records(text, "graph", 1, "u v")
     edges: list[tuple[int, int]] = []
     for no, (a, b) in records:
@@ -275,16 +266,16 @@ def _graph_edges(text: str) -> tuple[str, int, list[tuple[int, int]]]:
         if u >= n or v >= n or u == v:
             raise ParseError(no, f"edge '{u} {v}' is a self-loop or out of range for n={n}")
         edges.append((u, v))
-    return graph_id, n, edges  # type: ignore[return-value]
-
-
-def graph_from_text(text: str) -> AbstractGraph:
-    graph_id, n, edges = _graph_edges(text)
-    return AbstractGraph(n, edges, id=graph_id)
+    return AbstractGraph(n, edges, id=graph_id)  # type: ignore[arg-type]
 
 
 def write_graph(path: str | Path, g: AbstractGraph) -> None:
-    Path(path).write_text(graph_to_text(g), newline="\n")
+    """The graph file of g, written one edge line at a time."""
+    if g.n == 0:
+        raise EmptyInstance("a graph file needs at least one vertex")
+    with open(path, "w", newline="\n") as f:
+        f.write(f"graph {g.id or 'anon'} {g.n}\n")
+        f.writelines(f"{u} {v}\n" for u, v in g.edges())
 
 
 def read_graph(path: str | Path) -> AbstractGraph:

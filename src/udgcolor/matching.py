@@ -11,7 +11,8 @@ audit counts on that matching, proves it maximum by Tutte-Berge instead of
 a second search, certifies the bound with a clique it assembles, and uses
 no oracle.  A piece of the decomposition that is a clique of G (in practice
 a single vertex) is its own partition; only the other pieces are covered,
-on a sub-instance, and each such cover is checked by its constructor only.
+on the subgraph each induces with its points' homogeneous triples (no
+Instance is built), and each such cover is checked by its constructor only.
 """
 
 from __future__ import annotations
@@ -333,28 +334,16 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _sub_instance(inst: Instance, vertices) -> tuple[Instance, tuple[int, ...]]:
-    """The sub-instance on vertices, plus its local -> global vertex map.
-
-    Its graph is the induced subgraph of the instance graph, which is the
-    unit-distance graph of the subset, and its triples are the instance's,
-    so neither is rebuilt from coordinates."""
-    graph, glb = inst.graph.induced(vertices)
-    graph.id = f"{inst.id}/sub"
-    sub = Instance(graph.id, tuple(inst.points[v] for v in glb),
-                   tuple(inst.homogeneous[v] for v in glb))
-    vars(sub)["graph"] = graph  # the value the cached property would compute
-    return sub, glb
-
-
 def _partition_sizes_and_largest(inst: Instance, vertices) -> tuple[tuple[int, int, int], frozenset[int]]:
-    """Clique partition of the induced sub-instance, sizes descending, plus
-    the largest part mapped back to global vertex ids; a clique K is its own
-    partition, (|K|, 0, 0), as _dispatch's complete cover would make it."""
+    """Clique partition of the vertices, sizes descending, plus its largest
+    part in global vertex ids; a clique K is its own partition, (|K|, 0, 0),
+    as _dispatch's complete cover would make it.  Any other piece is covered
+    on the subgraph it induces, which is the unit-distance graph of its
+    points, with their triples: neither is rebuilt from coordinates."""
     if _is_clique_mask(inst.graph, mask_of(vertices)):
         return (len(vertices), 0, 0), frozenset(vertices)
-    sub, glb = _sub_instance(inst, vertices)
-    cover, _ = _dispatch(sub)
+    graph, glb = inst.graph.induced(vertices)
+    cover, _ = _dispatch(graph, tuple(inst.homogeneous[v] for v in glb))
     ordered = sorted(partition_from_cover(cover).parts, key=lambda p: (-len(p), sorted(p)))
     sizes = tuple(len(p) for p in ordered)
     return sizes, frozenset(glb[v] for v in ordered[0])  # type: ignore[return-value]
@@ -376,7 +365,8 @@ def audit_bound(inst: Instance) -> AuditReport:
     input.  The stability gate also rules out a triangle in H, which would
     be an independent triple of G.  A clique piece (in practice a single
     vertex: a larger piece holds an edge of H) is its own partition; only
-    the other pieces are covered, on a sub-instance, skipping the gate.
+    the other pieces are covered, on the subgraph of G each induces with
+    its points' triples, skipping the gate.
     """
     g = inst.graph
     require_stability(g)

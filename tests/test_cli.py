@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from udgcolor import core, cover, geom, matching, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 from udgcolor.core import build_instance
-from udgcolor.instances import GEN_MAX_N, gen_circulant, gen_two_cluster, write_instance
+from udgcolor.instances import (GEN_MAX_N, gen_circulant, gen_cs, gen_two_cluster, write_graph,
+                                write_instance)
 
 
 def _gen(tmp_path, name="c8.udg", family=("circulant", "8", "3")) -> Path:
@@ -171,6 +173,32 @@ def test_stats_refuses_a_graph_above_the_limit_before_building_it(tmp_path, caps
     monkeypatch.setattr(core.AbstractGraph, "__init__", None)  # any build fails
     assert run(["stats", str(gfile)]) == EXIT_INTERNAL
     assert capsys.readouterr().err == f"error: n={count} exceeds alpha/omega limit 30\n"
+
+
+@pytest.mark.parametrize("header, record", [("udg u 31", "x"), ("graph g 31", "0 1 2")])
+def test_stats_holds_the_header_count_to_the_limit_before_any_record(tmp_path, capsys,
+                                                                     header, record):
+    # the damaged record is never read: the header alone is over the limit
+    path = tmp_path / "big.txt"
+    path.write_text(f"{header}\n{record}\n")
+    assert run(["stats", str(path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: n=31 exceeds alpha/omega limit 30\n"
+
+
+def test_stats_refuses_an_oversize_file_after_reading_its_header(tmp_path, capsys):
+    """gen_cs(200)'s file is 1.85 MB of about 240,000 edge lines; parsing
+    them all before the limit took over 100 MB."""
+    path = tmp_path / "cs200.graph"
+    write_graph(path, gen_cs(200))
+    tracemalloc.start()
+    try:
+        code = run(["stats", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: n=800 exceeds alpha/omega limit 30\n"
+    assert peak < 1024 * 1024, peak
 
 
 def test_usage_errors(tmp_path):
@@ -608,8 +636,8 @@ def test_each_point_is_converted_once_and_never_compared_as_a_fraction(tmp_path,
             monkeypatch.setattr(module, "_homogeneous", counted)
     disk_cases = []
     disk_case_cover = cover.disk_case_cover
-    monkeypatch.setattr(cover, "disk_case_cover", lambda inst, center: disk_cases.append(
-        inst.n) or disk_case_cover(inst, center))
+    monkeypatch.setattr(cover, "disk_case_cover", lambda g, h, center: disk_cases.append(
+        g.n) or disk_case_cover(g, h, center))
     for name, inst in instances.items():
         for command in ("cover", "color", "audit"):
             calls = 0

@@ -76,13 +76,13 @@ def test_cover_empty_instance():
 
 def test_far_pair_two_points():
     inst = build_instance("fp", [point(0, 0), point(2, 0)])
-    cover = far_pair_cover(inst, 0, 1)
+    cover = far_pair_cover(inst.graph, inst.homogeneous, 0, 1)
     assert cover.cliques == (frozenset({0}), frozenset({0}), frozenset({1}))
 
 
 def test_far_pair_with_midpoint():
     inst = build_instance("fp", [point(0, 0), point(2, 0), point(1, 0)])
-    cover = far_pair_cover(inst, 0, 1)
+    cover = far_pair_cover(inst.graph, inst.homogeneous, 0, 1)
     assert cover.cliques == (frozenset({0}), frozenset({0, 2}), frozenset({1}))
     _check(inst, cover)
 
@@ -90,14 +90,14 @@ def test_far_pair_with_midpoint():
 def test_far_pair_four_collinear():
     inst = build_instance("fp", [point(0, 0), point(2, 0), point("1/2", 0),
                                  point("3/2", 0)])
-    cover = far_pair_cover(inst, 0, 1)
+    cover = far_pair_cover(inst.graph, inst.homogeneous, 0, 1)
     assert cover.cliques == (frozenset({0, 2}), frozenset({0}), frozenset({1, 3}))
     _check(inst, cover)
 
 
 def test_collinear_cover_all_close():
     inst = build_instance("ln", [point(0, 0), point("1/2", 0), point(1, 0)])
-    cover = collinear_cover(inst)
+    cover = collinear_cover(inst.graph, inst.homogeneous)
     assert cover.cliques == (frozenset({0, 1, 2}), frozenset(), frozenset({0}))
     _check(inst, cover)
 
@@ -105,14 +105,14 @@ def test_collinear_cover_all_close():
 def test_collinear_cover_two_groups():
     inst = build_instance("ln", [point(0, 0), point(1, 0), point("3/2", 0),
                                  point(2, 0)])
-    cover = collinear_cover(inst)
+    cover = collinear_cover(inst.graph, inst.homogeneous)
     assert cover.cliques == (frozenset({0, 1}), frozenset({2, 3}), frozenset({0}))
     _check(inst, cover)
 
 
 def test_collinear_cover_far_pair_only():
     inst = build_instance("ln", [point(0, 0), point(2, 0)])
-    cover = collinear_cover(inst)
+    cover = collinear_cover(inst.graph, inst.homogeneous)
     assert cover.cliques == (frozenset({0}), frozenset({1}), frozenset({0}))
     _check(inst, cover)
 
@@ -376,7 +376,7 @@ def _disk_cases():
                                 *(benchmark_toy_instances(seed) for seed in (1, 3, 7919)),
                                 lattice_disk_instances())
     traced = itertools.chain(((inst, cover_three_cliques(inst)[1]) for inst in instances),
-                             ((inst, disk_case_cover(inst, center)[1])
+                             ((inst, disk_case_cover(inst.graph, inst.homogeneous, center)[1])
                               for inst, center in explicit_centre_cases()))
     return tuple((inst, trace.p_point, trace) for inst, trace in traced if trace is not None)
 
@@ -478,7 +478,7 @@ def test_disk_case_corpora_texts_match_one_golden_hash():
             digest.update(trace_to_text(trace, inst.id).encode())
         digest.update(audit_bound(inst).to_text().encode())
     for inst, center in explicit_centre_cases():
-        cover, trace = disk_case_cover(inst, center)
+        cover, trace = disk_case_cover(inst.graph, inst.homogeneous, center)
         digest.update(cover_to_text(cover, inst.id).encode())
         digest.update(trace_to_text(trace, inst.id).encode())
     assert digest.hexdigest() == GOLDEN_DISK_CORPORA
@@ -629,7 +629,7 @@ def test_disk_case_small_square_complete():
     inst = build_instance("sq", [point(0, 0), point("1/2", 0),
                                  point("1/2", "1/2"), point(0, "1/2")])
     center = smallest_enclosing_disk(inst.homogeneous).center
-    cover, trace = disk_case_cover(inst, center)
+    cover, trace = disk_case_cover(inst.graph, inst.homogeneous, center)
     _check(inst, cover)
     assert trace.mode in ("narrow", "split")
     shared = cover.shared_vertex
@@ -748,7 +748,7 @@ def test_structure_violation_is_hard_error():
     # disk_case_cover on points outside the claimed disk must refuse
     inst = build_instance("off", [point(0, 0), point(3, 0)])
     with pytest.raises(StructureViolation):
-        disk_case_cover(inst, point(0, 0))
+        disk_case_cover(inst.graph, inst.homogeneous, point(0, 0))
 
 
 # Fraction reference for the dispatch predicates: the tests cover.py ran on
@@ -790,15 +790,15 @@ def dispatched(monkeypatch):
     calls = []
     dummy = CliqueCover((frozenset(), frozenset(), frozenset()), None)
     monkeypatch.setattr(cover_module, "far_pair_cover",
-                        lambda inst, u, v: calls.append(("far_pair", (u, v))) or dummy)
+                        lambda g, h, u, v: calls.append(("far_pair", (u, v))) or dummy)
     monkeypatch.setattr(cover_module, "collinear_cover",
-                        lambda inst: calls.append(("collinear", None)) or dummy)
+                        lambda g, h: calls.append(("collinear", None)) or dummy)
     monkeypatch.setattr(cover_module, "disk_case_cover",
-                        lambda inst, center: calls.append(("disk", center)) or (dummy, None))
+                        lambda g, h, center: calls.append(("disk", center)) or (dummy, None))
 
     def run(inst):
         calls.clear()
-        cover_module._dispatch(inst)
+        cover_module._dispatch(inst.graph, inst.homogeneous)
         return calls[0] if calls else (None, None)
     return run
 
@@ -940,5 +940,6 @@ def test_centre_test_on_and_just_off_the_unit_circle(offset, dispatched):
         _assert_dispatch_matches_reference(inst, dispatched)
     inst = build_instance("circle", inside[1:])
     assert cover_module._outside_unit_disk(*homogeneous([offset]), inst.homogeneous) is None
+    inst = build_instance("circle", outside)
     with pytest.raises(StructureViolation, match="vertex 3 lies outside the unit disk"):
-        disk_case_cover(build_instance("circle", outside), offset)
+        disk_case_cover(inst.graph, inst.homogeneous, offset)

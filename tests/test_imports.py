@@ -98,6 +98,37 @@ def test_package_runtime_is_stdlib_only():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def instance_calls(source: str) -> list[str]:
+    """Each call of Instance, by name or as an attribute, as `line N: f`
+    for the innermost function holding it (`<module>` outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == "Instance" or getattr(func, "attr", None) == "Instance":
+                    found.append(f"line {child.lineno}: {where}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_build_instance_constructs_an_instance():
+    """Every Instance has its points checked distinct and converted once, by
+    core.build_instance; the audit covers its pieces without one."""
+    assert instance_calls("a = Instance(1)\ndef f():\n    def g():\n"
+                          "        return core.Instance(2)\n    return Instance(3)\n") == [
+        "line 1: <module>", "line 4: g", "line 5: f"]
+    found = {p.name: instance_calls(p.read_text()) for p in PACKAGE}
+    assert [call.split(": ")[1] for call in found.pop("core.py")] == ["build_instance"]
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def relative_imports(source: str) -> set[str]:
     """The sibling modules a module's top-level `from . import` and
     `from .m import` statements name."""

@@ -13,7 +13,7 @@ from udgcolor import geom, instances
 from udgcolor.geom import point
 from udgcolor.instances import (GEN_MAX_N, circulant_graph, gen_circulant, gen_cs,
                                 gen_two_cluster, graph_from_text,
-                                graph_to_text, instance_from_text,
+                                instance_from_text,
                                 instance_to_text, parse_scalar, read_graph,
                                 read_instance, write_graph, write_instance)
 from udgcolor.oracles import brute_stats, check_nbhprop
@@ -190,6 +190,22 @@ def test_generators_build_rows_without_an_edge_list(make):
     assert peak < 2 * 1024 * 1024, peak
 
 
+def test_write_graph_writes_one_edge_line_at_a_time(tmp_path):
+    """gen_cs(200)'s file is about 240,000 edge lines, 1.85 MB; building
+    its whole text first took 19 MB."""
+    g = gen_cs(200)
+    path = tmp_path / "cs200.graph"
+    tracemalloc.start()
+    try:
+        write_graph(path, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
+    assert path.read_bytes() == ("graph cs-200 800\n"
+                                 + "".join(f"{u} {v}\n" for u, v in g.edges())).encode()
+
+
 def test_cs_k1_edges():
     g = gen_cs(1)
     assert sorted(g.edges()) == [(0, 2), (1, 3)]
@@ -363,12 +379,13 @@ def test_parse_scalar_agrees_with_fraction(token):
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
-def test_writers_reject_what_readers_reject():
+def test_writers_reject_what_readers_reject(tmp_path):
     # `udg e 0` and `graph anon 0` are parse errors, so neither is written
     with pytest.raises(EmptyInstance):
         instance_to_text(build_instance("e", []))
     with pytest.raises(EmptyInstance):
-        graph_to_text(AbstractGraph(0, []))
+        write_graph(tmp_path / "e.graph", AbstractGraph(0, []))
+    assert not (tmp_path / "e.graph").exists()
 
 
 def test_instance_round_trip(tmp_path):
@@ -415,7 +432,8 @@ def test_graph_round_trip(tmp_path):
     again = read_graph(path)
     assert again == g
     assert again.id == g.id
-    assert graph_to_text(again) == path.read_text()
+    write_graph(tmp_path / "again.graph", again)
+    assert (tmp_path / "again.graph").read_text() == path.read_text()
 
 
 def test_graph_bad_header():

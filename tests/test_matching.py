@@ -316,15 +316,15 @@ def test_audit_runs_no_blossom_search_of_its_own(monkeypatch):
         assert len(searches) == audits, inst.id
 
 
-def test_audit_builds_a_sub_instance_only_for_pieces_of_two_or_more(monkeypatch):
+def test_audit_induces_a_subgraph_only_for_pieces_of_two_or_more(monkeypatch):
     # R and every odd component of H - X are the audit's pieces; a single
     # vertex is a clique, its own partition, and needs no cover
-    def counted(inst, vertices):
+    def counted(g, vertices):
         covered.append(frozenset(vertices))
-        return sub_instance(inst, vertices)
+        return induced(g, vertices)
 
-    sub_instance = matching._sub_instance
-    monkeypatch.setattr(matching, "_sub_instance", counted)
+    induced = AbstractGraph.induced
+    monkeypatch.setattr(AbstractGraph, "induced", counted)
     sizes = Counter()
     instances = itertools.chain(acceptance_corpus(), benchmark_toy_instances(1),
                                 benchmark_toy_instances(7919), lattice_disk_instances())
@@ -339,10 +339,10 @@ def test_audit_builds_a_sub_instance_only_for_pieces_of_two_or_more(monkeypatch)
     assert sizes == {"single": 4443, "larger": 286}
 
 
-def test_a_whole_instance_piece_renames_only_its_copy():
+def test_a_whole_instance_piece_leaves_the_instance_graph_alone():
     # H - X of the tight circulant is one odd piece holding every vertex, so
-    # the audit covers a sub-instance on all of them; its /sub id must not
-    # reach the instance's cached graph
+    # the audit covers the subgraph induced on all of them, a copy of the
+    # instance's cached graph; the cached graph keeps its id
     inst = gen_circulant(59, 20)
     ge = gallai_edmonds(complement(inst.graph))
     assert [p for p in (ge.B, *ge.odd_components) if p] == [frozenset(range(59))]
@@ -351,9 +351,10 @@ def test_a_whole_instance_piece_renames_only_its_copy():
 
 def _reference_partition(inst, vertices):
     """The partition every piece took before clique pieces kept their own:
-    cover the sub-instance through _dispatch and disjointify the cover."""
-    sub, glb = matching._sub_instance(inst, vertices)
-    cover, _ = _dispatch(sub)
+    cover the induced graph and its triples through _dispatch and
+    disjointify the cover."""
+    sub, glb = inst.graph.induced(vertices)
+    cover, _ = _dispatch(sub, tuple(inst.homogeneous[v] for v in glb))
     ordered = sorted(partition_from_cover(cover).parts, key=lambda p: (-len(p), sorted(p)))
     return tuple(len(p) for p in ordered), frozenset(glb[v] for v in ordered[0])
 
@@ -375,10 +376,10 @@ def test_clique_pieces_partition_as_the_dispatched_cover_does(monkeypatch):
             cases.extend((inst, clique[:size]) for size in range(1, min(len(clique), 5) + 1))
     expected = [_reference_partition(inst, clique) for inst, clique in cases]
 
-    def refuse(inst, vertices):
-        raise AssertionError("a clique piece was covered on a sub-instance")
+    def refuse(g, h):
+        raise AssertionError("a clique piece was covered")
 
-    monkeypatch.setattr(matching, "_sub_instance", refuse)
+    monkeypatch.setattr(matching, "_dispatch", refuse)
     got = [matching._partition_sizes_and_largest(inst, clique) for inst, clique in cases]
     assert got == expected
     assert {len(clique) for _, clique in cases} == {1, 2, 3, 4, 5}
