@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .core import AbstractGraph, Instance
 from .cover import cover_from_text, cover_to_text, cover_three_cliques, trace_from_text, trace_to_text
-from .errors import (AuditFailure, DuplicatePoint, ParseError,
-                     StabilityViolated, StructureViolation, UdgError)
+from .errors import (DuplicatePoint, ParseError, StabilityViolated,
+                     StructureViolation, UdgError)
 from .instances import (gen_circulant, gen_cs, gen_two_cluster, graph_from_text,
                         instance_from_text, parse_scalar, read_instance,
                         read_records, write_graph, write_instance)
@@ -204,22 +204,9 @@ def _read_artifact(kind: str, path: str, parse, inst: Instance):
 
 def _cmd_render(args) -> int:
     inst = read_instance(args.input)
-    coloring = None
-    if args.coloring:
-        coloring = _read_artifact("coloring", args.coloring, coloring_from_text, inst)
-        if len(coloring.assignment) != inst.n:
-            raise ParseError(1, "coloring does not match instance size")
-    trace = None
-    if args.trace:
-        trace = _read_artifact("trace", args.trace, trace_from_text, inst)
-        top = inst.n if trace.p_virtual else inst.n - 1  # the virtual p is vertex n
-        named = max(trace.vertices)
-        if named > top:
-            raise ParseError(1, f"trace names vertex {named}, outside 0..{top}")
-        if trace.p_virtual and (trace.p_id != inst.n or trace.p_point in inst.points):
-            raise ParseError(1, f"a virtual trace p must be vertex {inst.n}, at no instance point")
-        if not trace.p_virtual and inst.points[trace.p_id] != trace.p_point:
-            raise ParseError(1, f"trace p is not at instance vertex {trace.p_id}")
+    coloring = (_read_artifact("coloring", args.coloring, coloring_from_text, inst)
+                if args.coloring else None)
+    trace = _read_artifact("trace", args.trace, trace_from_text, inst) if args.trace else None
     _write_text(args.output, render_svg(inst, coloring, trace))
     return EXIT_OK
 
@@ -297,7 +284,7 @@ def run(argv: list[str]) -> int:
     except StabilityViolated as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (StructureViolation, AuditFailure) as exc:
+    except StructureViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except UdgError as exc:

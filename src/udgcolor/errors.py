@@ -7,12 +7,8 @@ class UdgError(Exception):
     """Base class for all library errors."""
 
 
-class EmptyInput(UdgError):
-    """A geometric operation received an empty point list."""
-
-
 class EmptyInstance(UdgError):
-    """An operation requires a nonempty instance."""
+    """An operation requires a nonempty instance, graph or point set."""
 
 
 class DuplicatePoint(UdgError):
@@ -37,23 +33,16 @@ class StabilityViolated(UdgError):
 
 
 class StructureViolation(UdgError):
-    """An assembled set failed a structural check that valid input guarantees.
+    """An assembled set, matching or Gallai-Edmonds decomposition failed a
+    structural check that valid input guarantees.
 
     Reaching this on an instance with stability <= 2 indicates a bug, never
     an expected runtime condition.
     """
 
 
-class AuditFailure(UdgError):
-    """The matching audit hit a structurally impossible state."""
-
-
 class LimitExceeded(UdgError):
-    """The graph is larger than the configured brute-force limit."""
-
-
-class NotRealizable(UdgError):
-    """No circle radius realizes the requested circulant adjacency."""
+    """The graph is larger than a fixed brute-force limit of ``oracles``."""
 
 
 class SnapFailure(UdgError):

@@ -52,7 +52,7 @@ from functools import cmp_to_key
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .errors import EmptyInput
+from .errors import EmptyInstance
 
 # orientation() results
 CCW = 1
@@ -228,7 +228,7 @@ def hull_decomposition(h: Sequence[Homogeneous]) -> HullDecomposition:
     """
     n = len(h)
     if n == 0:
-        raise EmptyInput("hull of an empty point set")
+        raise EmptyInstance("hull of an empty point set")
     if n == 1:
         return HullDecomposition((0,), frozenset(), False)
 
@@ -256,7 +256,7 @@ class PreparedHull:
     def __init__(self, points: Iterable[Homogeneous]):
         h = list(dict.fromkeys(points))  # equal points have equal triples
         if not h:
-            raise EmptyInput("hull of an empty point set")
+            raise EmptyInstance("hull of an empty point set")
         order = _lex_order(h)
         hull = [h[i] for (i,) in _hull_chain(h, order)]
         self._segment: tuple[Homogeneous, Homogeneous] | None = None
@@ -320,7 +320,7 @@ def smallest_enclosing_disk(h: Sequence[Homogeneous]) -> Disk:
     is unique, and its Fractions are normalised.
     """
     if not h:
-        raise EmptyInput("enclosing disk of an empty point set")
+        raise EmptyInstance("enclosing disk of an empty point set")
     pts = list(h)
     random.Random(_SED_SHUFFLE_SEED).shuffle(pts)
     d = (*pts[0], 0)

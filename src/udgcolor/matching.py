@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .core import (AbstractGraph, Instance, _is_clique_mask, bits, complement,
                    mask_of, require_stability)
 from .cover import _dispatch, partition_from_cover
-from .errors import AuditFailure, ParseError
+from .errors import ParseError, StructureViolation
 from .geom import _lex_order
 from .instances import parse_int, read_records
 
@@ -52,8 +52,9 @@ def _augment_search(adj: list[list[int]], match: list[int],
     Returns None after augmenting match in place along a path from a root
     to an exposed vertex that is not a root.  Otherwise returns the
     forest's even marks: the vertices an even alternating path reaches from
-    a root, blossoms included.  Two trees that meet raise AuditFailure: they
-    hold an augmenting path, so match was not maximum.
+    a root, blossoms included.  Two trees that meet raise
+    StructureViolation: they hold an augmenting path, so match was not
+    maximum.
     """
     n = len(adj)
     parent = [-1] * n
@@ -75,8 +76,8 @@ def _augment_search(adj: list[list[int]], match: list[int],
         y = base[b]
         while not seen[y]:
             if match[y] == -1:
-                raise AuditFailure(f"alternating trees of roots {x} and {y} meet; "
-                                   f"the matching is not maximum")
+                raise StructureViolation(f"alternating trees of roots {x} and {y} meet; "
+                                         f"the matching is not maximum")
             y = base[parent[match[y]]]
         return y
 
@@ -203,9 +204,9 @@ def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
     odd_masks = [c for c in _components(g, (1 << n) - 1 & ~x_mask) if c & a_mask]
     for c in odd_masks:
         if c & ~a_mask:
-            raise AuditFailure(f"component {bits(c)} straddles the A boundary")
+            raise StructureViolation(f"component {bits(c)} straddles the A boundary")
         if c.bit_count() % 2 == 0:
-            raise AuditFailure(f"component {bits(c)} inside A has even size")
+            raise StructureViolation(f"component {bits(c)} inside A has even size")
     odd = tuple(frozenset(bits(c)) for c in odd_masks)
 
     comp_of = {v: idx for idx, c in enumerate(odd) for v in c}
@@ -213,10 +214,10 @@ def gallai_edmonds(g: AbstractGraph) -> GallaiEdmonds:
     for x in sorted(X):
         idx = comp_of.get(match[x])
         if idx is None:
-            raise AuditFailure(f"vertex {x} of X is not matched into an odd component")
+            raise StructureViolation(f"vertex {x} of X is not matched into an odd component")
         if idx in x_of:
-            raise AuditFailure(f"vertices {x_of[idx]} and {x} of X are matched "
-                               f"into one odd component")
+            raise StructureViolation(f"vertices {x_of[idx]} and {x} of X are matched "
+                                     f"into one odd component")
         x_of[idx] = x
 
     m = frozenset((v, match[v]) for v in range(n) if match[v] > v)
@@ -359,7 +360,7 @@ def audit_bound(inst: Instance) -> AuditReport:
     Every matching count is M's, the decomposition's one maximum matching:
     M_R and M_K are its edges inside R and inside K.  Tutte-Berge proves M
     maximum with no second search: the components O are odd in H - X, so
-    2 nu(H) <= n + |X| - |O| = 2|M|.  AuditFailure is raised for M not
+    2 nu(H) <= n + |X| - |O| = 2|M|.  StructureViolation is raised for M not
     perfect on R or not near-perfect on a K, and for M short of that bound;
     arithmetic checks are recorded with pass flags and never fail on valid
     input.  The stability gate also rules out a triangle in H, which would
@@ -389,9 +390,9 @@ def audit_bound(inst: Instance) -> AuditReport:
         label = f"K{idx - 1}" if odd_piece else "R"
         m_p = inside[idx]
         if 2 * m_p != len(piece) - odd_piece:
-            raise AuditFailure(f"odd component {idx - 1} has no near-perfect matching "
-                               f"avoiding its X-endpoint" if odd_piece
-                               else "the even part has no perfect matching")
+            raise StructureViolation(f"odd component {idx - 1} has no near-perfect matching "
+                                     f"avoiding its X-endpoint" if odd_piece
+                                     else "the even part has no perfect matching")
         sizes, largest = _partition_sizes_and_largest(inst, piece)
         a_union |= largest
         components.append(ComponentAudit(label, tuple(sorted(piece)), sizes, m_p))
@@ -402,7 +403,7 @@ def audit_bound(inst: Instance) -> AuditReport:
 
     m_total = sum(inside) + len(ge.M_X)
     if 2 * m_total != h.n + len(ge.X) - len(odd):
-        raise AuditFailure("assembled matching is not maximum")
+        raise StructureViolation("assembled matching is not maximum")
 
     checks.append(AuditCheck("|M_X|=|O_X|", len(ge.M_X), len(ge.O_X), "=="))
 

@@ -27,8 +27,20 @@ def _hue(i: int, total: int) -> str:
 
 def render_svg(inst: Instance, coloring: Coloring | None = None,
                trace: DiskCaseTrace | None = None) -> str:
-    """The SVG text; ParseError names a point it cannot draw in floats, or
-    says that the drawing's span is beyond the float range."""
+    """The SVG text; ParseError says that the coloring or the trace does
+    not fit inst, names a point it cannot draw in floats, or says that the
+    drawing's span is beyond the float range."""
+    if coloring is not None and len(coloring.assignment) != inst.n:
+        raise ParseError(1, "coloring does not match instance size")
+    if trace is not None:
+        top = inst.n if trace.p_virtual else inst.n - 1  # the virtual p is vertex n
+        named = max(trace.vertices)
+        if named > top:
+            raise ParseError(1, f"trace names vertex {named}, outside 0..{top}")
+        if trace.p_virtual and (trace.p_id != inst.n or trace.p_point in inst.points):
+            raise ParseError(1, f"a virtual trace p must be vertex {inst.n}, at no instance point")
+        if not trace.p_virtual and inst.points[trace.p_id] != trace.p_point:
+            raise ParseError(1, f"trace p is not at instance vertex {trace.p_id}")
     h = list(inst.homogeneous)
     if trace is not None and trace.p_virtual:
         h.append(_homogeneous(trace.p_point))  # drawn as vertex n

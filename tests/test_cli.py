@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from udgcolor import core, cover, geom, matching, oracles
+from udgcolor import cli, core, cover, errors, geom, matching, oracles
 from udgcolor.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE,
                           EXIT_PRECONDITION, EXIT_USAGE, run)
 from udgcolor.core import build_instance
@@ -709,6 +709,39 @@ def test_bench_marks_an_instance_with_an_independent_triple(tmp_path, capsys):
     assert run(["bench", str(corpus)]) == EXIT_OK
     rows = capsys.readouterr().out.splitlines()
     assert rows[1:] == ["circulant-8-3\t8\t3\t5\t4\t4\t4", "line\t3\t1\t1\t?\t1\t1"]
+
+
+# every library error: the arguments of one instance of it, its exit code
+# and the stderr prefix cli.run prints before its message
+EXIT_TABLE = {
+    errors.ParseError: ((3, "bad line"), EXIT_PARSE, "parse error: "),
+    errors.DuplicatePoint: ((0, 1), EXIT_PARSE, "parse error: "),
+    errors.StabilityViolated: (((0, 1, 2),), EXIT_PRECONDITION, "precondition violated: "),
+    errors.StructureViolation: (("broken",), EXIT_INTERNAL, "internal error: "),
+    errors.EmptyInstance: (("empty",), EXIT_INTERNAL, "error: "),
+    errors.InvalidVertex: (("vertex 9",), EXIT_INTERNAL, "error: "),
+    errors.LimitExceeded: (("n=99",), EXIT_INTERNAL, "error: "),
+    errors.SnapFailure: (("snapped",), EXIT_INTERNAL, "error: "),
+}
+
+
+def test_exit_table_names_every_library_error():
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.UdgError)}
+    assert set(EXIT_TABLE) == defined - {errors.UdgError}
+
+
+@pytest.mark.parametrize("error", EXIT_TABLE, ids=lambda c: c.__name__)
+def test_each_library_error_has_one_exit_code_and_one_line(tmp_path, capsys, monkeypatch, error):
+    args, code, prefix = EXIT_TABLE[error]
+    exc = error(*args)
+
+    def refused(path):
+        raise exc
+    monkeypatch.setattr(cli, "read_instance", refused)
+    assert run(["cover", str(tmp_path / "i.udg"), "-o", str(tmp_path / "c.cover")]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{prefix}{exc}\n")
 
 
 def test_render_svg(tmp_path):

@@ -89,6 +89,14 @@ def test_out_of_range_vertex_ids_raise(ids):
         is_clique(path, ids)
 
 
+@pytest.mark.parametrize("edge,message", [((0, 3), r"^edge \(0,3\) out of range for n=3$"),
+                                          ((-1, 2), r"^edge \(-1,2\) out of range for n=3$"),
+                                          ((1, 1), r"^self-loop at 1$")])
+def test_abstract_graph_refuses_an_edge_off_its_vertices(edge, message):
+    with pytest.raises(InvalidVertex, match=message):
+        AbstractGraph(3, [(0, 1), edge])
+
+
 def test_in_range_vertex_ids_still_work():
     path = AbstractGraph(3, [(0, 1), (1, 2)])
     sub, glb = path.induced([2, 0, 2])

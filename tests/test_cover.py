@@ -80,6 +80,12 @@ def test_far_pair_two_points():
     assert cover.cliques == (frozenset({0}), frozenset({0}), frozenset({1}))
 
 
+def test_far_pair_cover_refuses_a_pair_closer_than_sqrt3():
+    inst = build_instance("near", [point(0, 0), point("3/2", 0)])
+    with pytest.raises(InvalidVertex, match=r"^pair \(0,1\) is not a far pair$"):
+        far_pair_cover(inst.graph, inst.homogeneous, 0, 1)
+
+
 def test_far_pair_with_midpoint():
     inst = build_instance("fp", [point(0, 0), point(2, 0), point(1, 0)])
     cover = far_pair_cover(inst.graph, inst.homogeneous, 0, 1)

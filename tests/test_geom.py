@@ -11,7 +11,7 @@ from corpora import (acceptance_corpus, benchmark_circulants,
                      lattice_worlds, mixed_denominator_points,
                      perturbed_blowups, reference_orientation)
 from udgcolor import geom
-from udgcolor.errors import EmptyInput
+from udgcolor.errors import EmptyInstance
 from udgcolor.geom import (_SED_SHUFFLE_SEED, BOUNDARY, CCW, COLLINEAR, CW,
                            INTERIOR, OUTSIDE, Disk, HullDecomposition, Point,
                            cross, hull_decomposition, orientation, point,
@@ -55,7 +55,7 @@ def reference_hull_decomposition(points: Sequence[Point]) -> HullDecomposition:
     """
     n = len(points)
     if n == 0:
-        raise EmptyInput("hull of an empty point set")
+        raise EmptyInstance("hull of an empty point set")
     if n == 1:
         return HullDecomposition((0,), frozenset(), False)
 
@@ -119,7 +119,7 @@ def reference_smallest_enclosing_disk(points: Sequence[Point]) -> Disk:
     the front, so comparing the two compares two insertion strategies.
     """
     if not points:
-        raise EmptyInput("enclosing disk of an empty point set")
+        raise EmptyInstance("enclosing disk of an empty point set")
     pts = list(points)
     random.Random(_SED_SHUFFLE_SEED).shuffle(pts)
     d: Disk | None = None
@@ -290,7 +290,7 @@ def test_hull_collinear_flag_and_order():
 
 
 def test_hull_empty_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EmptyInstance):
         hull_decomposition([])
 
 
@@ -327,7 +327,7 @@ def test_enclosing_disk_single_point():
 
 
 def test_enclosing_disk_empty_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EmptyInstance):
         smallest_enclosing_disk([])
 
 

@@ -75,16 +75,19 @@ def test_circulant_check_compares_no_fraction_distance(monkeypatch):
 
 
 def test_circulant_snap_failure_on_a_coarse_grid(monkeypatch):
-    """On a grid of 1/100 the margin check refuses C(59,20), whose chords
-    sit within 0.031 of 1 in squared length, before any point is placed;
-    C(8,3), with a margin of 0.23, still places exactly."""
-    monkeypatch.setattr(instances, "_CIRC_DENOM", 100)
-    with pytest.raises(SnapFailure, match=r"^rounding margin too small for C_59\^20; "
-                                          r"increase precision$"):
+    """The exact adjacency check is the generator's only check.  On a grid
+    of 1/20 it refuses C(59,20), whose rounded points move a chord across
+    the unit distance; on a grid of 1/100 C(59,20), whose chords sit within
+    0.031 of 1 in squared length, and C(8,3) both place exactly."""
+    monkeypatch.setattr(instances, "_CIRC_DENOM", 20)
+    with pytest.raises(SnapFailure, match=r"^rounded placement of C_59\^20 changes "
+                                          r"adjacency of \(1,20\)$"):
         gen_circulant(59, 20)
-    inst = gen_circulant(8, 3)
-    assert all(100 % p.x.denominator == 100 % p.y.denominator == 0 for p in inst.points)
-    assert instance_graph(build_instance(inst.id, inst.points)) == circulant_graph(8, 3)
+    monkeypatch.setattr(instances, "_CIRC_DENOM", 100)
+    for n, k in ((59, 20), (8, 3)):
+        inst = gen_circulant(n, k)
+        assert all(100 % p.x.denominator == 100 % p.y.denominator == 0 for p in inst.points)
+        assert instance_graph(build_instance(inst.id, inst.points)) == circulant_graph(n, k)
 
 
 def test_circulant_c5_stats():

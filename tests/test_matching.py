@@ -14,7 +14,7 @@ from udgcolor import matching
 from udgcolor.core import (AbstractGraph, build_instance, complement,
                            instance_graph, is_clique)
 from udgcolor.cover import _dispatch, partition_from_cover
-from udgcolor.errors import AuditFailure, StabilityViolated
+from udgcolor.errors import StabilityViolated, StructureViolation
 from udgcolor.geom import point
 from udgcolor.instances import gen_circulant, gen_two_cluster
 from udgcolor.matching import (_augment_search, _neighbor_lists, audit_bound,
@@ -83,7 +83,7 @@ def test_matching_equals_brute_force_exhaustively():
 def test_forest_search_refuses_a_non_maximum_matching():
     # P4 with only its middle edge matched: the trees of 0 and 3 meet at 0-1-2-3
     p4 = AbstractGraph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(AuditFailure, match="not maximum"):
+    with pytest.raises(StructureViolation, match="not maximum"):
         _augment_search(_neighbor_lists(p4), [-1, 2, 1, -1], [0, 3])
     # the same forest over a maximum matching marks the even vertices
     c5 = AbstractGraph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -406,7 +406,7 @@ def test_audit_refuses_a_doctored_decomposition(monkeypatch, inst, doctor, messa
     ge = original(complement(inst.graph))
     assert ge.B == frozenset(range(inst.n)) or ge.odd_components == (frozenset(range(inst.n)),)
     monkeypatch.setattr(matching, "gallai_edmonds", lambda g: doctor(original(g)))
-    with pytest.raises(AuditFailure, match=message):
+    with pytest.raises(StructureViolation, match=message):
         audit_bound(inst)
 
 

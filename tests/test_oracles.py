@@ -8,7 +8,7 @@ from udgcolor.cover import CliqueCover, CliquePartition
 from udgcolor.errors import LimitExceeded
 from udgcolor.instances import circulant_graph, gen_cs
 from udgcolor.matching import Coloring
-from udgcolor.oracles import (brute_chi, brute_clique_cover_number,
+from udgcolor.oracles import (Violation, brute_chi, brute_clique_cover_number,
                               brute_cover_exists, brute_omega, brute_stats,
                               check_k16_free, check_nbhprop, max_independent_set,
                               verify_cover, verify_coloring)
@@ -102,6 +102,13 @@ def test_verify_coloring():
     assert bad is not None and bad.kind == "contiguity"
     bad = verify_coloring(_complete(0), Coloring((0,)))
     assert bad is not None and bad.kind == "length"
+
+
+def test_verify_coloring_caps_the_class_size():
+    edgeless = AbstractGraph(4, [])
+    assert verify_coloring(edgeless, Coloring((0, 1, 1, 0)), max_class_size=2) is None
+    bad = verify_coloring(edgeless, Coloring((0, 1, 1, 1)), max_class_size=2)
+    assert bad == Violation("class-size", (1,), "color class 1 exceeds size 2")
 
 
 def test_nbhprop_on_gadget_and_udg():

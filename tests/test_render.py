@@ -1,14 +1,16 @@
 """The SVG renderer's output, pinned byte for byte."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from corpora import mixed_denominator_points
 from udgcolor.core import build_instance
 from udgcolor.cover import cover_three_cliques
+from udgcolor.errors import ParseError
 from udgcolor.instances import gen_circulant, gen_two_cluster
-from udgcolor.matching import color_via_complement_matching, sweep_greedy_color
+from udgcolor.matching import Coloring, color_via_complement_matching, sweep_greedy_color
 from udgcolor.render import render_svg
 
 # SHA-256 of render_svg(inst, coloring, trace) with the matching coloring and
@@ -53,3 +55,24 @@ def test_svg_of_mixed_denominators_matches_golden_hash():
     svg = render_svg(inst, sweep_greedy_color(inst))
     assert (hashlib.sha256(svg.encode()).hexdigest()
             == "b106c40c19efdd0092cda3cc1c7eadf20a870846a4135ed9108ecf2b3c5af274")
+
+
+def _misfits():
+    """(coloring, trace, message) that do not fit gen_circulant(8, 3), whose
+    split trace has a virtual p as vertex 8."""
+    inst = gen_circulant(8, 3)
+    trace = cover_three_cliques(inst)[1]
+    beyond = replace(trace, sets={**trace.sets,
+                                  "region B+": trace.sets["region B+"] | {inst.n + 1}})
+    at_vertex = replace(trace, p_point=inst.points[0])
+    return [(Coloring((0, 1)), None, r"^line 1: coloring does not match instance size$"),
+            (None, beyond, r"^line 1: trace names vertex 9, outside 0\.\.8$"),
+            (None, at_vertex, r"^line 1: a virtual trace p must be vertex 8, "
+                              r"at no instance point$")]
+
+
+@pytest.mark.parametrize("coloring,trace,message", _misfits(),
+                         ids=["short-coloring", "vertex-beyond-n", "virtual-p-at-a-point"])
+def test_render_svg_refuses_artifacts_that_do_not_fit_the_instance(coloring, trace, message):
+    with pytest.raises(ParseError, match=message):
+        render_svg(gen_circulant(8, 3), coloring, trace)
