@@ -36,7 +36,8 @@ adjacency-mask tests): an arc of length one is a non-adjacent consecutive
 pair, covered by _pair_cover as in the far-pair branch; otherwise the
 lengths alone give the pivot pair, and the three clique arcs are slices of
 the boundary.  The plane is then fanned from the center into the regions
-B+, B-, R, T+ and T-, each non-empty region's hull is built once, and each
+B+, B-, R, T+ and T-, each non-empty region's hull is read off its slice
+of the boundary walk in one linear pass with no sort (_fan_hull), and each
 vertex is located against the prepared hull edges by exact integer sign
 tests, a vertex on a region's boundary arc only against the hulls ahead of
 that region; one helper splits both triangles T+ and T-.
@@ -60,8 +61,8 @@ from typing import Sequence
 from .core import (AbstractGraph, CliqueCover, CliquePartition, Instance, _boundary_position,
                    _is_clique_mask, bits, mask_of, require_stability)
 from .errors import EmptyInstance, InvalidVertex, ParseError, StructureViolation
-from .geom import (OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _lex_order,
-                   _line, _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
+from .geom import (CW, OUTSIDE, Homogeneous, Point, PreparedHull, _homogeneous, _lex_order,
+                   _line, _orientation, _sq_dist_sign, hull_decomposition, smallest_enclosing_disk)
 from .instances import parse_int, parse_scalar, read_records
 from .oracles import verify_cover
 
@@ -359,6 +360,14 @@ def _with_universal(g: AbstractGraph) -> AbstractGraph:
     return AbstractGraph.from_masks([m | 1 << n for m in g.masks] + [(1 << n) - 1], id=g.id)
 
 
+def _fan_hull(arc: list[Homogeneous], c: Homogeneous) -> PreparedHull:
+    """The hull of p (triple c) and its arc, a slice of the counterclockwise
+    boundary walk: p is left of or on each walk step, so the ring p, arc turns
+    right at most at p, which then lies inside the arc's hull and is dropped."""
+    keep_p = c not in arc and _orientation(arc[-1], c, arc[0]) != CW
+    return PreparedHull.from_ring([c, *arc] if keep_p else arc)
+
+
 def disk_case_cover(g: AbstractGraph, h: tuple[Homogeneous, ...],
                     center: Point) -> tuple[CliqueCover, DiskCaseTrace]:
     """Cover for instances contained in a closed unit disk around center.
@@ -377,9 +386,11 @@ def disk_case_cover(g: AbstractGraph, h: tuple[Homogeneous, ...],
     the pivot pair (_pivot_pair), whose arcs [b-,b], [b,b+] and minimal
     middle arc R are slices of the rotated boundary.  One table fans the
     plane from p into B+, B-, R, T+ and T-, in location priority order (R
-    and T- are empty in the narrow mode, where the middle arc is).  p joins
-    every non-empty region and b both B regions; every other vertex goes to
-    the first region whose prepared hull does not leave it OUTSIDE (O(n * e)
+    and T- are empty in the narrow mode, where the middle arc is).  Each
+    region's hull is p plus its slice of the rotated boundary, read off in
+    one linear pass with no sort (_fan_hull).  p joins every non-empty
+    region and b both B regions; every other vertex goes to the first
+    region whose prepared hull does not leave it OUTSIDE (O(n * e)
     exact integer sign tests for e hull edges in all); a vertex on a
     region's arc is a point of its hull, so only the hulls ahead of that
     region are tried.  In the split mode _split_triangle then divides T+ and
@@ -430,8 +441,7 @@ def disk_case_cover(g: AbstractGraph, h: tuple[Homogeneous, ...],
     # the fan's boundary vertices per region; T- is empty when R is
     regions = dict(zip(REGIONS, (arc_plus, arc_minus, middle, (b_plus, r_plus),
                                  (r_minus, b_minus) if middle else ())))
-    hulls = [(name, PreparedHull([h[w] for w in ids] + [c]))
-             for name, ids in regions.items() if ids]
+    hulls = [(name, _fan_hull([h[w] for w in ids], c)) for name, ids in regions.items() if ids]
     # p is a vertex of every region's hull; b is in both of its arcs
     assigned = {name: {p_id} if ids else set() for name, ids in regions.items()}
     assigned["B+"].add(b)

@@ -19,7 +19,8 @@ of its seeded order; the minimal disk is unique and turned back into
 Fractions once, normalised, so the moves change the work, not the result.
 The hull is one O(n log n) monotone chain that keeps the points on its
 edges (``_hull_chain``): ``hull_decomposition`` reads its boundary walk and
-``PreparedHull`` its edges.
+``PreparedHull(points)`` its edges; ``PreparedHull.from_ring`` reads the
+edges off points already in order around their hull, in one linear pass.
 
 Only ``sq_dist`` and ``cross``, which return a rational value, compute in
 Fractions.  ``core.instance_graph`` still builds the unit-distance graph
@@ -178,13 +179,14 @@ def segments_cross(u: Point, v: Point, x: Point, y: Point) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
+# exact (x, y) order of triples, cross-multiplied: every W > 0
+_lex_key = cmp_to_key(lambda a, b: a[0] * b[2] - b[0] * a[2] or a[1] * b[2] - b[1] * a[2])
+
+
 def _lex_order(h: Sequence[Homogeneous]) -> list[int]:
     """The indices of h in exact (x, y) order; equal points keep their
     index order."""
-    def compare(i: int, j: int) -> int:
-        (xi, yi, wi), (xj, yj, wj) = h[i], h[j]
-        return xi * wj - xj * wi or yi * wj - yj * wi  # cross-multiplied: every W > 0
-    return sorted(range(len(h)), key=cmp_to_key(compare))
+    return sorted(range(len(h)), key=[_lex_key(t) for t in h].__getitem__)
 
 
 def _hull_chain(h: Sequence[Homogeneous], order: Sequence[int]) -> list[list[int]]:
@@ -242,9 +244,10 @@ def hull_decomposition(h: Sequence[Homogeneous]) -> HullDecomposition:
 
 class PreparedHull:
     """Closed convex hull of a set of homogeneous triples, built once for
-    repeated exact location of triples.
+    repeated exact location of triples: by one monotone chain from any
+    points, or by ``from_ring`` from points in order around their hull.
 
-    Each counterclockwise chain edge a->b is stored as its homogeneous line
+    Each counterclockwise edge a->b is stored as its homogeneous line
     (see ``_line``), so locating a point costs three integer products per
     edge and no rational normalization.  A hull that degenerates to a
     segment, or to a single point (a segment from the point to itself),
@@ -257,14 +260,21 @@ class PreparedHull:
         h = list(dict.fromkeys(points))  # equal points have equal triples
         if not h:
             raise EmptyInstance("hull of an empty point set")
-        order = _lex_order(h)
-        hull = [h[i] for (i,) in _hull_chain(h, order)]
-        self._segment: tuple[Homogeneous, Homogeneous] | None = None
-        if not hull:
-            self._segment = (h[order[0]], h[order[-1]])
-            self._edges = [_line(*self._segment)]
-            return
-        self._edges = [_line(a, b) for a, b in zip(hull, hull[1:] + hull[:1])]
+        self._prepare([h[i] for (i,) in _hull_chain(h, _lex_order(h))] or h)  # h if collinear
+
+    @classmethod
+    def from_ring(cls, ring: list[Homogeneous]) -> PreparedHull:
+        """The hull of distinct triples in counterclockwise order around it,
+        each on its boundary, in one linear pass with no sort."""
+        return cls.__new__(cls)._prepare(ring)
+
+    def _prepare(self, ring: list[Homogeneous]) -> PreparedHull:
+        lx, ly, lw = line = _line(ring[0], ring[-1])  # (0, 0, 0) for a single point
+        flat = all(lx * x + ly * y + lw * w == 0 for x, y, w in ring)
+        # a segment keeps its exact (x, y) extremes for the box test
+        self._segment = (min(ring, key=_lex_key), max(ring, key=_lex_key)) if flat else None
+        self._edges = [line] if flat else [_line(a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+        return self
 
     def locate(self, c: Homogeneous) -> str:
         """INTERIOR, BOUNDARY or OUTSIDE for the closed hull."""

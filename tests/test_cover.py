@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from corpora import (acceptance_corpus, benchmark_toy_instances,
                      reference_orientation)
 from udgcolor import core as core_module
 from udgcolor import cover as cover_module
+from udgcolor import geom as geom_module
 from udgcolor.core import (AbstractGraph, _boundary_position, build_instance,
                            instance_graph, interval_closed, is_clique)
 from udgcolor.cover import (REGIONS, CliqueCover, _clique_arc_lengths, _pivot_pair,
@@ -24,7 +26,7 @@ from udgcolor.cover import (REGIONS, CliqueCover, _clique_arc_lengths, _pivot_pa
                             trace_to_text)
 from udgcolor.errors import (EmptyInstance, InvalidVertex, StabilityViolated,
                              StructureViolation, UdgError)
-from udgcolor.geom import (COLLINEAR, OUTSIDE, Point, PreparedHull, _homogeneous,
+from udgcolor.geom import (COLLINEAR, CW, OUTSIDE, Point, PreparedHull, _homogeneous,
                            hull_decomposition, point, smallest_enclosing_disk,
                            sq_dist)
 from udgcolor.instances import gen_circulant, gen_two_cluster
@@ -445,19 +447,27 @@ def test_fan_regions_match_the_exhaustive_loop():
     assert modes["narrow"] > 50 and modes["split"] > 100, modes
 
 
-def test_fan_locates_no_vertex_against_the_hull_of_its_own_arc(monkeypatch):
-    """A shuffled C(35, 12) has every vertex on the hull boundary, so on an
-    arc; none is located against a hull that it is a point of."""
+def _shuffled_c35_12():
     base = gen_circulant(35, 12)
     order = list(range(base.n))
     random.Random(35).shuffle(order)
-    inst = build_instance("circulant-35-12-shuffled", [base.points[v] for v in order])
+    return build_instance("circulant-35-12-shuffled", [base.points[v] for v in order])
+
+
+def test_fan_locates_no_vertex_against_the_hull_of_its_own_arc(monkeypatch):
+    """A shuffled C(35, 12) has every vertex on the hull boundary, so on an
+    arc; none is located against a hull that it is a point of.  The fan
+    builds each region's hull from its ring (PreparedHull.from_ring), so
+    the ring's points are the ones recorded."""
+    inst = _shuffled_c35_12()
     located = []
 
     class Recording(PreparedHull):
-        def __init__(self, points):
-            self.points = list(points)
-            super().__init__(self.points)
+        @classmethod
+        def from_ring(cls, ring):
+            hull = super().from_ring(ring)
+            hull.points = list(ring)
+            return hull
 
         def locate(self, c):
             located.append((self.points, c))
@@ -467,6 +477,102 @@ def test_fan_locates_no_vertex_against_the_hull_of_its_own_arc(monkeypatch):
     _, trace = cover_three_cliques(inst)
     assert trace.mode == "split"
     assert located and all(c not in points for points, c in located)
+
+
+def test_disk_case_sorts_and_chains_once(monkeypatch):
+    """A disk-case cover runs one (x, y) sort and one monotone chain, for its
+    boundary walk, in the split mode (the shuffled C(35, 12)), the narrow
+    mode and an explicit-centre case: each fan region's hull is read off
+    that walk."""
+    split = _shuffled_c35_12()
+    cases = [(split, smallest_enclosing_disk(split.homogeneous).center, "split"),
+             next((inst, centre, trace.mode) for inst, centre, trace in _disk_cases()
+                  if trace.mode == "narrow"),
+             next((inst, centre, trace.mode) for inst, centre, trace in _disk_cases()
+                  if inst.id.startswith("centre-") and trace.mode != "nonedge")]
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(geom_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_lex_order", "_hull_chain"):
+        monkeypatch.setattr(geom_module, name, counted(name))
+    for inst, centre, mode in cases:
+        inst.graph  # built before counting
+        calls.clear()
+        _, trace = disk_case_cover(inst.graph, inst.homogeneous, centre)
+        assert trace.mode == mode, inst.id
+        assert calls == {"_lex_order": 1, "_hull_chain": 1}, (inst.id, calls)
+
+
+def _ring_branch(arc, c):
+    """Which case of the fan-region ring the arc (triples, in walk order)
+    and p (triple c) fall in, by Fraction orientation tests."""
+    pts = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w in dict.fromkeys([*arc, c])]
+    if len(dict.fromkeys(arc)) == 1:
+        return "one-vertex arc"
+    if all(reference_orientation(pts[0], pts[1], q) == COLLINEAR for q in pts[2:]):
+        return "collinear ring"
+    if c in arc:
+        return "p on the arc"
+    first, last, p = pts[0], pts[len(dict.fromkeys(arc)) - 1], pts[-1]
+    return {CW: "clockwise turn", COLLINEAR: "straight turn"}.get(
+        reference_orientation(last, p, first), "left turn")
+
+
+def _grid_around(ring):
+    """The points of a 1/(2q) grid over the ring's box and one step beyond
+    it, q the lcm of the ring's denominators, as triples; a ring of larger
+    denominators than a lattice corpus has (q > 6) gets its box cut in 8
+    steps each way instead."""
+    q = math.lcm(*(w for *_, w in ring))
+    xs = [x * (q // w) for x, _, w in ring]  # q times each coordinate
+    ys = [y * (q // w) for _, y, w in ring]
+
+    def steps(lo, hi):
+        if q <= 6:
+            return range(2 * lo - 1, 2 * hi + 2)
+        return [8 * lo + i * (hi - lo) for i in range(-1, 10)]
+    w = 2 * q if q <= 6 else 8 * q
+    return [(x, y, w) for x in steps(min(xs), max(xs)) for y in steps(min(ys), max(ys))]
+
+
+def test_fan_region_hulls_locate_like_the_monotone_chain(monkeypatch):
+    """Every fan region of every disk case (_disk_cases(), the lattice worlds
+    and both blow-up corpora) locates every instance point, p and a grid
+    around the region exactly as PreparedHull of the same points does, and
+    every case of the ring is reached."""
+    built = []
+    fan_hull = cover_module._fan_hull
+
+    def recording(arc, c):
+        hull = fan_hull(arc, c)
+        built.append((arc, c, hull))
+        return hull
+
+    monkeypatch.setattr(cover_module, "_fan_hull", recording)
+    runs = itertools.chain(
+        ((inst, functools.partial(disk_case_cover, inst.graph, inst.homogeneous, centre))
+         for inst, centre, _ in _disk_cases()),
+        ((inst, functools.partial(cover_three_cliques, inst))
+         for inst in itertools.chain(*lattice_worlds().values(), circulant_blowups(),
+                                     (inst for inst, _ in perturbed_blowups()))))
+    branches = Counter()
+    for inst, cover in runs:
+        built.clear()
+        cover()
+        for arc, c, hull in built:
+            branches[_ring_branch(arc, c)] += 1
+            reference = PreparedHull([*arc, c])
+            for q in (*inst.homogeneous, c, *_grid_around([*arc, c])):
+                assert hull.locate(q) == reference.locate(q), (inst.id, arc, c, q)
+    assert all(branches[name] for name in ("one-vertex arc", "collinear ring", "p on the arc",
+                                           "clockwise turn", "straight turn")), branches
 
 
 # SHA-256 over the cover, trace and audit texts of lattice_disk_instances()
